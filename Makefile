@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-baseline staticcheck govulncheck build test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance experiments clean-cache
+.PHONY: ci vet lint lint-baseline staticcheck govulncheck build test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
 
-ci: vet lint lint-baseline build race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance staticcheck govulncheck
+ci: vet lint lint-baseline build race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
 
 vet:
 	$(GO) vet ./...
@@ -115,6 +115,12 @@ probe-overhead:
 # exceeds its flow's analytical bound or a tightness anchor goes slack.
 wcta-conformance:
 	$(GO) run ./cmd/experiments -scale tiny -fig wcta -no-cache
+
+# The repo benchmark (BENCHMARK.json) is a nested module that the root
+# `go test ./...` never reaches: vet it and run its self-tests, so the
+# fabric API it calls (sim.BuildFabric, SetShards) cannot drift from it.
+perfbench-check:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Benchmarks, plus a machine-readable BENCH_<date>.json report
 # (ns/op per fabric model, probe on and off) via cmd/benchjson.

@@ -30,7 +30,8 @@ type allocHarness struct {
 // retry timers hold packets past ejection).  A non-nil p is wired as
 // the fabric and collector probe before warm-up, so the event ring,
 // interval series and heatmaps all reach working capacity too.
-func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.Probe) *allocHarness {
+// shards > 1 steps the mesh as that many parallel tiles.
+func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.Probe, shards int) *allocHarness {
 	tb.Helper()
 	cfg := config.Default(model)
 	cfg.Domains = 2
@@ -52,6 +53,19 @@ func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.P
 		if ps, ok := fab.(interface{ SetProbe(*probe.Probe) }); ok {
 			ps.SetProbe(p)
 		}
+	}
+	if shards > 1 {
+		ss, ok := fab.(interface {
+			SetShards(int) error
+			StopShards()
+		})
+		if !ok {
+			tb.Fatalf("%v fabric has no sharded stepping", model)
+		}
+		if err := ss.SetShards(shards); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(ss.StopShards)
 	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
 		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
@@ -98,17 +112,34 @@ func (h *allocHarness) stepOnly(n int) {
 
 // TestStepNoAlloc asserts the tentpole claim of DESIGN.md §12: after
 // warm-up, steady-state stepping performs zero heap allocations on
-// every fabric.  The simulation is deterministic, so this is an exact
-// assertion, not a flaky statistical one.
+// every fabric, serial and — on the fabrics that shard — stepped as
+// four parallel tiles.  The simulation is deterministic, so this is an
+// exact assertion, not a flaky statistical one.
 func TestStepNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
+	type input struct {
+		model  config.Model
+		shards int
+	}
+	var inputs []input
 	for _, model := range []config.Model{
 		config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
 	} {
-		t.Run(model.String(), func(t *testing.T) {
-			h := newAllocHarness(t, model, 3000, nil)
+		inputs = append(inputs, input{model, 1})
+	}
+	for _, model := range []config.Model{config.WH, config.Surf, config.SB} {
+		inputs = append(inputs, input{model, 4})
+	}
+	for _, in := range inputs {
+		model := in.model
+		name := model.String()
+		if in.shards > 1 {
+			name += "-sharded"
+		}
+		t.Run(name, func(t *testing.T) {
+			h := newAllocHarness(t, model, 3000, nil, in.shards)
 			window := func() float64 {
 				if model == config.RUNAHEAD {
 					// RUNAHEAD cannot recycle (its retry heap reads
@@ -170,7 +201,7 @@ func TestStepNoAllocProbed(t *testing.T) {
 			// attempt budget below (600 × 500 cycles + warm-up).
 			p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: 400_000})
 			p.AttachTap(probe.NewFlightRecorder(0))
-			h := newAllocHarness(t, model, 3000, p)
+			h := newAllocHarness(t, model, 3000, p, 1)
 			streak := 0
 			for attempt := 0; streak < 10; attempt++ {
 				if attempt == 600 {

@@ -140,6 +140,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *shards < 1 {
 		return fatal(fmt.Errorf("-shards %d, need ≥ 1", *shards))
 	}
+	// The spec carries the timeout in whole milliseconds (what -remote
+	// submits); a finer value would time out differently here and there.
+	if *pointTimeout%time.Millisecond != 0 {
+		return fatal(fmt.Errorf("-point-timeout %v is not a whole number of milliseconds", *pointTimeout))
+	}
 
 	var plan *fault.Plan
 	if *faultsFile != "" {
@@ -278,7 +283,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budget := spec.Attempts()
 		var lastErr error
 		for attempt := 1; attempt <= budget; attempt++ {
-			pctx, cancel := pointCtx(*pointTimeout)
+			pctx, cancel := spec.PointContext(context.Background())
 			res, status, perr := sweepPoint(pctx, o, m, rate, cache, pointFiles{
 				trace: *traceFile, spans: *spansFile,
 				probeDir: *probeDir, probeEvery: *probeEvery,
@@ -290,7 +295,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return out, nil
 			}
 			if errors.Is(perr, context.DeadlineExceeded) {
-				perr = fmt.Errorf("timeout after %v", *pointTimeout)
+				perr = spec.TimeoutError()
 			}
 			lastErr = perr
 			if attempt == budget {
@@ -409,15 +414,6 @@ func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress 
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-}
-
-// pointCtx returns the per-point context — bounded when a timeout is
-// set, free otherwise — and its cancel func (a no-op without timeout).
-func pointCtx(timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), timeout)
 }
 
 // pointFiles collects the per-point observability outputs a sweep can

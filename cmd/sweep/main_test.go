@@ -227,6 +227,37 @@ func TestBadFlagsFail(t *testing.T) {
 	}
 }
 
+// A point that times out must leave the same row locally as through
+// the service, and a timeout the spec cannot carry in whole
+// milliseconds (what -remote submits) must be refused.
+func TestLocalTimeoutMatchesRunner(t *testing.T) {
+	args := []string{
+		"-model", "SB", "-domains", "2", "-from", "0.02", "-to", "0.02", "-step", "0.02",
+		"-cycles", "500000000", "-seed", "7", "-no-cache", "-attempts", "1",
+	}
+	local, stderr, code := runSweep(t, append(args, "-point-timeout", "1s"))
+	if code == 0 {
+		t.Fatalf("timed-out sweep exited 0; stderr:\n%s", stderr)
+	}
+	spec := sweepsvc.Spec{
+		Model: "SB", Domains: 2, From: 0.02, To: 0.02, Step: 0.02,
+		Cycles: 500000000, Seed: 7, PointTimeoutMS: 1000, MaxAttempts: 1,
+	}
+	var want bytes.Buffer
+	if _, err := (&sweepsvc.Runner{}).SerialCSV(context.Background(), spec, &want); err != nil {
+		t.Fatal(err)
+	}
+	if local != want.String() {
+		t.Errorf("local timeout row differs from the service's:\n--- local ---\n%s--- runner ---\n%s", local, want.String())
+	}
+	if !strings.Contains(local, "timeout after 1000ms") {
+		t.Errorf("no timeout status in:\n%s", local)
+	}
+	if _, _, code := runSweep(t, append(args, "-point-timeout", "300us")); code == 0 {
+		t.Error("a sub-millisecond -point-timeout must fail")
+	}
+}
+
 // A span-exporting sweep writes one loadable Chrome-trace JSON per
 // point, and its CSV is identical to an unobserved sweep — the
 // exporter rides the probe's event stream without touching results.

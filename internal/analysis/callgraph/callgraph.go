@@ -14,12 +14,12 @@
 //     through interfaces and func values stay unresolved (the nilhook
 //     analyzer owns exactly those shapes).
 //   - reference edges — a function or method *mentioned* without being
-//     called: a method value bound to a struct field
-//     (`e.recvFn = e.recvTile`) or passed as an argument
-//     (`pool.Run(n, e.moveFn)`).  A referenced function is assumed
-//     callable wherever the reference escapes, so reachability follows
-//     these edges too; without them the sharded stepping path — tile
-//     closures invoked by the worker pool — was invisible to hotalloc.
+//     called: a method value bound to a struct field or passed as an
+//     argument (`router.NewKernel(c, e.recvTile, e.moveTile)`).  A
+//     referenced function is assumed callable wherever the reference
+//     escapes, so reachability follows these edges too; without them
+//     the sharded stepping path — tile closures invoked by the worker
+//     pool — was invisible to hotalloc.
 //
 // Identity is the cross-package-stable Key (defining package path,
 // receiver type, name): objects for the same method differ between a

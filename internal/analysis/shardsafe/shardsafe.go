@@ -38,12 +38,13 @@
 // guarded blocks are skipped:
 //
 //   - `if fx.direct { ... }` — a bool field named direct on a safe
-//     (tile-local) value selects the serial fast path that applies
-//     effects inline instead of deferring them;
+//     (tile-local) value selects the serial context that applies
+//     effects inline instead of deferring them (router.Core's effect
+//     methods);
 //   - any condition with a conjunct `X != nil` where X is a
-//     *fault.Injector — the fabrics force the serial walk whenever an
-//     injector is armed, and && short-circuits the remaining conjuncts
-//     behind the nil check.  Conjuncts BEFORE the nil check evaluate
+//     *fault.Injector — the stepping kernel (router.Kernel) forces the
+//     serial walk whenever an injector is armed, and && short-circuits
+//     the remaining conjuncts behind the nil check.  Conjuncts BEFORE the nil check evaluate
 //     unconditionally, so those are still walked.
 //
 // Calls into sibling instrumentation packages resolve against a policy

@@ -123,6 +123,28 @@ func TestContractInjectAndDeliver(t *testing.T) {
 	})
 }
 
+// TestContractStepMonotonic: Step must run with strictly increasing
+// cycle numbers, and every model panics on a repeated or earlier cycle
+// instead of silently double-stepping its links.
+func TestContractStepMonotonic(t *testing.T) {
+	forEachModel(t, func(t *testing.T, model config.Model) {
+		for _, now := range []int64{5, 4} {
+			h := newHarness(t, model, 1, nil)
+			for c := int64(0); c <= 5; c++ {
+				h.fab.Step(c)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("Step(%d) after Step(5) did not panic", now)
+					}
+				}()
+				h.fab.Step(now)
+			}()
+		}
+	})
+}
+
 // TestContractBackpressure fills one node's domain queue within a
 // single cycle: Inject must start returning false at the configured
 // bound instead of growing without limit, refused offers must not

@@ -22,32 +22,22 @@ import (
 	"fmt"
 
 	"surfbless/internal/config"
-	"surfbless/internal/fault"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/probe"
 	"surfbless/internal/router"
 	"surfbless/internal/stats"
 )
 
-// Fabric is a BLESS mesh.  It implements network.Fabric.
+// Fabric is a BLESS mesh.  It implements network.Fabric.  Faults
+// (SetFaults) break the port-count invariant on purpose, so while armed
+// the fabric routes stricken packets through the core's
+// drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	cfg   config.Config
-	mesh  geom.Mesh
+	router.Core
 	nodes []*node
-	sink  network.Sink
-	col   *stats.Collector
-	meter *power.Meter
-	probe *probe.Probe // nil = no spatial observation
-
-	faults *fault.Injector  // nil = fault-free (hot path untouched)
-	recov  *router.Recovery // non-nil iff faults is
-
-	inFlight int
-	lastStep int64
 }
 
 type node struct {
@@ -71,49 +61,29 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.BLESS {
 		return nil, fmt.Errorf("bless: config model is %v", cfg.Model)
 	}
-	if col == nil || meter == nil {
-		return nil, fmt.Errorf("bless: collector and meter are required")
+	core, err := router.NewCore(cfg, sink, col, meter)
+	if err != nil {
+		return nil, err
 	}
-	f := &Fabric{cfg: cfg, mesh: cfg.Mesh(), sink: sink, col: col, meter: meter, lastStep: -1}
-	f.nodes = make([]*node, f.mesh.Nodes())
+	f := &Fabric{Core: core}
+	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
-		f.nodes[id] = &node{
-			c:  f.mesh.CoordOf(id),
-			ni: router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
-		}
+		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
 	}
 	// Wire one delay line per unidirectional link; the line delay is the
 	// hop delay P (router pipeline + link traversal).
 	p := cfg.HopDelay()
-	for id, n := range f.nodes {
+	for _, n := range f.nodes {
 		for _, d := range geom.LinkDirs {
-			if !f.mesh.HasNeighbor(n.c, d) {
+			if !f.Mesh.HasNeighbor(n.c, d) {
 				continue
 			}
 			l := link.New[*packet.Packet](p)
 			n.out[d] = l
-			f.nodes[f.mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
+			f.nodes[f.Mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
 		}
-		_ = id
 	}
 	return f, nil
-}
-
-// SetProbe attaches a hot-path observer recording per-router
-// traversals, deflections and link flits (nil to remove).
-func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// SetFaults arms a fault injector (nil to disarm).  Faults break the
-// port-count invariant on purpose, so while armed the fabric routes
-// stricken packets through drop-with-retransmit recovery instead of
-// panicking.
-func (f *Fabric) SetFaults(inj *fault.Injector) {
-	f.faults = inj
-	if inj == nil {
-		f.recov = nil
-		return
-	}
-	f.recov = &router.Recovery{MaxRetries: inj.MaxRetries(), Backoff: inj.Backoff()}
 }
 
 // Inject offers p to node's NI.  It panics on multi-flit packets (see
@@ -122,46 +92,19 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Size != 1 {
 		panic(fmt.Sprintf("bless: cannot transfer multi-flit packet %v (no VCs to interleave worms)", p))
 	}
-	n := f.nodes[nodeID]
-	if !n.ni.Offer(p) {
-		f.col.Refused(p.Domain, now)
-		return false
-	}
-	f.col.Created(p)
-	f.meter.BufferWrite(p.Size)
-	f.inFlight++
-	return true
+	return f.Offer(nodeID, p, now)
 }
 
 // Step advances the network by one cycle.
 func (f *Fabric) Step(now int64) {
-	if now <= f.lastStep {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("bless: Step(%d) after Step(%d)", now, f.lastStep))
-	}
-	f.lastStep = now
-	if f.recov != nil {
-		f.relaunchRetries(now)
-	}
+	f.Begin(now)
+	fx := &f.FX[0]
 	for id, n := range f.nodes {
-		f.stepNode(id, n, now)
+		f.stepNode(id, n, now, fx)
 	}
 }
 
-// relaunchRetries re-offers packets whose retransmission backoff
-// expired to their source NI; a full NI costs another backoff round
-// without consuming a retry attempt.
-func (f *Fabric) relaunchRetries(now int64) {
-	for p := f.recov.Queue.PopDue(now); p != nil; p = f.recov.Queue.PopDue(now) {
-		if f.nodes[f.mesh.ID(p.Src)].ni.Offer(p) {
-			f.meter.BufferWrite(p.Size)
-		} else {
-			f.recov.Queue.Push(p, now+f.recov.Backoff)
-		}
-	}
-}
-
-func (f *Fabric) stepNode(id int, n *node, now int64) {
+func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 	// Phase 1: collect this cycle's arrivals (at most one per in-link)
 	// into the node's reused scratch buffer.
 	arrivals := n.arrivals[:0]
@@ -176,9 +119,9 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 	// A frozen router's pipeline is dead: the links above were still
 	// drained (they demand collection), but every arrival is lost at the
 	// input and recovered via source retransmission.
-	if f.faults != nil && f.faults.Frozen(id, now) {
+	if f.Faults != nil && f.Faults.Frozen(id, now) {
 		for _, p := range arrivals {
-			f.dropOrRetry(p, now)
+			f.DropOrRetry(p, now)
 		}
 		return
 	}
@@ -192,7 +135,9 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 		}
 	}
 	if ejected >= 0 {
-		f.eject(n, arrivals[ejected], now)
+		p := arrivals[ejected]
+		f.Crossbar(fx, p.Size)
+		f.Ejected(fx, id, p, now)
 		arrivals = append(arrivals[:ejected], arrivals[ejected+1:]...)
 	}
 
@@ -202,10 +147,10 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 	for _, p := range arrivals {
 		d := f.pickOutput(id, n, p, now, &taken)
 		if d < 0 { // only possible with faults armed: a link is down
-			f.dropOrRetry(p, now)
+			f.DropOrRetry(p, now)
 			continue
 		}
-		f.forward(n, p, d, now, &taken)
+		f.forward(id, n, p, d, now, &taken, fx)
 	}
 
 	// Phase 4: injection, at the lowest priority, needs a free output.
@@ -223,12 +168,9 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 			break // no output left this cycle
 		}
 		n.ni.Pop(dom)
-		if p.InjectedAt < 0 { // a retransmission keeps its first stamp
-			p.InjectedAt = now
-			f.col.Injected(p)
-		}
-		f.meter.BufferRead(p.Size)
-		f.forward(n, p, d, now, &taken)
+		f.Injected(fx, p, now)
+		f.BufferRead(fx, p.Size)
+		f.forward(id, n, p, d, now, &taken, fx)
 		break // one injection port
 	}
 }
@@ -243,11 +185,11 @@ func (f *Fabric) pickOutput(id int, n *node, p *packet.Packet, now int64, taken 
 	if d := f.freeOutput(id, n, p, now, taken); d >= 0 {
 		return d
 	}
-	if f.faults != nil {
+	if f.Faults != nil {
 		return -1
 	}
 	//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-	panic(fmt.Sprintf("bless: no free output at %v cycle %d for %v (port balance violated)", n.c, f.lastStep, p))
+	panic(fmt.Sprintf("bless: no free output at %v cycle %d for %v (port balance violated)", n.c, now, p))
 }
 
 // freeOutput returns the preferred usable output for p, or -1 when
@@ -273,16 +215,16 @@ func (f *Fabric) usable(id int, n *node, d geom.Dir, now int64, taken *[geom.Num
 	if d == geom.Local || n.out[d] == nil || taken[d] {
 		return false
 	}
-	return f.faults == nil || !f.faults.LinkDown(id, d, now)
+	return f.Faults == nil || !f.Faults.LinkDown(id, d, now)
 }
 
-func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool) {
+func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool, fx *router.FX) {
 	taken[d] = true
 	// Corruption is modeled at link entry: the flit burned the wire but
 	// fails its CRC and never reaches the neighbor.
-	if f.faults != nil && f.faults.Corrupt(p, f.mesh.ID(n.c), d, now) {
-		f.meter.LinkTraversal(p.Size)
-		f.dropOrRetry(p, now)
+	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
+		f.Link(fx, p.Size)
+		f.DropOrRetry(p, now)
 		return
 	}
 	p.Hops++
@@ -290,56 +232,24 @@ func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64, taken
 	if deflected {
 		p.Deflections++
 	}
-	f.meter.Allocation(1)
-	f.meter.CrossbarTraversal(p.Size)
-	f.meter.LinkTraversal(p.Size)
-	if f.probe != nil {
-		f.probe.Traverse(f.mesh.ID(n.c), d, p, p.Size, deflected, now)
-	}
+	f.Hop(fx, p.Size)
+	f.Traverse(id, d, p, p.Size, deflected, now)
 	n.out[d].Send(p, now)
 }
-
-func (f *Fabric) eject(n *node, p *packet.Packet, now int64) {
-	p.EjectedAt = now
-	f.meter.CrossbarTraversal(p.Size)
-	f.col.Ejected(p)
-	f.inFlight--
-	if f.sink != nil {
-		f.sink(f.mesh.ID(n.c), p, now)
-	}
-}
-
-// dropOrRetry hands a fault-stricken packet to NI-level recovery:
-// bounded source retransmission with backoff, then a counted drop.
-func (f *Fabric) dropOrRetry(p *packet.Packet, now int64) {
-	if f.recov.TryRetry(p, now) {
-		f.col.Retransmitted(p, now)
-		return
-	}
-	f.col.Dropped(p, now)
-	f.inFlight--
-}
-
-// InFlight returns accepted-but-undelivered packets.
-func (f *Fabric) InFlight() int { return f.inFlight }
 
 // Audit verifies that NI queues plus link occupancy account for every
 // in-flight packet (bufferless routers hold no state between cycles).
 func (f *Fabric) Audit() error {
-	n := 0
+	n := f.Backlog()
 	for _, nd := range f.nodes {
-		n += nd.ni.Backlog()
 		for _, l := range nd.out {
 			if l != nil {
 				n += l.InFlight()
 			}
 		}
 	}
-	if f.recov != nil {
-		n += f.recov.Queue.Len()
-	}
-	if n != f.inFlight {
-		return fmt.Errorf("bless: %d packets in queues+links, %d in flight", n, f.inFlight)
+	if n != f.InFlight() {
+		return fmt.Errorf("bless: %d packets in queues+links, %d in flight", n, f.InFlight())
 	}
 	return nil
 }

@@ -29,13 +29,11 @@ import (
 	"fmt"
 
 	"surfbless/internal/config"
-	"surfbless/internal/fault"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/probe"
 	"surfbless/internal/router"
 	"surfbless/internal/stats"
 )
@@ -47,23 +45,15 @@ const (
 	goldenMod   = 64
 )
 
-// Fabric is a CHIPPER mesh.  It implements network.Fabric.
+// Fabric is a CHIPPER mesh.  It implements network.Fabric.  With
+// faults armed (SetFaults) a down link is treated exactly like a
+// missing border port — the fix-up pass reassigns its packets — and
+// packets that still find no output enter the core's
+// drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	cfg   config.Config
-	mesh  geom.Mesh
+	router.Core
 	nodes []*node
-	sink  network.Sink
-	col   *stats.Collector
-	meter *power.Meter
-	probe *probe.Probe // nil = no spatial observation
-
-	faults *fault.Injector  // nil = fault-free (hot path untouched)
-	recov  *router.Recovery // non-nil iff faults is
-
-	rbuf []*packet.Packet // per-link receive scratch, reused every cycle
-
-	inFlight int
-	lastStep int64
+	rbuf  []*packet.Packet // per-link receive scratch, reused every cycle
 }
 
 type node struct {
@@ -71,23 +61,6 @@ type node struct {
 	ni  *router.NI
 	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
 	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
-}
-
-// SetProbe attaches a hot-path observer recording per-router
-// traversals, deflections and link flits (nil to remove).
-func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// SetFaults arms a fault injector (nil to disarm).  A down link is
-// treated exactly like a missing border port — the fix-up pass
-// reassigns its packets — and packets that still find no output enter
-// drop-with-retransmit recovery instead of panicking.
-func (f *Fabric) SetFaults(inj *fault.Injector) {
-	f.faults = inj
-	if inj == nil {
-		f.recov = nil
-		return
-	}
-	f.recov = &router.Recovery{MaxRetries: inj.MaxRetries(), Backoff: inj.Backoff()}
 }
 
 // New builds a CHIPPER mesh for cfg.
@@ -98,26 +71,24 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.CHIPPER {
 		return nil, fmt.Errorf("chipper: config model is %v", cfg.Model)
 	}
-	if col == nil || meter == nil {
-		return nil, fmt.Errorf("chipper: collector and meter are required")
+	core, err := router.NewCore(cfg, sink, col, meter)
+	if err != nil {
+		return nil, err
 	}
-	f := &Fabric{cfg: cfg, mesh: cfg.Mesh(), sink: sink, col: col, meter: meter, lastStep: -1}
-	f.nodes = make([]*node, f.mesh.Nodes())
+	f := &Fabric{Core: core}
+	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
-		f.nodes[id] = &node{
-			c:  f.mesh.CoordOf(id),
-			ni: router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
-		}
+		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
 	}
 	p := cfg.HopDelay()
 	for _, n := range f.nodes {
 		for _, d := range geom.LinkDirs {
-			if !f.mesh.HasNeighbor(n.c, d) {
+			if !f.Mesh.HasNeighbor(n.c, d) {
 				continue
 			}
 			l := link.New[*packet.Packet](p)
 			n.out[d] = l
-			f.nodes[f.mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
+			f.nodes[f.Mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
 		}
 	}
 	return f, nil
@@ -133,42 +104,15 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Size != 1 {
 		panic(fmt.Sprintf("chipper: cannot transfer multi-flit packet %v", p))
 	}
-	n := f.nodes[nodeID]
-	if !n.ni.Offer(p) {
-		f.col.Refused(p.Domain, now)
-		return false
-	}
-	f.col.Created(p)
-	f.meter.BufferWrite(p.Size)
-	f.inFlight++
-	return true
+	return f.Offer(nodeID, p, now)
 }
 
 // Step advances the network by one cycle.
 func (f *Fabric) Step(now int64) {
-	if now <= f.lastStep {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("chipper: Step(%d) after Step(%d)", now, f.lastStep))
-	}
-	f.lastStep = now
-	if f.recov != nil {
-		f.relaunchRetries(now)
-	}
+	f.Begin(now)
+	fx := &f.FX[0]
 	for id, n := range f.nodes {
-		f.stepNode(id, n, now)
-	}
-}
-
-// relaunchRetries re-offers packets whose retransmission backoff
-// expired to their source NI; a full NI costs another backoff round
-// without consuming a retry attempt.
-func (f *Fabric) relaunchRetries(now int64) {
-	for p := f.recov.Queue.PopDue(now); p != nil; p = f.recov.Queue.PopDue(now) {
-		if f.nodes[f.mesh.ID(p.Src)].ni.Offer(p) {
-			f.meter.BufferWrite(p.Size)
-		} else {
-			f.recov.Queue.Push(p, now+f.recov.Backoff)
-		}
+		f.stepNode(id, n, now, fx)
 	}
 }
 
@@ -178,7 +122,7 @@ func (f *Fabric) outUsable(id int, n *node, d geom.Dir, now int64) bool {
 	if n.out[d] == nil {
 		return false
 	}
-	return f.faults == nil || !f.faults.LinkDown(id, d, now)
+	return f.Faults == nil || !f.Faults.LinkDown(id, d, now)
 }
 
 // prio orders two packets inside an arbiter block: golden class first,
@@ -191,7 +135,7 @@ func prio(a, b *packet.Packet, now int64) bool {
 	return router.Hash64(a.ID, uint64(now)) >= router.Hash64(b.ID, uint64(now))
 }
 
-func (f *Fabric) stepNode(id int, n *node, now int64) {
+func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 	// Receive into the four input slots (at most one packet per link
 	// per cycle; the scratch buffer is fabric-owned and reused).
 	var slots [geom.NumLinkDirs]*packet.Packet
@@ -208,10 +152,10 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 	// A frozen router's pipeline is dead: the links above were still
 	// drained (they demand collection), but every arrival is lost at
 	// the input and recovered via source retransmission.
-	if f.faults != nil && f.faults.Frozen(id, now) {
+	if f.Faults != nil && f.Faults.Frozen(id, now) {
 		for _, p := range slots {
 			if p != nil {
-				f.dropOrRetry(p, now)
+				f.DropOrRetry(p, now)
 			}
 		}
 		return
@@ -228,13 +172,15 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 		}
 	}
 	if ej >= 0 {
-		f.eject(n, slots[ej], now)
+		p := slots[ej]
+		f.Crossbar(fx, p.Size)
+		f.Ejected(fx, id, p, now)
 		slots[ej] = nil
 	}
 
 	// Inject into one empty slot (injection is lowest priority by
 	// construction: it only uses a slot no in-flight packet holds).
-	f.tryInject(id, n, &slots, now)
+	f.tryInject(id, n, &slots, now, fx)
 
 	// Two-stage permutation deflection network.
 	outs := permute(n.c, &slots, now)
@@ -247,7 +193,7 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 		if p == nil {
 			continue
 		}
-		f.forward(n, p, geom.Dir(d), now)
+		f.forward(id, n, p, geom.Dir(d), now, fx)
 	}
 }
 
@@ -367,8 +313,8 @@ func (f *Fabric) fixup(id int, n *node, outs *[geom.NumLinkDirs]*packet.Packet, 
 			// Fault-free this is unreachable (injection leaves room for
 			// every existing port); with links down it is the expected
 			// degradation path.
-			if f.faults != nil {
-				f.dropOrRetry(p, now)
+			if f.Faults != nil {
+				f.DropOrRetry(p, now)
 				continue
 			}
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
@@ -377,7 +323,7 @@ func (f *Fabric) fixup(id int, n *node, outs *[geom.NumLinkDirs]*packet.Packet, 
 	}
 }
 
-func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Packet, now int64) {
+func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Packet, now int64, fx *router.FX) {
 	// The router can emit at most one packet per usable output port;
 	// borders have fewer than four (and faults may kill more), so
 	// injection must leave room or the fix-up pass would strand a
@@ -404,22 +350,19 @@ func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Pac
 			continue
 		}
 		n.ni.Pop(dom)
-		if p.InjectedAt < 0 { // a retransmission keeps its first stamp
-			p.InjectedAt = now
-			f.col.Injected(p)
-		}
-		f.meter.BufferRead(p.Size)
+		f.Injected(fx, p, now)
+		f.BufferRead(fx, p.Size)
 		slots[free] = p
 		return
 	}
 }
 
-func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64) {
+func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, fx *router.FX) {
 	// Corruption is modeled at link entry: the flit burned the wire but
 	// fails its CRC and never reaches the neighbor.
-	if f.faults != nil && f.faults.Corrupt(p, f.mesh.ID(n.c), d, now) {
-		f.meter.LinkTraversal(p.Size)
-		f.dropOrRetry(p, now)
+	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
+		f.Link(fx, p.Size)
+		f.DropOrRetry(p, now)
 		return
 	}
 	p.Hops++
@@ -427,56 +370,24 @@ func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64) {
 	if deflected {
 		p.Deflections++
 	}
-	f.meter.Allocation(1)
-	f.meter.CrossbarTraversal(p.Size)
-	f.meter.LinkTraversal(p.Size)
-	if f.probe != nil {
-		f.probe.Traverse(f.mesh.ID(n.c), d, p, p.Size, deflected, now)
-	}
+	f.Hop(fx, p.Size)
+	f.Traverse(id, d, p, p.Size, deflected, now)
 	n.out[d].Send(p, now)
 }
-
-func (f *Fabric) eject(n *node, p *packet.Packet, now int64) {
-	p.EjectedAt = now
-	f.meter.CrossbarTraversal(p.Size)
-	f.col.Ejected(p)
-	f.inFlight--
-	if f.sink != nil {
-		f.sink(f.mesh.ID(n.c), p, now)
-	}
-}
-
-// dropOrRetry hands a fault-stricken packet to NI-level recovery:
-// bounded source retransmission with backoff, then a counted drop.
-func (f *Fabric) dropOrRetry(p *packet.Packet, now int64) {
-	if f.recov.TryRetry(p, now) {
-		f.col.Retransmitted(p, now)
-		return
-	}
-	f.col.Dropped(p, now)
-	f.inFlight--
-}
-
-// InFlight returns accepted-but-undelivered packets.
-func (f *Fabric) InFlight() int { return f.inFlight }
 
 // Audit verifies that NI queues plus link occupancy account for every
 // in-flight packet.
 func (f *Fabric) Audit() error {
-	n := 0
+	n := f.Backlog()
 	for _, nd := range f.nodes {
-		n += nd.ni.Backlog()
 		for _, l := range nd.out {
 			if l != nil {
 				n += l.InFlight()
 			}
 		}
 	}
-	if f.recov != nil {
-		n += f.recov.Queue.Len()
-	}
-	if n != f.inFlight {
-		return fmt.Errorf("chipper: %d packets in queues+links, %d in flight", n, f.inFlight)
+	if n != f.InFlight() {
+		return fmt.Errorf("chipper: %d packets in queues+links, %d in flight", n, f.InFlight())
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 // Package router holds the plumbing shared by every router model: the
+// fabric core (Core: NIs, packet lifecycle and energy effects, fault
+// recovery) and its serial/sharded stepping kernel (Kernel), the
 // network-interface queues feeding injection ports, priority ordering
-// helpers, the drop-with-retransmit recovery machinery used under
-// fault injection, and a deterministic hash used where the paper calls
-// for a random choice.
+// helpers, the drop-with-retransmit retry queue used under fault
+// injection, and a deterministic hash used where the paper calls for a
+// random choice.
 package router
 
 import (

@@ -24,13 +24,11 @@ import (
 	"fmt"
 
 	"surfbless/internal/config"
-	"surfbless/internal/fault"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/probe"
 	"surfbless/internal/router"
 	"surfbless/internal/stats"
 )
@@ -42,30 +40,22 @@ import (
 const retryTimeout = 32
 
 // Fabric is a Runahead mesh.  It implements network.Fabric.
+//
+// Faults (SetFaults) plug into runahead's native recovery:
+// fault-stricken copies go through the same drop-and-retransmit
+// machinery as congestion losses (source timers are unbounded, so a
+// permanent fault on a packet's only route shows up as livelock for
+// the watchdog, not as a silent loss).
 type Fabric struct {
-	cfg   config.Config
-	mesh  geom.Mesh
+	router.Core
 	nodes []*node
-	sink  network.Sink
-	col   *stats.Collector
-	meter *power.Meter
-	probe *probe.Probe // nil = no spatial observation
-
-	// faults plugs the shared injector into runahead's native recovery:
-	// fault-stricken copies go through the same drop-and-retransmit
-	// machinery as congestion losses (source timers are unbounded, so a
-	// permanent fault on a packet's only route shows up as livelock for
-	// the watchdog, not as a silent loss).
-	faults *fault.Injector
 
 	retries  retryHeap
 	retrySeq int64
 
-	inFlight        int
 	traveling       int // copies currently inside the mesh
 	Drops           int64
 	Retransmissions int64
-	lastStep        int64
 }
 
 type node struct {
@@ -151,37 +141,27 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.RUNAHEAD {
 		return nil, fmt.Errorf("runahead: config model is %v", cfg.Model)
 	}
-	if col == nil || meter == nil {
-		return nil, fmt.Errorf("runahead: collector and meter are required")
+	core, err := router.NewCore(cfg, sink, col, meter)
+	if err != nil {
+		return nil, err
 	}
-	f := &Fabric{cfg: cfg, mesh: cfg.Mesh(), sink: sink, col: col, meter: meter, lastStep: -1}
-	f.nodes = make([]*node, f.mesh.Nodes())
+	f := &Fabric{Core: core}
+	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
-		f.nodes[id] = &node{
-			c:  f.mesh.CoordOf(id),
-			ni: router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
-		}
+		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
 	}
 	for _, n := range f.nodes {
 		for _, d := range geom.LinkDirs {
-			if !f.mesh.HasNeighbor(n.c, d) {
+			if !f.Mesh.HasNeighbor(n.c, d) {
 				continue
 			}
 			l := link.New[*packet.Packet](1) // single-cycle hop
 			n.out[d] = l
-			f.nodes[f.mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
+			f.nodes[f.Mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
 		}
 	}
 	return f, nil
 }
-
-// SetProbe attaches a hot-path observer recording per-router
-// traversals and link flits (Runahead drops rather than deflects, so
-// its deflection heatmap stays zero; nil to remove).
-func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// SetFaults arms a fault injector (nil to disarm).
-func (f *Fabric) SetFaults(inj *fault.Injector) { f.faults = inj }
 
 // Inject offers p (single-flit) to node's NI.
 func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
@@ -191,24 +171,13 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Src == p.Dst {
 		panic(fmt.Sprintf("runahead: self-addressed packet %v (deliver locally instead)", p))
 	}
-	n := f.nodes[nodeID]
-	if !n.ni.Offer(p) {
-		f.col.Refused(p.Domain, now)
-		return false
-	}
-	f.col.Created(p)
-	f.meter.BufferWrite(p.Size)
-	f.inFlight++
-	return true
+	return f.Offer(nodeID, p, now)
 }
 
 // Step advances the network by one cycle.
 func (f *Fabric) Step(now int64) {
-	if now <= f.lastStep {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("runahead: Step(%d) after Step(%d)", now, f.lastStep))
-	}
-	f.lastStep = now
+	f.Begin(now)
+	fx := &f.FX[0]
 
 	// Retransmit timed-out packets by re-queueing them at their source
 	// NI ahead of fresh traffic (a retried packet is older).
@@ -218,17 +187,17 @@ func (f *Fabric) Step(now int64) {
 			continue // delivered in the meantime
 		}
 		f.Retransmissions++
-		f.col.Retransmitted(e.p, now)
-		f.meter.BufferRead(1)
-		f.launch(f.nodes[f.mesh.ID(e.p.Src)], e.p, now)
+		f.Retransmitted(e.p, now)
+		f.BufferRead(fx, 1)
+		f.launch(f.NIs[f.Mesh.ID(e.p.Src)], e.p, now)
 	}
 
 	for id, n := range f.nodes {
-		f.stepNode(id, n, now)
+		f.stepNode(id, n, now, fx)
 	}
 }
 
-func (f *Fabric) stepNode(id int, n *node, now int64) {
+func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 	arrivals := n.arrivals[:0]
 	for _, d := range geom.LinkDirs {
 		if n.in[d] == nil {
@@ -241,7 +210,7 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 
 	// A frozen router loses every arriving copy; the source timers
 	// retransmit them like any congestion drop.
-	if f.faults != nil && f.faults.Frozen(id, now) {
+	if f.Faults != nil && f.Faults.Frozen(id, now) {
 		for _, p := range arrivals {
 			f.drop(p)
 		}
@@ -255,7 +224,8 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 	for _, p := range arrivals {
 		if p.Dst == n.c {
 			if !ejected && p.EjectedAt < 0 {
-				f.eject(n, p, now)
+				f.Crossbar(fx, 1)
+				f.Ejected(fx, id, p, now)
 				ejected = true
 			} else {
 				f.drop(p)
@@ -266,12 +236,12 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 		// the port (deterministic tie-break on ID); a killed link drops
 		// the copy like contention would.
 		d := geom.XYFirst(n.c, p.Dst)
-		if taken[d] || (f.faults != nil && f.faults.LinkDown(id, d, now)) {
+		if taken[d] || (f.Faults != nil && f.Faults.LinkDown(id, d, now)) {
 			f.drop(p)
 			continue
 		}
 		taken[d] = true
-		f.forward(n, p, d, now)
+		f.forward(id, n, p, d, now, fx)
 	}
 
 	// Injection: one fresh packet if its X-Y port is still free.
@@ -285,16 +255,13 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 		if d == geom.Local || taken[d] || n.out[d] == nil {
 			continue
 		}
-		if f.faults != nil && f.faults.LinkDown(id, d, now) {
+		if f.Faults != nil && f.Faults.LinkDown(id, d, now) {
 			continue // wait in the NI until the link heals
 		}
 		n.ni.Pop(dom)
-		if p.InjectedAt < 0 {
-			p.InjectedAt = now
-			f.col.Injected(p)
-		}
-		f.meter.BufferRead(1)
-		f.forward(n, p, d, now)
+		f.Injected(fx, p, now)
+		f.BufferRead(fx, 1)
+		f.forward(id, n, p, d, now, fx)
 		// One retransmission timer per launch: if no delivery happens
 		// within the timeout, the source sends a fresh copy.  A copy
 		// lives at most 2(N−1) < retryTimeout cycles (X-Y only, single
@@ -307,30 +274,26 @@ func (f *Fabric) stepNode(id int, n *node, now int64) {
 
 // launch (re)sends a packet from its source: straight onto the mesh
 // next cycle via the NI queue head position.
-func (f *Fabric) launch(n *node, p *packet.Packet, now int64) {
+func (f *Fabric) launch(ni *router.NI, p *packet.Packet, now int64) {
 	// Re-offer at the front is approximated by a plain offer; a full NI
 	// queue forces another timeout round instead of losing the packet.
-	if !n.ni.Offer(p) {
+	if !ni.Offer(p) {
 		f.pushRetry(retryEntry{at: now + retryTimeout, seq: f.retrySeq, p: p})
 		f.retrySeq++
 	}
 }
 
-func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64) {
+func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, fx *router.FX) {
 	// Corruption at link entry: the copy is lost, the timer recovers it.
-	if f.faults != nil && f.faults.Corrupt(p, f.mesh.ID(n.c), d, now) {
-		f.meter.LinkTraversal(1)
+	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
+		f.Link(fx, 1)
 		f.drop(p)
 		return
 	}
 	p.Hops++
 	f.traveling++
-	f.meter.Allocation(1)
-	f.meter.CrossbarTraversal(1)
-	f.meter.LinkTraversal(1)
-	if f.probe != nil {
-		f.probe.Traverse(f.mesh.ID(n.c), d, p, 1, false, now)
-	}
+	f.Hop(fx, 1)
+	f.Traverse(id, d, p, 1, false, now)
 	n.out[d].Send(p, now)
 }
 
@@ -340,26 +303,10 @@ func (f *Fabric) drop(p *packet.Packet) {
 	// timeout will relaunch it from the source.
 }
 
-func (f *Fabric) eject(n *node, p *packet.Packet, now int64) {
-	p.EjectedAt = now
-	f.meter.CrossbarTraversal(1)
-	f.col.Ejected(p)
-	f.inFlight--
-	if f.sink != nil {
-		f.sink(f.mesh.ID(n.c), p, now)
-	}
-}
-
-// InFlight returns accepted-but-undelivered packets.
-func (f *Fabric) InFlight() int { return f.inFlight }
-
 // Audit verifies that every undelivered packet is queued, traveling or
 // awaiting a retransmission timeout.
 func (f *Fabric) Audit() error {
-	queued := 0
-	for _, nd := range f.nodes {
-		queued += nd.ni.Backlog()
-	}
+	queued := f.Backlog()
 	pendingRetries := 0
 	seen := map[uint64]bool{}
 	for _, e := range f.retries {
@@ -372,9 +319,9 @@ func (f *Fabric) Audit() error {
 	// be double-counted (queued + timer armed), so the check is a lower
 	// bound plus a sanity ceiling.
 	accounted := queued + f.traveling + pendingRetries
-	if accounted < f.inFlight {
+	if accounted < f.InFlight() {
 		return fmt.Errorf("runahead: %d packets in flight but only %d accounted (queued %d, traveling %d, timers %d)",
-			f.inFlight, accounted, queued, f.traveling, pendingRetries)
+			f.InFlight(), accounted, queued, f.traveling, pendingRetries)
 	}
 	return nil
 }

@@ -28,7 +28,7 @@
 // blocking (no flit is ever lost), so a permanent fault on a used
 // route wedges the network and surfaces as a sim.DegradedError through
 // the livelock watchdog; packet-drop events are not modeled for the
-// buffered comparators (see wormhole.Engine.SetFaults).
+// buffered comparators (see package wormhole).
 package surf
 
 import (

@@ -92,7 +92,8 @@ func TestInjectedConservationDriftCaught(t *testing.T) {
 	if err := h.f.Audit(); err != nil {
 		t.Fatalf("healthy fabric failed audit: %v", err)
 	}
-	h.f.inFlight += 2 // simulate an accounting bug
+	// Simulate an accounting bug: a queued packet the fabric never counted.
+	h.f.nodes[5].ni.Offer(h.pkt(geom.Coord{X: 1, Y: 1}, geom.Coord{X: 3, Y: 0}, 0, packet.Ctrl))
 	if err := h.f.Audit(); err == nil {
 		t.Error("conservation drift went undetected")
 	}

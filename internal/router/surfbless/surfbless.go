@@ -28,25 +28,21 @@
 // explicit output reservation is needed because mid-window waves never
 // satisfy CanStart for a new head.
 //
-// Stepping optionally shards across an internal/shard worker pool
-// (SetShards): collecting arrivals and resolving routes become two
-// barrier-separated phases over contiguous node tiles, with meters,
-// lifecycle events and the in-flight counter accumulated per tile and
-// replayed in tile order — results stay bit-identical to serial
-// stepping (DESIGN.md §17).
+// The fabric is a router.Kernel: it supplies the per-node collect and
+// resolve functions and their two tile roots, and the kernel steps them
+// serially or sharded across node tiles with bit-identical results
+// (SetShards; DESIGN.md §17).
 package surfbless
 
 import (
 	"fmt"
 
 	"surfbless/internal/config"
-	"surfbless/internal/fault"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/probe"
 	"surfbless/internal/router"
 	"surfbless/internal/shard"
 	"surfbless/internal/stats"
@@ -64,61 +60,18 @@ type Policy struct {
 	DisableRandom bool
 }
 
-// Fabric is a Surf-Bless mesh.  It implements network.Fabric.
+// Fabric is a Surf-Bless mesh.  It implements network.Fabric.  Faults
+// (SetFaults) break the wave-balance invariant on purpose, so while
+// armed the fabric routes stricken packets through the core's
+// drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
+	router.Kernel
 	cfg   config.Config
-	mesh  geom.Mesh
 	sched *wave.Schedule
 	dec   *wave.Decoder
 	slot  []int // per-domain slot width (window length in waves)
 	pol   Policy
-
 	nodes []*node
-	sink  network.Sink
-	col   *stats.Collector
-	meter *power.Meter
-	probe *probe.Probe // nil = no spatial observation
-
-	faults *fault.Injector  // nil = fault-free (hot path untouched)
-	recov  *router.Recovery // non-nil iff faults is
-
-	fx0 tileFX // serial stepping context (direct effects)
-
-	pool      *shard.Pool // nil = serial stepping
-	tiles     int
-	fxs       []tileFX // one deferred context per tile
-	shNow     int64    // cycle being stepped, read by workers
-	collectFn func(int)
-	resolveFn func(int)
-
-	inFlight int
-	lastStep int64
-}
-
-// lifeEvt is one deferred packet lifecycle event (sharded stepping):
-// the collector call and sink hand-off a worker recorded for replay at
-// the cycle barrier, in tile order — the serial call order.
-type lifeEvt struct {
-	node  int32
-	eject bool
-	p     *packet.Packet
-}
-
-// tileFX is one stepping context: per-tile scratch plus the effect
-// channel.  Serial stepping uses the fabric's single direct context,
-// which applies meter/collector/counter effects inline; each shard
-// tile owns a deferred context that accumulates them for replay at the
-// cycle barrier.  Meter counters are linear, so deferral is exact; the
-// collector and sink see the same per-cycle call sequence because
-// tiles replay in node order.
-type tileFX struct {
-	direct bool
-
-	bufR, xbar, alloc, lnk int64
-	inFlight               int
-	evts                   []lifeEvt
-
-	rbuf []*packet.Packet // per-link receive scratch, reused every cycle
 }
 
 type node struct {
@@ -133,6 +86,7 @@ type node struct {
 	// input port, so four slots cover every cycle with zero heap work.
 	arrivals [geom.NumLinkDirs]arrival
 	nArr     int
+	rbuf     []*packet.Packet // per-link receive scratch
 }
 
 // arrival is one packet collected from an input link this cycle,
@@ -159,10 +113,11 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 	if cfg.Model != config.SB {
 		return nil, fmt.Errorf("surfbless: config model is %v", cfg.Model)
 	}
-	if col == nil || meter == nil {
-		return nil, fmt.Errorf("surfbless: collector and meter are required")
+	core, err := router.NewCore(cfg, sink, col, meter)
+	if err != nil {
+		return nil, err
 	}
-	mesh := cfg.Mesh()
+	mesh := core.Mesh
 	sched := wave.New(mesh, cfg.HopDelay())
 
 	var dec *wave.Decoder
@@ -193,17 +148,11 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		}
 	}
 
-	f := &Fabric{
-		cfg: cfg, mesh: mesh, sched: sched, dec: dec, slot: slotWidths, pol: pol,
-		sink: sink, col: col, meter: meter, lastStep: -1,
-	}
-	f.fx0.direct = true
+	f := &Fabric{cfg: cfg, sched: sched, dec: dec, slot: slotWidths, pol: pol}
+	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
 	f.nodes = make([]*node, mesh.Nodes())
 	for id := range f.nodes {
-		f.nodes[id] = &node{
-			c:  mesh.CoordOf(id),
-			ni: router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
-		}
+		f.nodes[id] = &node{c: mesh.CoordOf(id), ni: f.NIs[id]}
 	}
 	p := cfg.HopDelay()
 	for _, n := range f.nodes {
@@ -217,54 +166,6 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		}
 	}
 	return f, nil
-}
-
-// SetProbe attaches a hot-path observer recording per-router
-// traversals, deflections and link flits (nil to remove).
-func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// SetShards partitions the mesh into n contiguous node tiles stepped
-// by a persistent worker pool (n ≤ 1 restores serial stepping; n is
-// clamped to the node count).  Results are bit-identical to serial
-// stepping.  While a fault injector is armed the fabric falls back to
-// serial stepping: recovery paths mutate shared retry state.
-func (f *Fabric) SetShards(n int) error {
-	f.StopShards()
-	if nodes := len(f.nodes); n > nodes {
-		n = nodes
-	}
-	if n <= 1 {
-		return nil
-	}
-	f.tiles = n
-	f.fxs = make([]tileFX, n)
-	f.collectFn = f.collectTile
-	f.resolveFn = f.resolveTile
-	f.pool = shard.NewPool(n)
-	return nil
-}
-
-// StopShards releases the worker pool and restores serial stepping.
-func (f *Fabric) StopShards() {
-	if f.pool == nil {
-		return
-	}
-	f.pool.Close()
-	f.pool, f.fxs, f.tiles = nil, nil, 0
-	f.collectFn, f.resolveFn = nil, nil
-}
-
-// SetFaults arms a fault injector (nil to disarm).  Faults break the
-// wave-balance invariant on purpose, so while armed the fabric routes
-// stricken packets through drop-with-retransmit recovery instead of
-// panicking.
-func (f *Fabric) SetFaults(inj *fault.Injector) {
-	f.faults = inj
-	if inj == nil {
-		f.recov = nil
-		return
-	}
-	f.recov = &router.Recovery{MaxRetries: inj.MaxRetries(), Backoff: inj.Backoff()}
 }
 
 // Decoder exposes the wave→domain decoder (read-only use).
@@ -284,116 +185,27 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Size > f.slot[p.Domain] {
 		panic(fmt.Sprintf("surfbless: %v exceeds domain %d slot width %d", p, p.Domain, f.slot[p.Domain]))
 	}
-	n := f.nodes[nodeID]
-	if !n.ni.Offer(p) {
-		f.col.Refused(p.Domain, now)
-		return false
-	}
-	f.col.Created(p)
-	f.meter.BufferWrite(p.Size)
-	f.inFlight++
-	return true
+	return f.Offer(nodeID, p, now)
 }
 
-// Step advances the network by one cycle.
-func (f *Fabric) Step(now int64) {
-	if now <= f.lastStep {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("surfbless: Step(%d) after Step(%d)", now, f.lastStep))
-	}
-	f.lastStep = now
-	if f.recov != nil {
-		f.relaunchRetries(now)
-	}
-	if f.pool != nil && f.faults == nil {
-		f.stepSharded(now)
-		return
-	}
-	for id, n := range f.nodes {
-		f.collectNode(n, now, &f.fx0)
-		f.resolveNode(id, n, now, &f.fx0)
-	}
-}
-
-// stepSharded runs the cycle as two barrier-separated phases over the
-// node tiles: collect (drain inbound link lines) then resolve (route,
-// forward, inject — sending on outbound lines).  Every link line has
-// exactly one reader (collect) and one writer (resolve) and a delay of
-// at least one cycle, so neither phase observes a same-cycle write and
-// the schedule is bit-identical to serial stepping.  Deferred effects
-// replay in tile order — the serial node order.
-func (f *Fabric) stepSharded(now int64) {
-	f.shNow = now
-	f.pool.Run(f.tiles, f.collectFn)
-	f.pool.Run(f.tiles, f.resolveFn)
-	for t := range f.fxs {
-		f.applyFX(&f.fxs[t], now)
-	}
-	if f.probe != nil {
-		// Draining the probe ring every cycle keeps workers from ever
-		// hitting the flush-on-full path (shared aggregate state): a node
-		// appends a bounded handful of events per cycle, far below a
-		// segment's capacity.
-		f.probe.Flush()
-	}
-}
-
-// collectTile drains one tile's inbound link lines and ejections.
+// collectTile drains one tile's inbound link lines.
 //
 //shard:phase(receive)
 func (f *Fabric) collectTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), f.tiles, t)
-	for id := lo; id < hi; id++ {
-		f.collectNode(f.nodes[id], f.shNow, &f.fxs[t])
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	for _, n := range f.nodes[lo:hi] {
+		f.collectNode(n, f.Now)
 	}
 }
 
-// resolveTile runs one tile's permutation/deflection resolution.
+// resolveTile runs one tile's ejection, routing and injection.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), f.tiles, t)
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	fx := &f.FX[t]
 	for id := lo; id < hi; id++ {
-		f.resolveNode(id, f.nodes[id], f.shNow, &f.fxs[t])
-	}
-}
-
-// applyFX replays one tile's deferred effects at the cycle barrier.
-//
-//shard:phase(effects)
-func (f *Fabric) applyFX(fx *tileFX, now int64) {
-	f.meter.BufferRead(int(fx.bufR))
-	f.meter.CrossbarTraversal(int(fx.xbar))
-	f.meter.Allocation(int(fx.alloc))
-	f.meter.LinkTraversal(int(fx.lnk))
-	fx.bufR, fx.xbar, fx.alloc, fx.lnk = 0, 0, 0, 0
-	f.inFlight += fx.inFlight
-	fx.inFlight = 0
-	for i := range fx.evts {
-		ev := &fx.evts[i]
-		if ev.eject {
-			f.col.Ejected(ev.p)
-			if f.sink != nil {
-				f.sink(int(ev.node), ev.p, now)
-			}
-		} else {
-			f.col.Injected(ev.p)
-		}
-		ev.p = nil
-	}
-	fx.evts = fx.evts[:0]
-}
-
-// relaunchRetries re-offers packets whose retransmission backoff
-// expired to their source NI; a full NI costs another backoff round
-// without consuming a retry attempt.
-func (f *Fabric) relaunchRetries(now int64) {
-	for p := f.recov.Queue.PopDue(now); p != nil; p = f.recov.Queue.PopDue(now) {
-		if f.nodes[f.mesh.ID(p.Src)].ni.Offer(p) {
-			f.meter.BufferWrite(p.Size)
-		} else {
-			f.recov.Queue.Push(p, now+f.recov.Backoff)
-		}
+		f.resolveNode(id, f.nodes[id], f.Now, fx)
 	}
 }
 
@@ -401,14 +213,14 @@ func (f *Fabric) relaunchRetries(now int64) {
 // drain into the node's dense scratch array under the confinement
 // invariant — a packet must arrive on a wave owned by its own domain,
 // at a window start.
-func (f *Fabric) collectNode(n *node, now int64, fx *tileFX) {
+func (f *Fabric) collectNode(n *node, now int64) {
 	n.nArr = 0
 	for _, d := range geom.LinkDirs {
 		if n.in[d] == nil || n.in[d].Idle() {
 			continue
 		}
-		fx.rbuf = n.in[d].RecvInto(now, fx.rbuf[:0])
-		for _, p := range fx.rbuf {
+		n.rbuf = n.in[d].RecvInto(now, n.rbuf[:0])
+		for _, p := range n.rbuf {
 			w := f.sched.InputWave(n.c, d, now)
 			if dom := f.dec.Domain(w); dom != p.Domain {
 				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
@@ -429,16 +241,16 @@ func (f *Fabric) collectNode(n *node, now int64, fx *tileFX) {
 // resolveNode is the cycle's routing phase for one router: ejection,
 // old-first arbitration, output selection/forwarding and SE injection
 // over the arrivals collectNode gathered.
-func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
+func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
 	arrivals := n.arrivals[:n.nArr]
 
 	// A frozen router's pipeline is dead: the links above were still
 	// drained (they demand collection), but every arrival is lost at the
 	// input and recovered via source retransmission.  Nothing ejects,
 	// forwards or injects here until the freeze repairs.
-	if f.faults != nil && f.faults.Frozen(id, now) {
+	if f.Faults != nil && f.Faults.Frozen(id, now) {
 		for _, a := range arrivals {
-			f.dropOrRetry(a.p, now)
+			f.DropOrRetry(a.p, now)
 		}
 		return
 	}
@@ -459,7 +271,9 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
 		}
 	}
 	if ejected >= 0 {
-		f.eject(id, arrivals[ejected].p, now, fx)
+		p := arrivals[ejected].p
+		f.Crossbar(fx, p.Size)
+		f.Ejected(fx, id, p, now)
 		arrivals = append(arrivals[:ejected], arrivals[ejected+1:]...)
 	}
 
@@ -476,15 +290,15 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
 			// claim and must panic.  With faults armed the wave balance is
 			// broken by design (a down link removes its port from the
 			// schedule), so the stranded packet enters recovery instead.
-			if f.faults != nil {
-				f.dropOrRetry(a.p, now)
+			if f.Faults != nil {
+				f.DropOrRetry(a.p, now)
 				continue
 			}
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
 			panic(fmt.Sprintf("surfbless: no same-domain output at %v cycle %d for %v (arrived %v) — wave balance violated",
 				n.c, now, a.p, a.from))
 		}
-		f.forward(n, a.p, d, now, &taken, fx)
+		f.forward(id, n, a.p, d, now, &taken, fx)
 	}
 
 	// Injection: only on the SE sub-wave, only for the domain owning it,
@@ -494,20 +308,9 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *tileFX) {
 		if p := n.ni.Head(seDom); p != nil {
 			if d := f.pickOutput(n, p, now, &taken); d >= 0 {
 				n.ni.Pop(seDom)
-				if p.InjectedAt < 0 { // a retransmission keeps its first stamp
-					p.InjectedAt = now
-					if fx.direct {
-						f.col.Injected(p)
-					} else {
-						fx.evts = append(fx.evts, lifeEvt{node: int32(id), p: p})
-					}
-				}
-				if fx.direct {
-					f.meter.BufferRead(p.Size)
-				} else {
-					fx.bufR += int64(p.Size)
-				}
-				f.forward(n, p, d, now, &taken, fx)
+				f.Injected(fx, p, now)
+				f.BufferRead(fx, p.Size)
+				f.forward(id, n, p, d, now, &taken, fx)
 			}
 		}
 	}
@@ -532,7 +335,7 @@ func (f *Fabric) eligible(n *node, p *packet.Packet, d geom.Dir, now int64, take
 	if d == geom.Local || n.out[d] == nil || taken[d] {
 		return false
 	}
-	if f.faults != nil && f.faults.LinkDown(f.mesh.ID(n.c), d, now) {
+	if f.Faults != nil && f.Faults.LinkDown(f.Mesh.ID(n.c), d, now) {
 		return false
 	}
 	w := f.sched.OutputWave(n.c, d, now)
@@ -571,15 +374,14 @@ func (f *Fabric) pickOutput(n *node, p *packet.Packet, now int64, taken *[geom.N
 	return free[router.Hash64(p.ID, uint64(now))%uint64(nf)]
 }
 
-func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool, fx *tileFX) {
+func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool, fx *router.FX) {
 	taken[d] = true
 	// Single-flit corruption is modeled at link entry: the worm burned
 	// the wire but fails its CRC, so it never reaches the neighbor and
-	// the wave invariant at the receiver stays intact.  Faults force
-	// serial stepping, so this branch always runs in the direct context.
-	if f.faults != nil && f.faults.Corrupt(p, f.mesh.ID(n.c), d, now) {
-		f.meter.LinkTraversal(p.Size)
-		f.dropOrRetry(p, now)
+	// the wave invariant at the receiver stays intact.
+	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
+		f.Link(fx, p.Size)
+		f.DropOrRetry(p, now)
 		return
 	}
 	p.Hops++
@@ -587,68 +389,24 @@ func (f *Fabric) forward(n *node, p *packet.Packet, d geom.Dir, now int64, taken
 	if deflected {
 		p.Deflections++
 	}
-	if fx.direct {
-		f.meter.Allocation(1)
-		f.meter.CrossbarTraversal(p.Size)
-		f.meter.LinkTraversal(p.Size)
-	} else {
-		fx.alloc++
-		fx.xbar += int64(p.Size)
-		fx.lnk += int64(p.Size)
-	}
-	if f.probe != nil {
-		f.probe.Traverse(f.mesh.ID(n.c), d, p, p.Size, deflected, now)
-	}
+	f.Hop(fx, p.Size)
+	f.Traverse(id, d, p, p.Size, deflected, now)
 	n.out[d].Send(p, now)
 }
-
-func (f *Fabric) eject(id int, p *packet.Packet, now int64, fx *tileFX) {
-	p.EjectedAt = now
-	if fx.direct {
-		f.meter.CrossbarTraversal(p.Size)
-		f.col.Ejected(p)
-		f.inFlight--
-		if f.sink != nil {
-			f.sink(id, p, now)
-		}
-		return
-	}
-	fx.xbar += int64(p.Size)
-	fx.inFlight--
-	fx.evts = append(fx.evts, lifeEvt{node: int32(id), eject: true, p: p})
-}
-
-// dropOrRetry hands a fault-stricken packet to NI-level recovery:
-// bounded source retransmission with backoff, then a counted drop.
-func (f *Fabric) dropOrRetry(p *packet.Packet, now int64) {
-	if f.recov.TryRetry(p, now) {
-		f.col.Retransmitted(p, now)
-		return
-	}
-	f.col.Dropped(p, now)
-	f.inFlight--
-}
-
-// InFlight returns accepted-but-undelivered packets.
-func (f *Fabric) InFlight() int { return f.inFlight }
 
 // Audit verifies that NI queues plus link occupancy account for every
 // in-flight packet (Surf-Bless routers hold no state between cycles).
 func (f *Fabric) Audit() error {
-	n := 0
+	n := f.Backlog()
 	for _, nd := range f.nodes {
-		n += nd.ni.Backlog()
 		for _, l := range nd.out {
 			if l != nil {
 				n += l.InFlight()
 			}
 		}
 	}
-	if f.recov != nil {
-		n += f.recov.Queue.Len()
-	}
-	if n != f.inFlight {
-		return fmt.Errorf("surfbless: %d packets in queues+links, %d in flight", n, f.inFlight)
+	if n != f.InFlight() {
+		return fmt.Errorf("surfbless: %d packets in queues+links, %d in flight", n, f.InFlight())
 	}
 	return nil
 }

@@ -26,11 +26,21 @@
 // while visiting candidates in exactly the (dir, VC) order of the
 // reference implementation, so arbitration outcomes are bit-identical.
 //
-// Stepping optionally shards across an internal/shard worker pool
-// (SetShards): receive and allocate/traverse become two barrier-
-// separated phases over contiguous node tiles, with meters, lifecycle
-// events and global counters accumulated per tile and replayed in tile
-// order — results stay bit-identical to serial stepping.
+// The engine is a router.Kernel: it supplies the per-node receive and
+// allocate/traverse functions and their two tile roots, and the kernel
+// steps them serially or sharded across node tiles with bit-identical
+// results (SetShards; DESIGN.md §17).
+//
+// Faults (SetFaults) manifest as blocking, not drops: a buffered
+// credit-flow network cannot lose flits, so a frozen router holds its
+// buffers and grants nothing (credit starvation then stalls its
+// neighbors), and a down link simply wins no switch allocation.
+// Packet-drop (corruption) events are not modeled for WH/Surf —
+// retransmitting part of a worm would need an end-to-end protocol the
+// paper's comparators don't have; a permanent fault on a used route
+// therefore wedges the network by design, which the sim-level watchdog
+// converts into a DegradedError.  VC routers never deflect, so a
+// probe's (SetProbe) deflection heatmap stays zero for WH and Surf.
 package wormhole
 
 import (
@@ -38,13 +48,11 @@ import (
 	"math/bits"
 
 	"surfbless/internal/config"
-	"surfbless/internal/fault"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/probe"
 	"surfbless/internal/router"
 	"surfbless/internal/shard"
 	"surfbless/internal/stats"
@@ -195,35 +203,9 @@ type node struct {
 	// inUsed[d·lanes+l] == now, so no per-cycle reset loop runs.
 	inUsed  []int64 // [port·lanes+lane]: input bandwidth consumed
 	injUsed []int64 // [lane]: injection bandwidth consumed
-}
 
-// lifeEvt is one deferred packet lifecycle event (sharded stepping):
-// the collector call and sink hand-off a worker recorded for replay at
-// the cycle barrier, in tile order — the serial call order.
-type lifeEvt struct {
-	node  int32
-	eject bool
-	p     *packet.Packet
-}
-
-// tileFX is one stepping context: per-cycle scratch plus the effect
-// channel.  Serial stepping uses the engine's single direct context,
-// which applies meter/collector/counter effects inline; each shard
-// tile owns a deferred context that accumulates them for replay at the
-// barrier.  Deferral is exact: the meter is five linear counters, the
-// collector consumes packet stamps set before the event is recorded,
-// and replay preserves the serial (node-ascending) call order.
-type tileFX struct {
-	direct bool
-
-	// deferred effect accumulators (unused when direct)
-	bufW, bufR, xbar, alloc, lnk int64
-	flitsIn, flitsOut            int64
-	inFlight                     int
-	evts                         []lifeEvt
-
-	// per-cycle scratch, engine/tile-owned and reused across cycles
-	// (DESIGN.md §12)
+	// Per-cycle scratch, node-owned and reused across cycles
+	// (DESIGN.md §12).
 	credBuf []creditMsg
 	flitBuf []flitMsg
 	reqs    []request
@@ -233,21 +215,10 @@ type tileFX struct {
 
 // Engine is a mesh of VC routers.  It implements network.Fabric.
 type Engine struct {
+	router.Kernel
 	opt   Options
-	mesh  geom.Mesh
 	nodes []*node
-	sink  network.Sink
-	col   *stats.Collector
-	meter *power.Meter
-	probe *probe.Probe // nil = no spatial observation
-
-	faults *fault.Injector // nil = fault-free (hot path untouched)
-
-	lanes    int // input-port bandwidth lanes (1, or #domains when wave-gated)
-	inFlight int
-	flitsIn  int64 // flits injected into the network
-	flitsOut int64 // flits ejected
-	lastStep int64
+	lanes int // input-port bandwidth lanes (1, or #domains when wave-gated)
 
 	// SoA geometry shared by every node.
 	nvc      int     // V: VCs per input port
@@ -256,16 +227,6 @@ type Engine struct {
 	sumDepth int     // flit slots per input port
 	depth    []int32 // per-VC ring capacity
 	vcOff    []int   // per-VC slot offset within a port's backing
-
-	fx0 tileFX // serial stepping context (direct effects)
-
-	// Sharded stepping (nil pool = serial).
-	pool   *shard.Pool
-	tiles  int
-	fxs    []tileFX
-	shNow  int64
-	recvFn func(int)
-	moveFn func(int)
 }
 
 // New builds the engine.  The caller provides the VC layout and gating;
@@ -279,9 +240,6 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 	if cfg.Model != config.WH && cfg.Model != config.Surf {
 		return nil, fmt.Errorf("wormhole: config model is %v", cfg.Model)
 	}
-	if col == nil || meter == nil {
-		return nil, fmt.Errorf("wormhole: collector and meter are required")
-	}
 	if len(opt.VCs) == 0 {
 		return nil, fmt.Errorf("wormhole: no VCs specified")
 	}
@@ -294,16 +252,17 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		return nil, fmt.Errorf("wormhole: wave gating requires a schedule and decoder")
 	}
 
-	e := &Engine{opt: opt, mesh: cfg.Mesh(), sink: sink, col: col, meter: meter, lanes: 1, lastStep: -1}
-	e.fx0.direct = true
+	core, err := router.NewCore(cfg, sink, col, meter)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{opt: opt, lanes: 1}
+	e.Kernel = router.NewKernel(core, e.recvTile, e.moveTile)
 	if opt.WaveGated {
 		// Per-domain input bandwidth removes cross-domain contention at
 		// input ports; output TDM already bounds aggregate switch use.
 		// See DESIGN.md §2 (modelling conventions for Surf).
 		e.lanes = cfg.Domains
-	}
-	if e.lanes > 1 {
-		e.fx0.domReqs = make([][]request, cfg.Domains)
 	}
 	e.nvc = len(opt.VCs)
 	e.words = (e.nvc + 63) / 64
@@ -315,12 +274,12 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		e.vcOff[v] = e.sumDepth
 		e.sumDepth += s.Depth
 	}
-	e.nodes = make([]*node, e.mesh.Nodes())
+	e.nodes = make([]*node, e.Mesh.Nodes())
 	for id := range e.nodes {
 		n := &node{
-			c:       e.mesh.CoordOf(id),
+			c:       e.Mesh.CoordOf(id),
 			id:      id,
-			ni:      router.NewNI(cfg.Domains, cfg.InjectionQueueCap),
+			ni:      e.NIs[id],
 			inj:     make([]injState, cfg.Domains),
 			fifo:    make([]packet.Flit, geom.NumLinkDirs*e.sumDepth),
 			head:    make([]int32, geom.NumLinkDirs*e.nvc),
@@ -340,6 +299,9 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		for i := range n.injUsed {
 			n.injUsed[i] = -1
 		}
+		if e.lanes > 1 {
+			n.domReqs = make([][]request, cfg.Domains)
+		}
 		e.nodes[id] = n
 	}
 	// Wire flit and credit lines, and initialize per-output credit state
@@ -347,10 +309,10 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 	hop := cfg.HopDelay()
 	for _, n := range e.nodes {
 		for _, d := range geom.LinkDirs {
-			if !e.mesh.HasNeighbor(n.c, d) {
+			if !e.Mesh.HasNeighbor(n.c, d) {
 				continue
 			}
-			peer := e.nodes[e.mesh.ID(n.c.Add(d))]
+			peer := e.nodes[e.Mesh.ID(n.c.Add(d))]
 			fl := link.New[flitMsg](hop)
 			cl := link.New[creditMsg](1)
 			n.out[d].flitsOut = fl
@@ -363,63 +325,6 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		}
 	}
 	return e, nil
-}
-
-// SetProbe attaches a hot-path observer recording per-router and
-// per-link flit traversals (nil to remove).  VC routers never deflect,
-// so the probe's deflection heatmap stays zero for WH and Surf.
-func (e *Engine) SetProbe(p *probe.Probe) { e.probe = p }
-
-// SetFaults arms a fault injector (nil to disarm).  A buffered
-// credit-flow network cannot lose flits, so faults manifest as
-// blocking, not drops: a frozen router holds its buffers and grants
-// nothing (credit starvation then stalls its neighbors), and a down
-// link simply wins no switch allocation.  Packet-drop (corruption)
-// events are not modeled for WH/Surf — retransmitting part of a worm
-// would need an end-to-end protocol the paper's comparators don't
-// have; a permanent fault on a used route therefore wedges the network
-// by design, which the sim-level watchdog converts into a
-// DegradedError.  While an injector is armed, stepping stays serial
-// even if shards are configured (freeze/link-down checks are ordered
-// against the serial node walk).
-func (e *Engine) SetFaults(inj *fault.Injector) { e.faults = inj }
-
-// SetShards partitions stepping across n contiguous node tiles driven
-// by a persistent worker pool (n ≤ 1 restores serial stepping).
-// Results are bit-identical to serial stepping — see DESIGN.md §17 for
-// the two-phase boundary-exchange argument.  Call StopShards (sim.Run
-// does) to release the pool's goroutines.
-func (e *Engine) SetShards(n int) error {
-	if n > len(e.nodes) {
-		n = len(e.nodes)
-	}
-	e.StopShards()
-	if n <= 1 {
-		return nil
-	}
-	e.tiles = n
-	e.fxs = make([]tileFX, n)
-	if e.lanes > 1 {
-		for i := range e.fxs {
-			e.fxs[i].domReqs = make([][]request, e.opt.Cfg.Domains)
-		}
-	}
-	e.pool = shard.NewPool(n)
-	e.recvFn = e.recvTile
-	e.moveFn = e.moveTile
-	return nil
-}
-
-// StopShards releases the sharding worker pool and returns the engine
-// to serial stepping.
-func (e *Engine) StopShards() {
-	if e.pool != nil {
-		e.pool.Close()
-		e.pool = nil
-	}
-	e.tiles = 0
-	e.fxs = nil
-	e.recvFn, e.moveFn = nil, nil
 }
 
 // key returns the packet field VC groups match against.
@@ -467,75 +372,17 @@ func (e *Engine) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if e.opt.Key == KeyVNet && p.VNet < 0 {
 		panic(fmt.Sprintf("wormhole: %v has no virtual network in KeyVNet mode", p))
 	}
-	n := e.nodes[nodeID]
-	if !n.ni.Offer(p) {
-		e.col.Refused(p.Domain, now)
-		return false
-	}
-	e.col.Created(p)
-	e.meter.BufferWrite(p.Size)
-	e.inFlight++
-	return true
-}
-
-// Step advances the network by one cycle.
-func (e *Engine) Step(now int64) {
-	if now <= e.lastStep {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("wormhole: Step(%d) after Step(%d)", now, e.lastStep))
-	}
-	e.lastStep = now
-	if e.pool != nil && e.faults == nil {
-		e.stepSharded(now)
-		return
-	}
-	fx := &e.fx0
-	for _, n := range e.nodes {
-		e.receive(n, now, fx)
-	}
-	for id, n := range e.nodes {
-		// A frozen router still receives (upstream credits bound what can
-		// arrive) but allocates and grants nothing until it thaws.
-		if e.faults != nil && e.faults.Frozen(id, now) {
-			continue
-		}
-		e.allocate(n, now, fx)
-		e.switchTraversal(n, now, fx)
-	}
-}
-
-// stepSharded is Step's two-phase tiled schedule: every tile drains
-// its inbound lines (phase R), barrier, every tile allocates and
-// traverses (phase F, sending on outbound lines), barrier, then the
-// tiles' deferred effects replay in tile order.  Each link line has
-// one reader (phase R) and one writer (phase F) and ≥1 cycle of delay,
-// so no phase observes a same-cycle write and the result is
-// bit-identical to the serial walk.
-func (e *Engine) stepSharded(now int64) {
-	e.shNow = now
-	e.pool.Run(e.tiles, e.recvFn)
-	e.pool.Run(e.tiles, e.moveFn)
-	for t := range e.fxs {
-		e.applyFX(&e.fxs[t], now)
-	}
-	// Drain the probe's per-router ring segments at the barrier, every
-	// cycle: workers only ever append to their own tiles' segments, and
-	// a cycle adds at most one event per output port — far below the
-	// minimum segment capacity — so the flush-on-full path (which folds
-	// into shared state) can never run inside a worker.
-	if e.probe != nil {
-		e.probe.Flush()
-	}
+	return e.Offer(nodeID, p, now)
 }
 
 // recvTile drains one tile's inbound link lines into router FIFOs.
 //
 //shard:phase(receive)
 func (e *Engine) recvTile(t int) {
-	lo, hi := shard.Range(len(e.nodes), e.tiles, t)
-	fx := &e.fxs[t]
+	lo, hi := shard.Range(len(e.nodes), len(e.FX), t)
+	fx := &e.FX[t]
 	for _, n := range e.nodes[lo:hi] {
-		e.receive(n, e.shNow, fx)
+		e.receive(n, e.Now, fx)
 	}
 }
 
@@ -543,51 +390,25 @@ func (e *Engine) recvTile(t int) {
 //
 //shard:phase(resolve)
 func (e *Engine) moveTile(t int) {
-	lo, hi := shard.Range(len(e.nodes), e.tiles, t)
-	fx := &e.fxs[t]
+	lo, hi := shard.Range(len(e.nodes), len(e.FX), t)
+	fx := &e.FX[t]
 	for _, n := range e.nodes[lo:hi] {
-		e.allocate(n, e.shNow, fx)
-		e.switchTraversal(n, e.shNow, fx)
-	}
-}
-
-// applyFX merges one tile's deferred effects: meter counters, global
-// flit/packet accounting, then the lifecycle replay (collector calls
-// and sink hand-offs in recorded order — tile order equals the serial
-// node order, so observers see the exact serial event sequence).
-//
-//shard:phase(effects)
-func (e *Engine) applyFX(fx *tileFX, now int64) {
-	e.meter.BufferWrite(int(fx.bufW))
-	e.meter.BufferRead(int(fx.bufR))
-	e.meter.CrossbarTraversal(int(fx.xbar))
-	e.meter.Allocation(int(fx.alloc))
-	e.meter.LinkTraversal(int(fx.lnk))
-	fx.bufW, fx.bufR, fx.xbar, fx.alloc, fx.lnk = 0, 0, 0, 0, 0
-	e.flitsIn += fx.flitsIn
-	e.flitsOut += fx.flitsOut
-	e.inFlight += fx.inFlight
-	fx.flitsIn, fx.flitsOut, fx.inFlight = 0, 0, 0
-	for i := range fx.evts {
-		ev := &fx.evts[i]
-		if ev.eject {
-			e.col.Ejected(ev.p)
-			if e.sink != nil {
-				e.sink(int(ev.node), ev.p, now)
-			}
-		} else {
-			e.col.Injected(ev.p)
+		// A frozen router still receives (upstream credits bound what can
+		// arrive) but allocates and grants nothing until it thaws.
+		if e.Faults != nil && e.Faults.Frozen(n.id, e.Now) {
+			continue
 		}
+		e.allocate(n, e.Now, fx)
+		e.switchTraversal(n, e.Now, fx)
 	}
-	fx.evts = fx.evts[:0]
 }
 
 // receive drains credit and flit lines into router state.
-func (e *Engine) receive(n *node, now int64, fx *tileFX) {
+func (e *Engine) receive(n *node, now int64, fx *router.FX) {
 	for _, d := range geom.LinkDirs {
 		if cl := n.out[d].creditIn; cl != nil && !cl.Idle() {
-			fx.credBuf = cl.RecvInto(now, fx.credBuf[:0])
-			for _, m := range fx.credBuf {
+			n.credBuf = cl.RecvInto(now, n.credBuf[:0])
+			for _, m := range n.credBuf {
 				cr := &n.credits[int(d)*e.nvc+m.vc]
 				*cr++
 				if *cr > e.depth[m.vc] {
@@ -597,8 +418,8 @@ func (e *Engine) receive(n *node, now int64, fx *tileFX) {
 			}
 		}
 		if fl := n.in[d].flitsIn; fl != nil && !fl.Idle() {
-			fx.flitBuf = fl.RecvInto(now, fx.flitBuf[:0])
-			for _, m := range fx.flitBuf {
+			n.flitBuf = fl.RecvInto(now, n.flitBuf[:0])
+			for _, m := range n.flitBuf {
 				pv := int(d)*e.nvc + m.vc
 				dep := e.depth[m.vc]
 				if n.cnt[pv] >= dep {
@@ -612,11 +433,7 @@ func (e *Engine) receive(n *node, now int64, fx *tileFX) {
 				n.fifo[int(d)*e.sumDepth+e.vcOff[m.vc]+slot] = m.f
 				n.cnt[pv]++
 				n.occ[int(d)*e.words+m.vc>>6] |= 1 << uint(m.vc&63)
-				if fx.direct {
-					e.meter.BufferWrite(1)
-				} else {
-					fx.bufW++
-				}
+				e.BufferWrite(fx, 1)
 			}
 		}
 	}
@@ -632,7 +449,7 @@ func (e *Engine) vcHead(n *node, d geom.Dir, v int) packet.Flit {
 // every head flit at the front of an idle VC, and for NI head packets.
 // The scan walks occ &^ act — exactly the idle non-empty VCs — in
 // ascending (dir, VC) order, matching the reference nested loop.
-func (e *Engine) allocate(n *node, now int64, fx *tileFX) {
+func (e *Engine) allocate(n *node, now int64, fx *router.FX) {
 	for wi := 0; wi < e.wper; wi++ {
 		m := n.occ[wi] &^ n.act[wi]
 		for m != 0 {
@@ -673,14 +490,10 @@ func (e *Engine) allocate(n *node, now int64, fx *tileFX) {
 
 // routeClaim routes p and claims a downstream VC; on success it
 // returns the output dir and downstream VC (-1 for Local).
-func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *tileFX) (geom.Dir, int, bool) {
+func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *router.FX) (geom.Dir, int, bool) {
 	d := geom.XYFirst(n.c, p.Dst)
 	if d == geom.Local {
-		if fx.direct {
-			e.meter.Allocation(1)
-		} else {
-			fx.alloc++
-		}
+		e.Alloc(fx)
 		return geom.Local, -1, true
 	}
 	if n.out[d].flitsOut == nil {
@@ -708,16 +521,12 @@ func (e *Engine) routeClaim(n *node, p *packet.Packet, fx *tileFX) (geom.Dir, in
 		return 0, 0, false
 	}
 	n.owner[base+pick] = p
-	if fx.direct {
-		e.meter.Allocation(1)
-	} else {
-		fx.alloc++
-	}
+	e.Alloc(fx)
 	return d, pick, true
 }
 
 // switchTraversal arbitrates each output port and moves winning flits.
-func (e *Engine) switchTraversal(n *node, now int64, fx *tileFX) {
+func (e *Engine) switchTraversal(n *node, now int64, fx *router.FX) {
 	// Idle fast path: with every input FIFO empty there are no VC
 	// candidates (arbitration needs want ∧ occ), and with no active
 	// injection worm there are no NI candidates either — nothing can be
@@ -736,7 +545,7 @@ func (e *Engine) switchTraversal(n *node, now int64, fx *tileFX) {
 		}
 		// A killed output link wins no allocation: flits wait in their
 		// VCs and credit backpressure spreads the stall upstream.
-		if o != geom.Local && e.faults != nil && e.faults.LinkDown(n.id, o, now) {
+		if o != geom.Local && e.Faults != nil && e.Faults.LinkDown(n.id, o, now) {
 			continue
 		}
 		e.arbitrateOutput(n, o, now, fx)
@@ -750,8 +559,8 @@ type request struct {
 	vc      int      // input VC index (or NI domain for injection)
 }
 
-func (e *Engine) arbitrateOutput(n *node, o geom.Dir, now int64, fx *tileFX) {
-	reqs := fx.reqs[:0]
+func (e *Engine) arbitrateOutput(n *node, o geom.Dir, now int64, fx *router.FX) {
+	reqs := n.reqs[:0]
 	base := int(o) * e.wper
 	for wi := 0; wi < e.wper; wi++ {
 		m := n.want[base+wi] & n.occ[wi]
@@ -792,7 +601,7 @@ func (e *Engine) arbitrateOutput(n *node, o geom.Dir, now int64, fx *tileFX) {
 			reqs = append(reqs, request{fromInj: true, vc: dom})
 		}
 	}
-	fx.reqs = reqs // hand the (possibly grown) scratch back to the context
+	n.reqs = reqs // hand the (possibly grown) scratch back to the node
 	if len(reqs) == 0 {
 		return
 	}
@@ -802,19 +611,19 @@ func (e *Engine) arbitrateOutput(n *node, o geom.Dir, now int64, fx *tileFX) {
 		// so the choice never depends on other domains' presence.  The
 		// per-domain buckets are pre-sized scratch (a map here would
 		// allocate on every ejection-contended cycle).
-		doms := fx.domList[:0]
+		doms := n.domList[:0]
 		for _, r := range reqs {
 			d := e.reqPacket(n, r).Domain
-			if len(fx.domReqs[d]) == 0 {
+			if len(n.domReqs[d]) == 0 {
 				doms = append(doms, d)
 			}
-			fx.domReqs[d] = append(fx.domReqs[d], r)
+			n.domReqs[d] = append(n.domReqs[d], r)
 		}
-		fx.domList = doms
+		n.domList = doms
 		for _, d := range doms {
-			cand := fx.domReqs[d]
+			cand := n.domReqs[d]
 			e.grant(n, o, cand[int(now%int64(len(cand)))], now, fx)
-			fx.domReqs[d] = cand[:0]
+			n.domReqs[d] = cand[:0]
 		}
 		return
 	}
@@ -833,7 +642,7 @@ func (e *Engine) reqPacket(n *node, r request) *packet.Packet {
 }
 
 // grant moves one flit of request r through output o.
-func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
+func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *router.FX) {
 	var f packet.Flit
 	var outVC int
 	if r.fromInj {
@@ -842,21 +651,11 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 		f = packet.Flit{Pkt: p, Seq: st.sent}
 		outVC = st.outVC
 		if f.Head() {
-			p.InjectedAt = now
-			if fx.direct {
-				e.col.Injected(p)
-			} else {
-				fx.evts = append(fx.evts, lifeEvt{node: int32(n.id), p: p})
-			}
+			e.Injected(fx, p, now)
 		}
 		st.sent++
-		if fx.direct {
-			e.meter.BufferRead(1)
-			e.flitsIn++
-		} else {
-			fx.bufR++
-			fx.flitsIn++
-		}
+		e.BufferRead(fx, 1)
+		e.FlitIn(fx)
 		n.injUsed[e.lane(p)] = now
 		if f.Tail() {
 			n.ni.Pop(r.vc)
@@ -881,11 +680,7 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 		if n.cnt[pv] == 0 {
 			n.occ[wi] &^= bit
 		}
-		if fx.direct {
-			e.meter.BufferRead(1)
-		} else {
-			fx.bufR++
-		}
+		e.BufferRead(fx, 1)
 		n.in[r.port].creditOut.Send(creditMsg{vc: r.vc}, now)
 		n.inUsed[int(r.port)*e.lanes+e.lane(f.Pkt)] = now
 		if f.Tail() {
@@ -893,53 +688,26 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *tileFX) {
 			n.want[int(o)*e.wper+wi] &^= bit
 		}
 	}
-	if fx.direct {
-		e.meter.CrossbarTraversal(1)
-	} else {
-		fx.xbar++
-	}
+	e.Crossbar(fx, 1)
 
 	if o == geom.Local {
-		if fx.direct {
-			e.flitsOut++
-		} else {
-			fx.flitsOut++
-		}
+		e.FlitOut(fx)
 		if f.Tail() {
 			p := f.Pkt
-			p.EjectedAt = now
-			p.Hops = e.mesh.Hops(p.Src, p.Dst)
-			if fx.direct {
-				e.col.Ejected(p)
-				e.inFlight--
-				if e.sink != nil {
-					e.sink(n.id, p, now)
-				}
-			} else {
-				fx.inFlight--
-				fx.evts = append(fx.evts, lifeEvt{node: int32(n.id), eject: true, p: p})
-			}
+			p.Hops = e.Mesh.Hops(p.Src, p.Dst)
+			e.Ejected(fx, n.id, p, now)
 		}
 		return
 	}
 
 	n.credits[int(o)*e.nvc+outVC]--
-	if fx.direct {
-		e.meter.LinkTraversal(1)
-	} else {
-		fx.lnk++
-	}
-	if e.probe != nil {
-		e.probe.Traverse(n.id, o, f.Pkt, 1, false, now)
-	}
+	e.Link(fx, 1)
+	e.Traverse(n.id, o, f.Pkt, 1, false, now)
 	n.out[o].flitsOut.Send(flitMsg{f: f, vc: outVC}, now)
 	if f.Tail() {
 		n.owner[int(o)*e.nvc+outVC] = nil
 	}
 }
-
-// InFlight returns accepted-but-undelivered packets.
-func (e *Engine) InFlight() int { return e.inFlight }
 
 // Audit verifies flit conservation: flits buffered in VCs plus flits on
 // links must equal flits injected minus flits ejected, and NI queues
@@ -956,17 +724,13 @@ func (e *Engine) Audit() error {
 			}
 		}
 	}
-	if got := e.flitsIn - e.flitsOut; got != buffered {
+	if got := e.Flits(); got != buffered {
 		return fmt.Errorf("wormhole: %d flits in network, %d buffered+in-flight", got, buffered)
 	}
 	// Packet-level: every in-flight packet is either still (partially)
 	// in an NI queue or fully inside the network awaiting ejection.
-	queued := 0
-	for _, n := range e.nodes {
-		queued += n.ni.Backlog()
-	}
-	if queued > e.inFlight {
-		return fmt.Errorf("wormhole: %d packets queued exceeds %d in flight", queued, e.inFlight)
+	if queued := e.Backlog(); queued > e.InFlight() {
+		return fmt.Errorf("wormhole: %d packets queued exceeds %d in flight", queued, e.InFlight())
 	}
 	return nil
 }

@@ -10,7 +10,7 @@
 // never observe same-cycle writes and the parallel schedule is
 // bit-identical to the serial one.  Cross-cutting effects (meters,
 // collector lifecycle events, global counters) are accumulated
-// per-tile and replayed in tile order at the barrier by the caller.
+// per-tile and replayed in tile order at the barrier (router.Kernel).
 //
 // Pool workers are persistent goroutines signalled over channels; a
 // steady-state Run performs no heap allocation.  A panic inside a tile

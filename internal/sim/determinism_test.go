@@ -98,35 +98,49 @@ func TestRecycleMatchesFresh(t *testing.T) {
 // Sharded stepping must be observably equivalent to serial stepping on
 // every model: bit-identical results and an unchanged cache fingerprint
 // (Shards is fingerprint-exempt).  Models without sharded stepping are
-// included deliberately — there Shards must be a no-op.
+// included deliberately — there Shards must be a no-op.  The tile
+// counts cover even and uneven tiles on the 64-node mesh, one node per
+// tile, a count clamped to the node count, and — with a fault plan
+// armed — the fallback to serial stepping.
 func TestShardMatchesSerial(t *testing.T) {
+	type input struct {
+		name   string
+		o      Options
+		shards []int
+	}
+	var inputs []input
 	for _, model := range []config.Model{
 		config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
 	} {
-		serial := determinismOptions(model, 7)
-		sharded := serial
-		sharded.Shards = 4
-		rs, err := Run(serial)
+		inputs = append(inputs, input{model.String(), determinismOptions(model, 7), []int{3, 4, 7, 64, 65}})
+	}
+	inputs = append(inputs, input{"SB-faults", faultyOptions(1), []int{4}})
+	for _, in := range inputs {
+		rs, err := Run(in.o)
 		if err != nil {
-			t.Fatalf("%v serial: %v", model, err)
+			t.Fatalf("%s serial: %v", in.name, err)
 		}
-		rp, err := Run(sharded)
-		if err != nil {
-			t.Fatalf("%v sharded: %v", model, err)
-		}
-		if !reflect.DeepEqual(rs, rp) {
-			t.Errorf("%v: sharding changed the result:\n%+v\n%+v", model, rs, rp)
-		}
-		ks, err := Fingerprint(serial)
+		ks, err := Fingerprint(in.o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kp, err := Fingerprint(sharded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ks != kp {
-			t.Errorf("%v: Shards leaked into the cache fingerprint", model)
+		for _, n := range in.shards {
+			sharded := in.o
+			sharded.Shards = n
+			rp, err := Run(sharded)
+			if err != nil {
+				t.Fatalf("%s Shards=%d: %v", in.name, n, err)
+			}
+			if !reflect.DeepEqual(rs, rp) {
+				t.Errorf("%s: Shards=%d changed the result:\n%+v\n%+v", in.name, n, rs, rp)
+			}
+			kp, err := Fingerprint(sharded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ks != kp {
+				t.Errorf("%s: Shards=%d leaked into the cache fingerprint", in.name, n)
+			}
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"surfbless/internal/sim"
 	"surfbless/internal/simcache"
@@ -113,7 +112,7 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 			return out
 		}
 		if errors.Is(rerr, context.DeadlineExceeded) {
-			rerr = fmt.Errorf("timeout after %dms", spec.PointTimeoutMS)
+			rerr = spec.TimeoutError()
 		}
 		lastErr = rerr
 		if attempt == attempts {
@@ -141,12 +140,8 @@ func (r *Runner) attempt(ctx context.Context, spec Spec, o sim.Options) (res sim
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	pctx := ctx
-	if spec.PointTimeoutMS > 0 {
-		var cancel context.CancelFunc
-		pctx, cancel = context.WithTimeout(ctx, time.Duration(spec.PointTimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
+	pctx, cancel := spec.PointContext(ctx)
+	defer cancel()
 	// context.Background().Done() is nil, so an unbounded, uncancelled
 	// point costs the run loop nothing.
 	o.Ctx = pctx

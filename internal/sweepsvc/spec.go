@@ -15,8 +15,10 @@
 package sweepsvc
 
 import (
+	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"surfbless/internal/config"
 	"surfbless/internal/fault"
@@ -65,6 +67,20 @@ type Spec struct {
 	// never consume retries.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
+
+// PointContext bounds one execution of a point by PointTimeoutMS
+// (unbounded when 0).  Local sweeps and the service both take their
+// per-point deadline from here, so the two time out alike.
+func (s Spec) PointContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.PointTimeoutMS == 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeout(ctx, time.Duration(s.PointTimeoutMS)*time.Millisecond)
+}
+
+// TimeoutError is what a point whose PointContext expired reports; its
+// text lands in the row's status cell.
+func (s Spec) TimeoutError() error { return fmt.Errorf("timeout after %dms", s.PointTimeoutMS) }
 
 // ParseModel resolves a model name (any case) to its config constant.
 func ParseModel(name string) (config.Model, error) {
