@@ -129,7 +129,7 @@ func TestStepNoAlloc(t *testing.T) {
 	} {
 		inputs = append(inputs, input{model, 1})
 	}
-	for _, model := range []config.Model{config.WH, config.Surf, config.SB} {
+	for _, model := range []config.Model{config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER} {
 		inputs = append(inputs, input{model, 4})
 	}
 	for _, in := range inputs {

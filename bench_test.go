@@ -13,6 +13,7 @@
 package surfbless_test
 
 import (
+	"fmt"
 	"os"
 	"sort"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"surfbless"
 	"surfbless/internal/config"
 	"surfbless/internal/experiments"
+	"surfbless/internal/geom"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
@@ -226,13 +228,22 @@ func benchFabricCycles(b *testing.B, model config.Model) {
 // timed loop measures pure steady-state stepping (DESIGN.md §12).
 const benchWarmup = 3000
 
+// benchSources is the Step rigs' traffic: uniform random at 0.025
+// packets/node/cycle in each of two domains (0.05 total load).
+var benchSources = []traffic.Source{
+	{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
+	{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
+}
+
 // benchFabric drives one fabric for b.N cycles after a warm-up, with
 // the packet free list armed (except RUNAHEAD, which cannot recycle);
 // allocs/op is reported and expected to be 0 — TestStepNoAlloc asserts
-// the same property exactly.  With probed set it arms an interval
-// probe first, so the *Probed variants measure the observability
-// layer's hot-path overhead against their plain twins (the probe-off
-// path must stay within noise of the seed timings).
+// the same property exactly.  The timed loop runs gen.Tick as well as
+// Step, so ns/op is a whole cycle — generation plus stepping
+// (BenchmarkTick times generation alone).  With probed set it arms an
+// interval probe first, so the *Probed variants measure the
+// observability layer's hot-path overhead against their plain twins
+// (the probe-off path must stay within noise of the seed timings).
 func benchFabric(b *testing.B, model config.Model, probed bool) {
 	cfg := config.Default(model)
 	cfg.Domains = 2
@@ -256,10 +267,7 @@ func benchFabric(b *testing.B, model config.Model, probed bool) {
 			ps.SetProbe(p)
 		}
 	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-	}, 1)
+	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 	if sink != nil {
 		gen.SetFreeList(fl)
 	}
@@ -310,9 +318,11 @@ func BenchmarkStepSurfProbed(b *testing.B) { benchFabric(b, config.Surf, true) }
 
 // benchFabricGiant drives one fabric on a 32×32 mesh (16× the paper's
 // node count) for b.N cycles after the standard warm-up, optionally
-// stepping the mesh as parallel tiles.  The sharded entries are the
-// wall-clock counterpart of the bit-identity gate (`make bench-shard`,
-// DESIGN.md §17): same schedule, measured instead of compared.
+// stepping the mesh as parallel tiles.  Like benchFabric it times
+// gen.Tick with Step, and generation stays serial when the mesh is
+// sharded.  The sharded entries are the wall-clock counterpart of the
+// bit-identity gate (`make bench-shard`, DESIGN.md §17): same
+// schedule, measured instead of compared.
 func benchFabricGiant(b *testing.B, model config.Model, shards int) {
 	cfg := config.Default(model)
 	cfg.Width, cfg.Height = 32, 32
@@ -338,10 +348,7 @@ func benchFabricGiant(b *testing.B, model config.Model, shards int) {
 		}
 		defer ss.StopShards()
 	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-	}, 1)
+	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 	gen.SetFreeList(fl)
 	now := int64(0)
 	for ; now < benchWarmup; now++ {
@@ -378,12 +385,14 @@ func BenchmarkStepSurfGiantSharded(b *testing.B) { benchFabricGiant(b, config.Su
 // benchStepOverhead measures the probe's hot-path cost as a ratio: it
 // builds twin rigs — one probed, one not — and steps them in
 // alternating short chunks, reporting the median per-pair
-// probed/unprobed wall-time as the "probed/unprobed" metric.  Timing
-// both sides within the same few milliseconds cancels the machine-level
-// drift (frequency scaling, noisy neighbours) that makes ratios of two
-// independently timed benchmarks useless for a 10% budget; the median
-// over many pairs discards the chunks a descheduling spike lands in.
-// `make probe-overhead` gates on this metric via benchjson.
+// probed/unprobed wall-time as the "probed/unprobed" metric.  Both
+// sides' chunks include gen.Tick, so the ratio is over whole cycles.
+// Timing both sides within the same few milliseconds cancels the
+// machine-level drift (frequency scaling, noisy neighbours) that makes
+// ratios of two independently timed benchmarks useless for a 10%
+// budget; the median over many pairs discards the chunks a
+// descheduling spike lands in.  `make probe-overhead` gates on this
+// metric via benchjson.
 func benchStepOverhead(b *testing.B, model config.Model) {
 	const chunk = 500 // cycles per timed slice: ~ms, well under drift timescales
 	type rig struct {
@@ -411,10 +420,7 @@ func benchStepOverhead(b *testing.B, model config.Model) {
 				ps.SetProbe(r.p)
 			}
 		}
-		r.gen = traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
-			{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-			{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-		}, 1)
+		r.gen = traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 		r.gen.SetFreeList(fl)
 		for ; r.now < benchWarmup; r.now++ {
 			r.gen.Tick(r.fab, r.now)
@@ -522,10 +528,11 @@ func BenchmarkExtensionPatterns(b *testing.B) {
 func BenchmarkStepCHIPPER(b *testing.B) { benchFabricCycles(b, config.CHIPPER) }
 
 // BenchmarkStepRUNAHEAD measures simulated Runahead cycles per second.
-// Packet construction is excluded from the timed region (StopTimer
-// brackets gen.Tick): RUNAHEAD cannot recycle packets — its retry
-// timers hold pointers past ejection — so Tick allocates by design,
-// while Step itself stays allocation-free.
+// Unlike every other Step benchmark it excludes generation from the
+// timed region (StopTimer brackets gen.Tick), so its ns/op is pure
+// Step: RUNAHEAD cannot recycle packets — its retry timers hold
+// pointers past ejection — so Tick allocates by design, while Step
+// itself stays allocation-free.
 func BenchmarkStepRUNAHEAD(b *testing.B) {
 	cfg := config.Default(config.RUNAHEAD)
 	cfg.Domains = 2
@@ -535,10 +542,7 @@ func BenchmarkStepRUNAHEAD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-	}, 1)
+	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 	now := int64(0)
 	for ; now < benchWarmup; now++ {
 		gen.Tick(fab, now)
@@ -553,4 +557,39 @@ func BenchmarkStepRUNAHEAD(b *testing.B) {
 		fab.Step(now)
 	}
 	b.ReportMetric(float64(cfg.Nodes()), "routers/cycle")
+}
+
+// tickSink is a network.Fabric that accepts every offer and recycles
+// the packet at once, so BenchmarkTick times generation alone.
+type tickSink struct{ fl *packet.FreeList }
+
+func (s tickSink) Inject(_ int, p *packet.Packet, _ int64) bool { s.fl.Put(p); return true }
+func (tickSink) Step(int64)                                     {}
+func (tickSink) InFlight() int                                  { return 0 }
+func (tickSink) Audit() error                                   { return nil }
+
+// BenchmarkTick times the traffic generator on its own — one Tick per
+// op, with the Step rigs' sources and free list — on the paper's 8×8
+// mesh and on the 32×32 giant mesh.  The Step benchmarks above (all but
+// BenchmarkStepRUNAHEAD) include this cost in their cycle time.
+func BenchmarkTick(b *testing.B) {
+	for _, side := range []int{8, 32} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			m := geom.NewMesh(side, side)
+			fl := &packet.FreeList{}
+			sink := tickSink{fl}
+			gen := traffic.New(m, traffic.UniformRandom, benchSources, 1)
+			gen.SetFreeList(fl)
+			now := int64(0)
+			for ; now < benchWarmup; now++ {
+				gen.Tick(sink, now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for end := now + int64(b.N); now < end; now++ {
+				gen.Tick(sink, now)
+			}
+			b.ReportMetric(float64(m.Nodes()), "routers/cycle")
+		})
+	}
 }

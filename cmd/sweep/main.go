@@ -97,7 +97,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	model := fs.String("model", "SB", "network model: WH, BLESS, Surf or SB")
+	model := fs.String("model", "SB", "network model: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD")
 	domains := fs.Int("domains", 2, "number of interference domains")
 	from := fs.Float64("from", 0.01, "first total injection rate")
 	to := fs.Float64("to", 0.30, "last total injection rate")

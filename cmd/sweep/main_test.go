@@ -225,6 +225,11 @@ func TestBadFlagsFail(t *testing.T) {
 	if _, _, code := runSweep(t, sweepArgs("-model", "nope")); code == 0 {
 		t.Error("unknown model must fail")
 	}
+	// A NaN bound compares false both ways, so without a finiteness
+	// check it slips through the range checks into an empty sweep.
+	if out, _, code := runSweep(t, sweepArgs("-from", "NaN")); code == 0 {
+		t.Errorf("-from NaN must fail, printed %q", out)
+	}
 }
 
 // A point that times out must leave the same row locally as through

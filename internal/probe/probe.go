@@ -183,10 +183,11 @@ func (pr *Probe) Arm(cfg Config) {
 	pr.segs = make([]segment, nodes+1)
 	for i := 0; i < nodes; i++ {
 		pr.segs[i].buf = make([]Event, segCap)
-		// Router segments only ever hold Traverse events, whose Src/Dst
-		// are always "not recorded": pin them once so the hot-path
-		// append never writes them.
+		// Router segments only ever hold Traverse events of their own
+		// router, whose Src/Dst are always "not recorded": pin Node,
+		// Src and Dst once so the hot-path append never writes them.
 		for j := range pr.segs[i].buf {
+			pr.segs[i].buf[j].Node = int32(i)
 			pr.segs[i].buf[j].Src = -1
 			pr.segs[i].buf[j].Dst = -1
 		}
@@ -249,25 +250,33 @@ func (pr *Probe) slot(cycle int64, d int) *DomainSlice {
 	return &pr.dom[pr.bucketIdx(cycle)*pr.cfg.Domains+d]
 }
 
-// foldRouter drains one router segment's batch.  Router segments are
-// homogeneous — every event is a link traversal — so this skips the
-// per-event kind dispatch of the driver-stream fold.
+// foldRouter drains one non-empty router segment's batch.  Router
+// segments are homogeneous — every event is a link traversal at the
+// segment's own router, in cycle order — so this skips the per-event
+// kind dispatch of the driver-stream fold and sums the router's
+// counters locally.
 func (pr *Probe) foldRouter(b []Event) {
+	pr.last = max(pr.last, b[len(b)-1].Cycle)
+	var flits, defl int64
+	var link [geom.NumLinkDirs]int64
 	for i := range b {
 		e := &b[i]
-		if e.Cycle > pr.last {
-			pr.last = e.Cycle
-		}
 		if !pr.inWindow(e.Created) {
 			continue
 		}
 		f := int64(e.Flits)
-		pr.routerFlits[e.Node] += f
-		pr.linkFlits[e.Node][e.Dir] += f
+		flits += f
+		link[e.Dir] += f
 		if e.Kind == KindDeflect {
-			pr.routerDeflections[e.Node]++
+			defl++
 			pr.slot(e.Cycle, int(e.Domain)).Deflections++
 		}
+	}
+	node := b[0].Node
+	pr.routerFlits[node] += flits
+	pr.routerDeflections[node] += defl
+	for d, f := range link {
+		pr.linkFlits[node][d] += f
 	}
 }
 
@@ -477,8 +486,7 @@ func (pr *Probe) Traverse(node int, dir geom.Dir, p *packet.Packet, flits int, d
 	e.Cycle = now
 	e.Created = p.CreatedAt
 	e.ID = p.ID
-	e.Node = int32(node)
-	// Src/Dst stay at the -1 Arm pinned into router segments.
+	// Node and Src/Dst stay as Arm pinned them into router segments.
 	e.Flits = int32(flits)
 	e.Domain = int16(p.Domain)
 	k := KindLinkBusy

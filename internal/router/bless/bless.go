@@ -16,6 +16,11 @@
 // interleave or isolate multi-flit worms of different message classes,
 // which is exactly the drawback §5.2 cites for excluding it from the
 // cache-coherence experiment.  Inject panics on a multi-flit packet.
+//
+// The fabric is a router.Kernel: it supplies per-node collect and
+// resolve functions and their two tile roots, and the kernel steps them
+// serially or sharded across node tiles with bit-identical results
+// (SetShards; DESIGN.md §17).
 package bless
 
 import (
@@ -28,6 +33,7 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
+	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -36,7 +42,7 @@ import (
 // the fabric routes stricken packets through the core's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	router.Core
+	router.Kernel
 	nodes []*node
 }
 
@@ -65,7 +71,8 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{Core: core}
+	f := &Fabric{}
+	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
 	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
@@ -95,26 +102,45 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return f.Offer(nodeID, p, now)
 }
 
-// Step advances the network by one cycle.
-func (f *Fabric) Step(now int64) {
-	f.Begin(now)
-	fx := &f.FX[0]
-	for id, n := range f.nodes {
-		f.stepNode(id, n, now, fx)
+// collectTile drains one tile's inbound link lines.
+//
+//shard:phase(receive)
+func (f *Fabric) collectTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	for _, n := range f.nodes[lo:hi] {
+		n.collect(f.Now)
 	}
 }
 
-func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
-	// Phase 1: collect this cycle's arrivals (at most one per in-link)
-	// into the node's reused scratch buffer.
-	arrivals := n.arrivals[:0]
+// resolveTile runs one tile's ejection, routing and injection.
+//
+//shard:phase(resolve)
+func (f *Fabric) resolveTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	fx := &f.FX[t]
+	for id := lo; id < hi; id++ {
+		f.resolveNode(id, f.nodes[id], f.Now, fx)
+	}
+}
+
+// collect is the cycle's receive phase for one router: this cycle's
+// arrivals (at most one per in-link) drain into the node's reused
+// scratch buffer.
+func (n *node) collect(now int64) {
+	n.arrivals = n.arrivals[:0]
 	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil {
+		if n.in[d] == nil || n.in[d].Idle() {
 			continue
 		}
-		arrivals = n.in[d].RecvInto(now, arrivals)
+		n.arrivals = n.in[d].RecvInto(now, n.arrivals)
 	}
-	n.arrivals = arrivals
+}
+
+// resolveNode is the cycle's routing phase for one router: ejection,
+// old-first output allocation with deflection, then injection, over the
+// arrivals collect gathered.
+func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
+	arrivals := n.arrivals
 
 	// A frozen router's pipeline is dead: the links above were still
 	// drained (they demand collection), but every arrival is lost at the
@@ -126,7 +152,7 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 		return
 	}
 
-	// Phase 2: eject the oldest packet that has reached its destination
+	// Eject the oldest packet that has reached its destination
 	// (ejection bandwidth is one packet per cycle).
 	ejected := -1
 	for i, p := range arrivals {
@@ -141,19 +167,22 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 		arrivals = append(arrivals[:ejected], arrivals[ejected+1:]...)
 	}
 
-	// Phase 3: old-first output allocation with deflection.
+	// Old-first output allocation with deflection.
 	router.SortOldestFirst(arrivals)
 	var taken [geom.NumLinkDirs]bool
 	for _, p := range arrivals {
 		d := f.pickOutput(id, n, p, now, &taken)
-		if d < 0 { // only possible with faults armed: a link is down
-			f.DropOrRetry(p, now)
+		if d < 0 {
+			// Only possible with faults armed: a link is down.
+			if f.Faults != nil {
+				f.DropOrRetry(p, now)
+			}
 			continue
 		}
 		f.forward(id, n, p, d, now, &taken, fx)
 	}
 
-	// Phase 4: injection, at the lowest priority, needs a free output.
+	// Injection, at the lowest priority, needs a free output.
 	// Domains take turns so one domain's backlog cannot starve another's
 	// (BLESS itself still provides no isolation once packets are in the
 	// network).

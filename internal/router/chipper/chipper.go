@@ -23,6 +23,12 @@
 // the ID space rather than a single transaction id; the livelock
 // argument weakens from a guarantee to "with probability 1", which the
 // stress tests exercise.
+//
+// The fabric is a router.Kernel: it supplies per-node collect and
+// resolve functions and their two tile roots, and the kernel steps them
+// serially or sharded across node tiles with bit-identical results
+// (SetShards; DESIGN.md §17).  The golden epoch is a pure function of
+// the cycle, so tiles need no shared arbitration state.
 package chipper
 
 import (
@@ -35,6 +41,7 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
+	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -51,9 +58,8 @@ const (
 // packets that still find no output enter the core's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	router.Core
+	router.Kernel
 	nodes []*node
-	rbuf  []*packet.Packet // per-link receive scratch, reused every cycle
 }
 
 type node struct {
@@ -61,6 +67,12 @@ type node struct {
 	ni  *router.NI
 	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
 	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
+
+	// Per-cycle scratch reused across cycles (DESIGN.md §12): the four
+	// input slots collect fills and resolve consumes, and the per-link
+	// receive buffer.
+	slots [geom.NumLinkDirs]*packet.Packet
+	rbuf  []*packet.Packet
 }
 
 // New builds a CHIPPER mesh for cfg.
@@ -75,7 +87,8 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if err != nil {
 		return nil, err
 	}
-	f := &Fabric{Core: core}
+	f := &Fabric{}
+	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
 	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
@@ -107,12 +120,24 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return f.Offer(nodeID, p, now)
 }
 
-// Step advances the network by one cycle.
-func (f *Fabric) Step(now int64) {
-	f.Begin(now)
-	fx := &f.FX[0]
-	for id, n := range f.nodes {
-		f.stepNode(id, n, now, fx)
+// collectTile drains one tile's inbound link lines.
+//
+//shard:phase(receive)
+func (f *Fabric) collectTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	for _, n := range f.nodes[lo:hi] {
+		n.collect(f.Now)
+	}
+}
+
+// resolveTile runs one tile's ejection, injection and permutation.
+//
+//shard:phase(resolve)
+func (f *Fabric) resolveTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	fx := &f.FX[t]
+	for id := lo; id < hi; id++ {
+		f.resolveNode(id, f.nodes[id], f.Now, fx)
 	}
 }
 
@@ -135,19 +160,26 @@ func prio(a, b *packet.Packet, now int64) bool {
 	return router.Hash64(a.ID, uint64(now)) >= router.Hash64(b.ID, uint64(now))
 }
 
-func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
-	// Receive into the four input slots (at most one packet per link
-	// per cycle; the scratch buffer is fabric-owned and reused).
-	var slots [geom.NumLinkDirs]*packet.Packet
+// collect is the cycle's receive phase for one router: arrivals drain
+// into the four input slots (at most one packet per link per cycle).
+func (n *node) collect(now int64) {
+	n.slots = [geom.NumLinkDirs]*packet.Packet{}
 	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil {
+		if n.in[d] == nil || n.in[d].Idle() {
 			continue
 		}
-		f.rbuf = n.in[d].RecvInto(now, f.rbuf[:0])
-		for _, p := range f.rbuf {
-			slots[d] = p
+		n.rbuf = n.in[d].RecvInto(now, n.rbuf[:0])
+		for _, p := range n.rbuf {
+			n.slots[d] = p
 		}
 	}
+}
+
+// resolveNode is the cycle's routing phase for one router: ejection,
+// injection, the permutation network and the border fix-up over the
+// slots collect filled.
+func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
+	slots := &n.slots
 
 	// A frozen router's pipeline is dead: the links above were still
 	// drained (they demand collection), but every arrival is lost at
@@ -180,10 +212,10 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 
 	// Inject into one empty slot (injection is lowest priority by
 	// construction: it only uses a slot no in-flight packet holds).
-	f.tryInject(id, n, &slots, now, fx)
+	f.tryInject(id, n, slots, now, fx)
 
 	// Two-stage permutation deflection network.
-	outs := permute(n.c, &slots, now)
+	outs := permute(n.c, slots, now)
 
 	// Border fix-up: reassign packets steered at missing ports, golden
 	// class first so its delivery guarantee survives the mesh edge.

@@ -97,11 +97,12 @@ func TestRecycleMatchesFresh(t *testing.T) {
 
 // Sharded stepping must be observably equivalent to serial stepping on
 // every model: bit-identical results and an unchanged cache fingerprint
-// (Shards is fingerprint-exempt).  Models without sharded stepping are
-// included deliberately — there Shards must be a no-op.  The tile
-// counts cover even and uneven tiles on the 64-node mesh, one node per
-// tile, a count clamped to the node count, and — with a fault plan
-// armed — the fallback to serial stepping.
+// (Shards is fingerprint-exempt).  RUNAHEAD, which has no sharded
+// stepping, is included deliberately — there Shards must be a no-op.
+// The tile counts cover even and uneven tiles on the 64-node mesh, one
+// node per tile, a count clamped to the node count, and — with a fault
+// plan armed on SB, BLESS and CHIPPER — the fallback to serial
+// stepping.
 func TestShardMatchesSerial(t *testing.T) {
 	type input struct {
 		name   string
@@ -114,7 +115,9 @@ func TestShardMatchesSerial(t *testing.T) {
 	} {
 		inputs = append(inputs, input{model.String(), determinismOptions(model, 7), []int{3, 4, 7, 64, 65}})
 	}
-	inputs = append(inputs, input{"SB-faults", faultyOptions(1), []int{4}})
+	for _, model := range []config.Model{config.BLESS, config.SB, config.CHIPPER} {
+		inputs = append(inputs, input{model.String() + "-faults", faultyOptions(model, 1), []int{4}})
+	}
 	for _, in := range inputs {
 		rs, err := Run(in.o)
 		if err != nil {
@@ -147,11 +150,11 @@ func TestShardMatchesSerial(t *testing.T) {
 
 // TestShardMatchesSerialGiant is the CI gate for the headline claim: a
 // 32×32 mesh stepped with Shards=4 produces results bit-identical to
-// Shards=1.  It runs on the VC fabrics and SB (the sharded models) with
-// a shortened window so `make bench-shard` stays a smoke test under
-// -race.
+// Shards=1.  It runs on every sharded model — the VC fabrics, SB and
+// the deflection routers — with a shortened window so `make
+// bench-shard` stays a smoke test under -race.
 func TestShardMatchesSerialGiant(t *testing.T) {
-	for _, model := range []config.Model{config.WH, config.Surf, config.SB} {
+	for _, model := range []config.Model{config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER} {
 		cfg := config.Default(model)
 		cfg.Width, cfg.Height = 32, 32
 		cfg.Domains = 2

@@ -15,10 +15,10 @@ import (
 	"surfbless/internal/traffic"
 )
 
-// faultyOptions returns an SB run with a mixed fault plan: a transient
-// router freeze, a flapping link and a lossy link.
-func faultyOptions(maxRetries int) Options {
-	cfg := config.Default(config.SB)
+// faultyOptions returns a run of model with a mixed fault plan: a
+// transient router freeze, a flapping link and a lossy link.
+func faultyOptions(model config.Model, maxRetries int) Options {
+	cfg := config.Default(model)
 	cfg.Domains = 2
 	cfg.Faults = &fault.Plan{
 		Seed:       7,
@@ -44,11 +44,11 @@ func faultyOptions(maxRetries int) Options {
 // A fault-plan run must be deterministic for a fixed seed and actually
 // exercise the drop/retransmit machinery.
 func TestFaultRunDeterministic(t *testing.T) {
-	a, err := Run(faultyOptions(1))
+	a, err := Run(faultyOptions(config.SB, 1))
 	if err != nil {
 		t.Fatalf("run A: %v", err)
 	}
-	b, err := Run(faultyOptions(1))
+	b, err := Run(faultyOptions(config.SB, 1))
 	if err != nil {
 		t.Fatalf("run B: %v", err)
 	}
@@ -283,8 +283,8 @@ func TestWatchdogAgeCeiling(t *testing.T) {
 // still satisfy conservation per domain (created = ejected + dropped +
 // in-flight), exercised through the final audit.
 func TestConservationWithDropsAndLeftInFlight(t *testing.T) {
-	o := faultyOptions(-1) // -1: no retries, every fault loss is a drop
-	o.Drain = 3            // cut the drain short to strand packets
+	o := faultyOptions(config.SB, -1) // -1: no retries, every fault loss is a drop
+	o.Drain = 3                       // cut the drain short to strand packets
 	res, err := Run(o)
 	if err != nil {
 		t.Fatalf("run: %v", err)

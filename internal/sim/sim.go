@@ -123,12 +123,13 @@ type Options struct {
 	Recycle bool `json:"-"`
 
 	// Shards > 1 partitions the mesh into that many contiguous node
-	// tiles stepped in parallel by a persistent worker pool (fabrics
-	// without sharded stepping silently ignore it; the tile count is
-	// clamped to the node count).  The two-phase barrier schedule is
-	// bit-identical to serial stepping — see DESIGN.md §17 — so the
-	// option is fingerprint-exempt like Recycle.  Ignored while fault
-	// injection is armed (recovery paths force serial stepping).
+	// tiles stepped in parallel by a persistent worker pool (RUNAHEAD,
+	// the one fabric without sharded stepping, silently ignores it;
+	// the tile count is clamped to the node count).  The two-phase
+	// barrier schedule is bit-identical to serial stepping — see
+	// DESIGN.md §17 — so the option is fingerprint-exempt like
+	// Recycle.  Ignored while fault injection is armed (recovery paths
+	// force serial stepping).
 	Shards int `json:"-"`
 }
 

@@ -17,6 +17,7 @@ package sweepsvc
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -32,6 +33,11 @@ import (
 // plus retries under the backoff policy) when Spec.MaxAttempts is 0.
 // Two preserves the retry-once budget sweeps always had.
 const DefaultMaxAttempts = 2
+
+// maxPoints caps the rate points one spec may expand into.  Validate
+// rejects a longer range — including one whose step is too small to
+// advance the rate, which would never end.
+const maxPoints = 10000
 
 // Spec is one sweep job: an injection-rate range over one model,
 // expanded into one point per rate.  Field-for-field it mirrors
@@ -111,8 +117,23 @@ func (s Spec) Validate() error {
 	if s.Domains < 1 {
 		return fmt.Errorf("sweepsvc: %d domains, need ≥ 1", s.Domains)
 	}
-	if s.Step <= 0 || s.From <= 0 || s.To < s.From {
+	if !finite(s.From) || !finite(s.To) || !finite(s.Step) || s.Step <= 0 || s.From <= 0 || s.To < s.From {
 		return fmt.Errorf("sweepsvc: invalid rate range [%g, %g] step %g", s.From, s.To, s.Step)
+	}
+	if s.To > float64(s.Domains) {
+		return fmt.Errorf("sweepsvc: rate %g over %d domains exceeds 1 packet/node/cycle per domain", s.To, s.Domains)
+	}
+	// Walk the range as Rates does, bounded: float accumulation may
+	// overshoot To by up to Rates' epsilon, and a point above rate 1
+	// per domain would fail in every attempt.
+	n := 0
+	for rate := s.From; rate <= s.To+1e-9; rate += s.Step {
+		if n++; n > maxPoints {
+			return fmt.Errorf("sweepsvc: rate range [%g, %g] step %g has more than %d points", s.From, s.To, s.Step, maxPoints)
+		}
+		if rate/float64(s.Domains) > 1 {
+			return fmt.Errorf("sweepsvc: rate %g over %d domains exceeds 1 packet/node/cycle per domain", rate, s.Domains)
+		}
 	}
 	if s.Cycles <= 0 {
 		return fmt.Errorf("sweepsvc: %d cycles, need ≥ 1", s.Cycles)
@@ -134,6 +155,8 @@ func (s Spec) Validate() error {
 	}
 	return cfg.Validate()
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // baseConfig builds the per-point configuration before traffic wiring.
 func (s Spec) baseConfig(m config.Model) config.Config {

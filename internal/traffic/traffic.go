@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"surfbless/internal/geom"
@@ -86,19 +87,64 @@ type Source struct {
 	OnOff bool `json:",omitempty"`
 }
 
+// Look-ahead bounds.  A stream draws ahead in one burst until it holds
+// depth pending offers or has covered horizon ticks, whichever comes
+// first; so a run's last burst draws at most horizon ticks past its
+// last Tick.
+const (
+	depth   = 8
+	horizon = 256
+)
+
+// never is the due tick of a stream that offers nothing.
+const never = math.MaxInt64
+
 // Generator drives one fabric with per-domain Bernoulli traffic.
+//
+// Each (node, domain) stream draws its random sequence ahead of time:
+// when it runs dry it simulates its next ticks in one burst — the
+// token-bucket refill, the Bernoulli draw and the destination draw,
+// tick by tick, exactly as a per-tick sweep would — and buffers the
+// offers it finds.  Streams are independent and the draws of one
+// stream happen in the same order either way, so look-ahead changes
+// when a draw is made but never what it returns.  Tick then only
+// scans the dense due-tick slice and touches the streams that offer
+// this tick; a burst keeps each stream's generator state hot instead
+// of pulling all of it through the cache every cycle.
 type Generator struct {
 	mesh    geom.Mesh
 	pattern Pattern
 	sources []Source
-	rngs    [][]*rand.Rand // [node][domain]
-	seqs    [][]uint64     // [node][domain] per-stream packet sequence
-	tokens  [][]float64    // [node][domain] token-bucket fill (Burst ≥1 streams)
+	streams []stream // [node*len(sources)+domain]
+	due     []int64  // [node*len(sources)+domain] tick of the stream's next event
+	ticks   int64    // Tick calls so far
 	fl      *packet.FreeList
+}
+
+// stream is one (node, domain) injection process.  Ticks are counted
+// in Tick calls; the cycle number only stamps CreatedAt.
+type stream struct {
+	rng    *rand.Rand
+	tokens float64 // token-bucket fill (Burst ≥1 streams)
+	ahead  int64   // ticks drawn so far
+	seq    uint64  // offers emitted so far: the packet sequence
+
+	// pend[next:count] are the drawn but not yet emitted offers, in
+	// tick order.
+	pend        [depth]offer
+	next, count int32
+}
+
+// offer is one drawn packet: the tick that emits it and its
+// destination node.
+type offer struct {
+	tick int64
+	dst  int32
 }
 
 // New returns a generator for the given mesh and per-domain sources.
 // Seed fixes every stream; equal seeds give bit-identical populations.
+// New only seeds the streams; the first draws happen in the first Tick.
 func New(mesh geom.Mesh, pattern Pattern, sources []Source, seed int64) *Generator {
 	if len(sources) == 0 {
 		panic("traffic: no sources")
@@ -111,25 +157,30 @@ func New(mesh geom.Mesh, pattern Pattern, sources []Source, seed int64) *Generat
 			panic(fmt.Sprintf("traffic: domain %d burst %d negative", d, s.Burst))
 		}
 	}
+	nd := len(sources)
 	g := &Generator{
 		mesh:    mesh,
 		pattern: pattern,
 		sources: sources,
-		rngs:    make([][]*rand.Rand, mesh.Nodes()),
-		seqs:    make([][]uint64, mesh.Nodes()),
-		tokens:  make([][]float64, mesh.Nodes()),
+		streams: make([]stream, mesh.Nodes()*nd),
+		due:     make([]int64, mesh.Nodes()*nd),
 	}
 	for n := 0; n < mesh.Nodes(); n++ {
-		g.rngs[n] = make([]*rand.Rand, len(sources))
-		g.seqs[n] = make([]uint64, len(sources))
-		g.tokens[n] = make([]float64, len(sources))
-		for d := range sources {
+		_, silent := g.fixedDestination(n)
+		for d, s := range sources {
+			i := n*nd + d
+			// A stream that can never offer — rate 0, or a pattern that
+			// gives its node no destination — has no observable draws.
+			if s.Rate == 0 || silent {
+				g.due[i] = never
+				continue
+			}
 			// Mix (seed, node, domain) so streams are independent.
-			s := mix(uint64(seed), uint64(n)<<20|uint64(d))
-			g.rngs[n][d] = rand.New(rand.NewSource(int64(s)))
+			st := &g.streams[i]
+			st.rng = rand.New(rand.NewSource(int64(mix(uint64(seed), uint64(n)<<20|uint64(d)))))
 			// Regulated buckets start full, so the very first window
 			// already honours the Burst + ⌊Rate·τ⌋ curve.
-			g.tokens[n][d] = float64(sources[d].Burst)
+			st.tokens = float64(s.Burst)
 		}
 	}
 	return g
@@ -149,95 +200,131 @@ func PacketID(node, domain int, seq uint64) uint64 {
 }
 
 // Tick generates this cycle's offers for every node and domain and
-// injects them into the fabric.  Offers refused by a full NI queue are
-// dropped (open-loop load); the fabric records them as refused.
+// injects them into the fabric, in (node, domain) order.  Offers
+// refused by a full NI queue are dropped (open-loop load); the fabric
+// records them as refused.
 func (g *Generator) Tick(f network.Fabric, now int64) {
-	for n := 0; n < g.mesh.Nodes(); n++ {
-		src := g.mesh.CoordOf(n)
-		for d, s := range g.sources {
-			if s.Rate == 0 {
-				continue
-			}
-			rng := g.rngs[n][d]
-			if s.Burst > 0 {
-				// Token-bucket regulation: refill at Rate/cycle up to
-				// Burst, emit only on a full token.  The Bernoulli draw
-				// still thins emissions unless the stream is greedy
-				// (OnOff), so arrivals in any τ-cycle window never
-				// exceed Burst + ⌊Rate·τ⌋ either way.
-				tk := &g.tokens[n][d]
-				if *tk < float64(s.Burst) {
-					*tk += s.Rate
-					if *tk > float64(s.Burst) {
-						*tk = float64(s.Burst)
-					}
-				}
-				if *tk < 1 {
-					continue
-				}
-				if !s.OnOff && rng.Float64() >= s.Rate {
-					continue
-				}
-			} else if rng.Float64() >= s.Rate {
-				continue
-			}
-			dst, ok := g.destination(src, rng)
-			if !ok {
-				continue
-			}
-			if s.Burst > 0 {
-				g.tokens[n][d]--
-			}
-			var p *packet.Packet
-			if g.fl != nil {
-				p = g.fl.New(PacketID(n, d, g.seqs[n][d]), src, dst, d, s.Class, now)
-			} else {
-				p = packet.New(PacketID(n, d, g.seqs[n][d]), src, dst, d, s.Class, now)
-			}
-			g.seqs[n][d]++
-			p.VNet = s.VNet
-			f.Inject(n, p, now)
+	t := g.ticks
+	g.ticks++
+	nd := len(g.sources)
+	for i, due := range g.due {
+		if due != t {
+			continue
+		}
+		s, node, dom := &g.streams[i], i/nd, i%nd
+		if s.next == s.count {
+			g.lookAhead(s, node, dom)
+		}
+		if s.next < s.count && s.pend[s.next].tick == t {
+			g.emit(f, s, node, dom, int(s.pend[s.next].dst), now)
+			s.next++
+		}
+		if s.next < s.count {
+			g.due[i] = s.pend[s.next].tick
+		} else {
+			g.due[i] = s.ahead
 		}
 	}
 }
 
-// destination draws a destination for the configured pattern.  ok is
-// false when the pattern gives this source no destination (transpose
-// diagonal).
-func (g *Generator) destination(src geom.Coord, rng *rand.Rand) (geom.Coord, bool) {
-	nodes := g.mesh.Nodes()
+// lookAhead refills an empty stream: it draws the stream's next ticks
+// until depth offers are pending or horizon ticks are drawn.
+func (g *Generator) lookAhead(s *stream, node, dom int) {
+	src := g.sources[dom]
+	rng := s.rng
+	burst := float64(src.Burst)
+	k, end, n := s.ahead, s.ahead+horizon, int32(0)
+	for ; k < end && n < depth; k++ {
+		if src.Burst > 0 {
+			// Token-bucket regulation: refill at Rate/cycle up to
+			// Burst, emit only on a full token.  The Bernoulli draw
+			// still thins emissions unless the stream is greedy
+			// (OnOff), so arrivals in any τ-cycle window never
+			// exceed Burst + ⌊Rate·τ⌋ either way.
+			if s.tokens < burst {
+				s.tokens += src.Rate
+				if s.tokens > burst {
+					s.tokens = burst
+				}
+			}
+			if s.tokens < 1 {
+				continue
+			}
+			if !src.OnOff && rng.Float64() >= src.Rate {
+				continue
+			}
+			s.tokens--
+		} else if rng.Float64() >= src.Rate {
+			continue
+		}
+		s.pend[n] = offer{tick: k, dst: int32(g.destination(node, rng))}
+		n++
+	}
+	s.ahead, s.next, s.count = k, 0, n
+}
+
+// emit injects one drawn offer of stream (node, dom) as the stream's
+// next packet.
+func (g *Generator) emit(f network.Fabric, s *stream, node, dom, dst int, now int64) {
+	src := g.sources[dom]
+	id := PacketID(node, dom, s.seq)
+	from, to := g.mesh.CoordOf(node), g.mesh.CoordOf(dst)
+	var p *packet.Packet
+	if g.fl != nil {
+		p = g.fl.New(id, from, to, dom, src.Class, now)
+	} else {
+		p = packet.New(id, from, to, dom, src.Class, now)
+	}
+	s.seq++
+	p.VNet = src.VNet
+	f.Inject(node, p, now)
+}
+
+// destination draws the destination node of an offer from node.  Only
+// the random patterns draw; the others have a fixed destination, and
+// New silences streams without one.
+func (g *Generator) destination(node int, rng *rand.Rand) int {
+	switch g.pattern {
+	case Transpose, BitComplement, Corner:
+		dst, _ := g.fixedDestination(node)
+		return dst
+	case Hotspot:
+		if rng.Float64() < hotspotFraction && node != 0 {
+			return 0
+		}
+	}
+	// Uniform over the other nodes (UniformRandom, and the rest of
+	// Hotspot's draws).
+	d := rng.Intn(g.mesh.Nodes() - 1)
+	if d >= node {
+		d++
+	}
+	return d
+}
+
+// fixedDestination returns the destination of the deterministic
+// patterns for node; silent reports a node the pattern gives none
+// (transpose diagonal, the corner pattern off node 0).  Random patterns
+// report (-1, false).
+func (g *Generator) fixedDestination(node int) (dst int, silent bool) {
+	src := g.mesh.CoordOf(node)
 	switch g.pattern {
 	case Transpose:
-		dst := geom.Coord{X: src.Y, Y: src.X}
-		if dst == src || !g.mesh.Contains(dst) {
-			return geom.Coord{}, false
+		to := geom.Coord{X: src.Y, Y: src.X}
+		if to == src || !g.mesh.Contains(to) {
+			return -1, true
 		}
-		return dst, true
+		return g.mesh.ID(to), false
 	case BitComplement:
-		id := g.mesh.ID(src)
-		dst := g.mesh.CoordOf(nodes - 1 - id)
-		if dst == src {
-			return geom.Coord{}, false
-		}
-		return dst, true
+		dst = g.mesh.Nodes() - 1 - node
+		return dst, dst == node
 	case Corner:
-		if src != (geom.Coord{}) {
-			return geom.Coord{}, false
+		if node != 0 {
+			return -1, true
 		}
-		return geom.Coord{X: g.mesh.Width - 1, Y: g.mesh.Height - 1}, true
-	case Hotspot:
-		if rng.Float64() < hotspotFraction && g.mesh.ID(src) != 0 {
-			return g.mesh.CoordOf(0), true
-		}
-		fallthrough
-	default: // UniformRandom
-		id := g.mesh.ID(src)
-		d := rng.Intn(nodes - 1)
-		if d >= id {
-			d++
-		}
-		return g.mesh.CoordOf(d), true
+		return g.mesh.ID(geom.Coord{X: g.mesh.Width - 1, Y: g.mesh.Height - 1}), false
 	}
+	return -1, false
 }
 
 // SetFreeList makes Tick draw packets from fl instead of the heap (nil
@@ -248,4 +335,6 @@ func (g *Generator) SetFreeList(fl *packet.FreeList) { g.fl = fl }
 
 // Offered returns how many packets the (node, domain) stream has
 // generated so far.
-func (g *Generator) Offered(node, domain int) uint64 { return g.seqs[node][domain] }
+func (g *Generator) Offered(node, domain int) uint64 {
+	return g.streams[node*len(g.sources)+domain].seq
+}
