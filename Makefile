@@ -58,12 +58,13 @@ race:
 	$(GO) test -race ./...
 
 # Focused -race gate over the failure-handling machinery: fault
-# injection, watchdog/degraded runs, checkpoint/resume, and the
-# resumable parallel sweep.  Redundant with `race` on a full run, but
-# cheap enough to iterate on alone while touching recovery code.
+# injection, watchdog/degraded runs, corrupt cache entries, and the
+# resumable parallel sweep with its checkpoint.  Redundant with `race`
+# on a full run, but cheap enough to iterate on alone while touching
+# recovery code.
 race-faults:
 	$(GO) test -race -count=1 \
-		-run 'TestFault|TestInactiveFaults|TestWatchdog|TestDegraded|TestConservation|TestRunLoopRecovers|TestPlan|TestWindow|TestInjector|TestCorrupt|TestLoadPlan|TestCheckpoint|TestParallelSweep' \
+		-run 'TestFault|TestInactiveFaults|TestWatchdog|TestDegraded|TestConservation|TestRunLoopRecovers|TestPlan|TestWindow|TestInjector|TestCorrupt|TestLoadPlan|TestParallelSweep' \
 		./internal/sim ./internal/fault ./internal/simcache ./cmd/sweep
 
 # Sweep-service chaos soak (DESIGN.md §16): in-process coordinator +

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-scale tiny|quick|full] [-fig all|table1|fig5|fig6|fig7|apps|ablations|extensions|faults|wcta] [-out DIR]
-//	            [-cache] [-cache-dir DIR] [-no-cache] [-shards N]
+//	            [-cache-dir DIR] [-no-cache] [-shards N]
 //	            [-http ADDR] [-progress] [-probe-dir DIR] [-probe-every N]
 //
 // -shards N steps every synthetic point's mesh as N parallel tiles
@@ -59,9 +59,8 @@ func mainExperiments() int {
 	scaleName := flag.String("scale", "quick", "simulation scale: tiny, quick or full")
 	fig := flag.String("fig", "all", "which experiment: all, table1, fig3, fig5, fig6, fig7, apps, ablations, extensions, faults, wcta")
 	out := flag.String("out", "", "directory to write .txt and .csv outputs (optional)")
-	useCache := flag.Bool("cache", true, "reuse cached simulation results")
 	cacheDir := flag.String("cache-dir", filepath.Join("results", ".simcache"), "result-cache directory")
-	noCache := flag.Bool("no-cache", false, "run every simulation fresh (overrides -cache)")
+	noCache := flag.Bool("no-cache", false, "run every simulation fresh")
 	shards := flag.Int("shards", 1, "mesh tiles stepped in parallel per synthetic point (bit-identical to serial)")
 	httpAddr := flag.String("http", "", "serve /progress, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
 	progress := flag.Bool("progress", false, "print a structured progress line to stderr every 5s")
@@ -87,7 +86,7 @@ func mainExperiments() int {
 		experiments.SetFlightDir(*out)
 	}
 	var cache *simcache.Cache
-	if *useCache && !*noCache {
+	if !*noCache {
 		if cache, err = simcache.New(simcache.Options{Dir: *cacheDir}); err != nil {
 			fatal(err)
 		}

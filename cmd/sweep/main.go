@@ -6,7 +6,7 @@
 //
 //	sweep [-model SB] [-domains 2] [-from 0.01] [-to 0.3] [-step 0.02]
 //	      [-cycles 10000] [-seed 1] [-workers 1] [-shards 1]
-//	      [-cache] [-cache-dir DIR] [-no-cache]
+//	      [-cache-dir DIR] [-no-cache]
 //	      [-faults FILE] [-checkpoint FILE] [-resume]
 //	      [-attempts N] [-point-timeout DUR]
 //	      [-remote ADDR]
@@ -35,19 +35,28 @@
 //
 // Robustness: -faults FILE arms a deterministic fault plan (JSON; see
 // internal/fault and DESIGN.md §11) for every point, and the CSV gains
-// dropped/retransmits/status columns.  Each point is isolated — a
-// failing simulation is retried under seeded exponential backoff with
-// jitter up to -attempts executions (default 2, preserving the old
-// retry-once budget), then emitted as an error row while the sweep
-// continues (exit code 1 at the end); points that needed retries carry
-// "; attempts=N" in their status cell.  -point-timeout bounds one
-// point's wall-clock simulation time (cancellation is plumbed through
-// the simulator); an expired timeout is retryable like any failure.  A
-// point that livelocks or trips a router invariant is emitted as a
-// "degraded" row with its partial statistics.  -checkpoint FILE
-// journals every completed point keyed by its cache fingerprint; after
-// an interrupt, rerunning with -resume replays finished rows from the
-// journal and re-simulates only the incomplete points.
+// dropped/retransmits/status columns.  Each point runs through
+// sweepsvc.Runner.RunPoint, the executor the sweepworker fleet uses,
+// and is isolated — a failing simulation is retried under seeded
+// exponential backoff with jitter up to -attempts executions (default
+// 2, preserving the old retry-once budget), then emitted as an error
+// row while the sweep continues (exit code 1 at the end); points that
+// needed retries carry "; attempts=N" in their status cell.
+// -point-timeout bounds one point's wall-clock simulation time
+// (cancellation is plumbed through the simulator); an expired timeout
+// is retryable like any failure.  A point that livelocks or trips a
+// router invariant is emitted as a "degraded" row with its partial
+// statistics.
+//
+// -checkpoint FILE is a sweepd coordinator WAL (DESIGN.md §16.3): the
+// sweep is submitted to it as a job and every row is journaled,
+// fsync'd, as it is printed.  After an interrupt, rerunning with
+// -resume replays the rows of every job the journal holds, matched by
+// point fingerprint — a wider range replays the overlap — and
+// re-simulates the rest, failed points included.  A checkpoint written
+// in the older one-object-per-point JSONL format reads as undecodable
+// lines, so its points are simulated again.  Without -resume the file
+// starts empty.
 //
 // Observability: -http ADDR serves /progress (JSON point counts and
 // ETA), /debug/vars and /debug/pprof/* while the sweep runs; -progress
@@ -61,8 +70,10 @@
 // -flight-dir DIR arms a flight recorder on every point: a point that
 // degrades (watchdog, recovered invariant) dumps its last cycles of
 // events there for `replay -flight`.  Traced, probed, span-exported or
-// recorded points always simulate — the result cache is bypassed for
-// them.
+// recorded points always simulate — the result cache and the
+// checkpoint are bypassed for them.  Each attempt's files are closed
+// whatever its outcome, so a timed-out point still leaves a loadable
+// span file.
 package main
 
 import (
@@ -74,6 +85,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"surfbless/internal/config"
@@ -106,9 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 1, "points simulated concurrently (rows stay in rate order)")
 	shards := fs.Int("shards", 1, "mesh tiles stepped in parallel inside each point (local runs only; bit-identical to serial)")
-	useCache := fs.Bool("cache", true, "reuse cached simulation results")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", ".simcache"), "result-cache directory")
-	noCache := fs.Bool("no-cache", false, "run every simulation fresh (overrides -cache)")
+	noCache := fs.Bool("no-cache", false, "run every simulation fresh")
 	attempts := fs.Int("attempts", sweepsvc.DefaultMaxAttempts, "per-point execution budget (1 = no retry)")
 	pointTimeout := fs.Duration("point-timeout", 0, "wall-clock bound per point, e.g. 30s (0 = none)")
 	remote := fs.String("remote", "", "submit to a sweepd coordinator at this host:port instead of simulating locally")
@@ -120,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	probeEvery := fs.Int64("probe-every", probe.DefaultEvery, "probe bucket width in cycles for -probe-dir")
 	flightDir := fs.String("flight-dir", "", "write flight-recorder dumps of degraded points into this directory")
 	faultsFile := fs.String("faults", "", "fault plan JSON applied to every point (see internal/fault)")
-	ckptPath := fs.String("checkpoint", "", "journal completed points to this file")
+	ckptPath := fs.String("checkpoint", "", "journal completed points to this coordinator WAL")
 	resume := fs.Bool("resume", false, "replay completed points from -checkpoint instead of re-simulating them")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -174,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var cache *simcache.Cache
-	if *useCache && !*noCache {
+	if !*noCache {
 		if cache, err = simcache.New(simcache.Options{Dir: *cacheDir}); err != nil {
 			return fatal(err)
 		}
@@ -189,29 +200,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fatal(err)
 		}
 	}
+	// Retry and flight-dump lines come from the worker goroutines.
+	stderr = &lockedWriter{w: stderr}
 
-	var ckpt *simcache.Checkpoint
+	var journal *sweepsvc.Coordinator
+	var job string
+	var replay []string // replay[i] is point i's journaled row ("" = simulate)
 	if *resume && *ckptPath == "" {
 		return fatal(fmt.Errorf("-resume needs -checkpoint FILE"))
 	}
 	if *ckptPath != "" {
-		if !*resume {
-			// Without -resume the journal starts fresh; stale entries
-			// from an unrelated sweep must not be replayed.
-			if err := os.Remove(*ckptPath); err != nil && !os.IsNotExist(err) {
-				return fatal(err)
-			}
-		}
-		if ckpt, err = simcache.OpenCheckpoint(*ckptPath); err != nil {
+		c, id, rows, err := openCheckpoint(*ckptPath, *resume, spec, stderr)
+		if err != nil {
 			return fatal(err)
 		}
-		defer ckpt.Close()
-		if *resume {
-			fmt.Fprintf(stderr, "resume: %d point(s) already journaled in %s", ckpt.Len(), *ckptPath)
-			if n := ckpt.Skipped(); n > 0 {
-				fmt.Fprintf(stderr, " (%d torn line(s) dropped)", n)
-			}
-			fmt.Fprintln(stderr)
+		defer c.Close()
+		// Observed points always simulate — a replayed row would skip the
+		// files the flags asked for — and journal nothing.
+		if *traceFile == "" && *spansFile == "" && *probeDir == "" && *flightDir == "" {
+			journal, job, replay = c, id, rows
 		}
 	}
 
@@ -239,89 +246,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "introspection: http://%s/progress (metrics at /metrics)\n", srv.Addr())
 	}
 
-	// Failing points retry under the same seeded-backoff policy the
-	// sweepd workers use, so a local and a remote sweep degrade the
-	// same way.
+	// Every point runs through the executor the sweepworker fleet uses,
+	// with the same seeded-backoff retries, so a local and a remote sweep
+	// degrade the same way.
 	policy := backoff.Policy{Seed: *seed}
-
-	// outcome is one point's finished state, produced on a worker and
-	// emitted on this goroutine in rate order.
-	type outcome struct {
-		row    string
-		err    error        // non-nil after the attempt budget is spent
-		key    simcache.Key // cache fingerprint (valid iff keyOK)
-		keyOK  bool
-		replay bool // row came from the -resume journal
+	runner := &sweepsvc.Runner{
+		Cache:  cache,
+		Policy: policy,
+		OnRetry: func(rate float64, attempt int, err error) {
+			fmt.Fprintf(stderr, "sweep: rate %.3f attempt %d failed (%v), backing off %v\n",
+				rate, attempt, err, policy.Delay(attempt-1).Round(time.Millisecond))
+		},
+		Attach: pointFiles{
+			model: m, shards: *shards,
+			trace: *traceFile, spans: *spansFile,
+			probeDir: *probeDir, probeEvery: *probeEvery,
+			flightDir: *flightDir, stderr: stderr,
+		}.attach,
 	}
 
-	compute := func(_ int, rate float64) (outcome, error) {
-		o, oerr := spec.Options(rate)
-		if oerr != nil { // unreachable after Validate; keep the point isolated anyway
-			return outcome{row: sweepsvc.ErrorRow(rate, "error: "+sweepsvc.CSVSafe(oerr.Error())), err: oerr}, nil
+	compute := func(i int, rate float64) (sweepsvc.Execution, error) {
+		if replay != nil && replay[i] != "" {
+			return sweepsvc.Execution{Row: replay[i]}, nil
 		}
-		// Execution knob, not part of the point's identity: Shards is
-		// fingerprint-exempt, so cache and checkpoint keys are unchanged.
-		o.Shards = *shards
-		out := outcome{}
-		key, keyErr := sim.Fingerprint(o)
-		if keyErr == nil {
-			out.key, out.keyOK = key, true
-		}
-		if ckpt != nil && out.keyOK && !o.Observed() {
-			if row, ok := ckpt.Lookup(key); ok {
-				out.row, out.replay = row, true
-				return out, nil
-			}
-		}
-
-		// Per-point isolation: a failing point is retried with seeded
-		// exponential backoff up to the -attempts budget, then reported
-		// as an error row; the sweep always reaches the last rate.
-		// Degraded points (watchdog, recovered invariant) are data, not
-		// failures — their partial stats make the row and never consume
-		// retries.
-		budget := spec.Attempts()
-		var lastErr error
-		for attempt := 1; attempt <= budget; attempt++ {
-			pctx, cancel := spec.PointContext(context.Background())
-			res, status, perr := sweepPoint(pctx, o, m, rate, cache, pointFiles{
-				trace: *traceFile, spans: *spansFile,
-				probeDir: *probeDir, probeEvery: *probeEvery,
-				flightDir: *flightDir, stderr: stderr,
-			})
-			cancel()
-			if perr == nil {
-				out.row = sweepsvc.RenderRow(rate, *domains, res, sweepsvc.StatusWithAttempts(status, attempt))
-				return out, nil
-			}
-			if errors.Is(perr, context.DeadlineExceeded) {
-				perr = spec.TimeoutError()
-			}
-			lastErr = perr
-			if attempt == budget {
-				break
-			}
-			fmt.Fprintf(stderr, "sweep: rate %.3f attempt %d failed (%v), backing off %v\n",
-				rate, attempt, perr, policy.Delay(attempt-1).Round(time.Millisecond))
-			policy.Sleep(context.Background(), attempt-1) //nolint:errcheck // background ctx never cancels
-		}
-		fmt.Fprintf(stderr, "sweep: rate %.3f failed %d time(s): %v — continuing\n", rate, budget, lastErr)
-		out.row = sweepsvc.ErrorRow(rate, sweepsvc.StatusWithAttempts("error: "+sweepsvc.CSVSafe(lastErr.Error()), budget))
-		out.err = lastErr
-		return out, nil
+		return runner.RunPoint(context.Background(), spec, rate), nil
 	}
 
 	fmt.Fprintln(stdout, sweepsvc.CSVHeader)
 	failures := 0
-	observed := *traceFile != "" || *spansFile != "" || *probeDir != "" || *flightDir != ""
-	parmap.Stream(rates, *workers, compute, func(_ int, out outcome, _ error) {
-		fmt.Fprintln(stdout, out.row)
-		if out.err != nil {
+	parmap.Stream(rates, *workers, compute, func(i int, exec sweepsvc.Execution, _ error) {
+		fmt.Fprintln(stdout, exec.Row)
+		if exec.Failed {
 			failures++
+			fmt.Fprintf(stderr, "sweep: rate %.3f failed: %s — continuing\n", rates[i], exec.Status)
 		}
-		if ckpt != nil && out.keyOK && out.err == nil && !out.replay && !observed {
-			if rerr := ckpt.Record(out.key, out.row); rerr != nil {
-				fmt.Fprintf(stderr, "sweep: checkpoint: %v\n", rerr)
+		// The emitter journals, so the fsync overlaps the workers'
+		// simulations instead of stalling one of them.
+		if journal != nil && replay[i] == "" {
+			if _, err := journal.CompletePoint(sweepsvc.Completion{
+				Job: job, Point: i,
+				Row: exec.Row, Status: exec.Status, Attempts: exec.Attempts, Failed: exec.Failed,
+			}); err != nil {
+				fmt.Fprintf(stderr, "sweep: checkpoint: %v\n", err)
 			}
 		}
 		g.Add(1)
@@ -337,6 +303,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// openCheckpoint opens -checkpoint FILE as a coordinator WAL and submits
+// the sweep to it as a job, whose points the caller completes without
+// leases.  Without -resume the file starts empty.  With it, replay
+// holds, for each point of the new job, the row any journaled job
+// recorded under the point's fingerprint — failed rows excepted, so
+// those points run again.
+func openCheckpoint(path string, resume bool, spec sweepsvc.Spec, stderr io.Writer) (
+	c *sweepsvc.Coordinator, job string, replay []string, err error) {
+	if !resume {
+		// A fresh sweep must not replay an unrelated one's rows.
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return nil, "", nil, err
+		}
+	}
+	if c, err = sweepsvc.OpenCoordinator(sweepsvc.CoordinatorOptions{WALPath: path}); err != nil {
+		return nil, "", nil, err
+	}
+	done := make(map[string]string)
+	for _, id := range c.Jobs() {
+		rows, _ := c.Rows(id) // Jobs lists only admitted jobs
+		for _, r := range rows {
+			if r.Done && !r.Failed && r.Fingerprint != "" {
+				done[r.Fingerprint] = r.Row
+			}
+		}
+	}
+	if resume {
+		fmt.Fprintf(stderr, "resume: %d point(s) already journaled in %s", len(done), path)
+		if n := c.Skipped(); n > 0 {
+			fmt.Fprintf(stderr, " (%d torn line(s) dropped)", n)
+		}
+		fmt.Fprintln(stderr)
+	}
+	if job, _, err = c.SubmitJob(spec); err != nil {
+		c.Close()
+		return nil, "", nil, err
+	}
+	points, _ := c.Rows(job) // the job was just admitted
+	replay = make([]string, len(points))
+	for i, p := range points {
+		replay[i] = done[p.Fingerprint]
+	}
+	return c, job, replay, nil
 }
 
 // remoteRPCAttempts bounds each remote poll's retries through a
@@ -416,10 +427,13 @@ func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress 
 	}
 }
 
-// pointFiles collects the per-point observability outputs a sweep can
-// request: lifecycle trace, Chrome-trace spans, probe series/heatmaps,
-// and flight-recorder dumps of degraded points.
+// pointFiles is cmd/sweep's Runner.Attach hook: the -shards execution
+// knob plus the per-point observability outputs a sweep can request —
+// lifecycle trace, Chrome-trace spans, probe series/heatmaps, and
+// flight-recorder dumps of degraded points.
 type pointFiles struct {
+	model      config.Model
+	shards     int
 	trace      string
 	spans      string
 	probeDir   string
@@ -428,84 +442,91 @@ type pointFiles struct {
 	stderr     io.Writer
 }
 
-// sweepPoint simulates one rate and returns its result and status cell
-// ("ok" or "degraded: <reason>").  A panic that escapes the
-// simulator's own recover boundary is converted to an error here so
-// the caller's isolation holds.
-func sweepPoint(ctx context.Context, o sim.Options, m config.Model, rate float64,
-	cache *simcache.Cache, files pointFiles) (res sim.Result, status string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+// attach arms one attempt of the point at rate.  Every file it opens is
+// closed by the returned finish whatever the run's outcome, so a failed
+// or timed-out attempt still leaves a complete trace and a loadable
+// span file; the probe export and the flight dump follow only for a run
+// that produced a row.
+func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, error) {
+	// Shards is fingerprint-exempt, so cache and journal keys are
+	// unchanged.
+	o.Shards = f.shards
+	var files []io.Closer
+	closeFiles := func() error {
+		var errs []error
+		for _, c := range files {
+			errs = append(errs, c.Close())
 		}
-	}()
-	o.Ctx = ctx
-	var tw *trace.Writer
-	if files.trace != "" {
-		f, ferr := os.Create(suffixed(files.trace, rate))
-		if ferr != nil {
-			return res, "", ferr
-		}
-		fmt.Fprintln(f, trace.Header())
-		tw = trace.New(f)
-		o.Tracer = tw.Tracer()
+		return errors.Join(errs...)
 	}
-	var pf *trace.Perfetto
-	if files.spans != "" {
-		f, ferr := os.Create(suffixed(files.spans, rate))
-		if ferr != nil {
-			return res, "", ferr
+	if f.trace != "" {
+		fh, err := os.Create(suffixed(f.trace, rate))
+		if err != nil {
+			return nil, err
 		}
-		pf = trace.NewPerfetto(f, o.Cfg.Mesh())
+		fmt.Fprintln(fh, trace.Header())
+		tw := trace.New(fh)
+		o.Tracer = tw.Tracer()
+		files = append(files, tw)
+	}
+	if f.spans != "" {
+		fh, err := os.Create(suffixed(f.spans, rate))
+		if err != nil {
+			closeFiles() //nolint:errcheck // the create error is the one to report
+			return nil, err
+		}
+		pf := trace.NewPerfetto(fh, o.Cfg.Mesh())
 		o.Taps = append(o.Taps, pf)
+		files = append(files, pf)
 	}
 	var p *probe.Probe
-	if files.probeDir != "" {
+	if f.probeDir != "" {
 		p = &probe.Probe{}
 		o.Probe = p
-		o.ProbeEvery = files.probeEvery
+		o.ProbeEvery = f.probeEvery
 	}
-	if files.flightDir != "" {
+	if f.flightDir != "" {
 		o.Recorder = probe.NewFlightRecorder(0)
 	}
-	res, err = sim.RunCached(o, cache)
-	status = "ok"
-	if err != nil {
+	return func(runErr error) error {
+		cerr := closeFiles()
 		var de *sim.DegradedError
-		if !errors.As(err, &de) {
-			return res, "", err
+		if runErr != nil && !errors.As(runErr, &de) {
+			return runErr
 		}
-		res = de.Partial
-		status = "degraded: " + sweepsvc.CSVSafe(de.Reason)
-		err = nil
-		if de.Flight != nil && files.flightDir != "" {
-			path := filepath.Join(files.flightDir, fmt.Sprintf("sweep_%v_r%.3f.flight.json", m, rate))
-			if werr := exportFile(path, de.Flight.WriteJSON); werr != nil {
-				return res, "", werr
+		if cerr != nil {
+			return cerr
+		}
+		if de != nil && de.Flight != nil && f.flightDir != "" {
+			path := filepath.Join(f.flightDir, fmt.Sprintf("sweep_%v_r%.3f.flight.json", f.model, rate))
+			if err := exportFile(path, de.Flight.WriteJSON); err != nil {
+				return err
 			}
-			fmt.Fprintf(files.stderr, "sweep: rate %.3f degraded — flight dump: %s\n", rate, path)
+			fmt.Fprintf(f.stderr, "sweep: rate %.3f degraded — flight dump: %s\n", rate, path)
 		}
-	}
-	if tw != nil {
-		if cerr := tw.Close(); cerr != nil {
-			return res, "", fmt.Errorf("trace: %w", cerr)
+		if p != nil {
+			base := fmt.Sprintf("%v_r%.3f", f.model, rate)
+			if err := exportFile(filepath.Join(f.probeDir, "sweep_ts_"+base+".jsonl"), p.WriteTimeSeriesJSONL); err != nil {
+				return err
+			}
+			if err := exportFile(filepath.Join(f.probeDir, "sweep_heat_"+base+".csv"), p.WriteHeatmapCSV); err != nil {
+				return err
+			}
 		}
-	}
-	if pf != nil {
-		if cerr := pf.Close(); cerr != nil {
-			return res, "", fmt.Errorf("spans: %w", cerr)
-		}
-	}
-	if p != nil {
-		base := fmt.Sprintf("%v_r%.3f", m, rate)
-		if eerr := exportFile(filepath.Join(files.probeDir, "sweep_ts_"+base+".jsonl"), p.WriteTimeSeriesJSONL); eerr != nil {
-			return res, "", eerr
-		}
-		if eerr := exportFile(filepath.Join(files.probeDir, "sweep_heat_"+base+".csv"), p.WriteHeatmapCSV); eerr != nil {
-			return res, "", eerr
-		}
-	}
-	return res, status, nil
+		return runErr
+	}, nil
+}
+
+// lockedWriter serializes whole Write calls from concurrent goroutines.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(b []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(b)
 }
 
 // suffixed inserts _r<rate> before path's extension, so per-point

@@ -77,6 +77,118 @@ func TestParallelSweepCheckpointResume(t *testing.T) {
 	}
 }
 
+// A crash mid-append tears the checkpoint's final line.  Resuming must
+// drop just that line, re-simulate its point and print the same CSV;
+// the point's new record lands after the torn line, so the next resume
+// replays every point.
+func TestParallelSweepResumeTornTail(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	first, _, code := runSweep(t, sweepArgs("-workers", "4", "-checkpoint", ckpt))
+	if code != 0 {
+		t.Fatalf("first sweep exit %d", code)
+	}
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(ckpt, fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"4 point(s) already journaled in " + ckpt + " (1 torn line(s) dropped)",
+		"5 point(s) already journaled in " + ckpt + " (1 torn line(s) dropped)",
+	} {
+		resumed, stderr, code := runSweep(t, sweepArgs("-workers", "4", "-checkpoint", ckpt, "-resume"))
+		if code != 0 {
+			t.Fatalf("resumed sweep exit %d; stderr:\n%s", code, stderr)
+		}
+		if resumed != first {
+			t.Errorf("resumed CSV differs:\n--- first ---\n%s--- resumed ---\n%s", first, resumed)
+		}
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// A point that failed is journaled as failed and never replayed: a
+// resume simulates it again.  The first run times every point out; the
+// resume, without the timeout, must print the plain sweep's CSV.
+func TestParallelSweepResumeRetriesFailedPoints(t *testing.T) {
+	args := func(extra ...string) []string {
+		return sweepArgs(append([]string{"-to", "0.04", "-cycles", "5000", "-workers", "2"}, extra...)...)
+	}
+	plain, _, code := runSweep(t, args())
+	if code != 0 {
+		t.Fatalf("plain sweep exit %d", code)
+	}
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	failed, _, code := runSweep(t, args("-attempts", "1", "-point-timeout", "1ms", "-checkpoint", ckpt))
+	if code == 0 || strings.Count(failed, "timeout after 1ms") != 2 {
+		t.Fatalf("want both points timed out, exit %d:\n%s", code, failed)
+	}
+	resumed, stderr, code := runSweep(t, args("-checkpoint", ckpt, "-resume"))
+	if code != 0 {
+		t.Fatalf("resumed sweep exit %d; stderr:\n%s", code, stderr)
+	}
+	if resumed != plain {
+		t.Errorf("resume replayed a failed point:\n--- plain ---\n%s--- resumed ---\n%s", plain, resumed)
+	}
+	if !strings.Contains(stderr, "0 point(s) already journaled") {
+		t.Errorf("failed points counted as journaled; stderr:\n%s", stderr)
+	}
+}
+
+// Replay goes by point fingerprint over everything the journal holds,
+// so a resume over a wider range replays the overlap and simulates only
+// the new points — visible as cache misses in a fresh cache.
+func TestParallelSweepResumeWiderRange(t *testing.T) {
+	full, _, code := runSweep(t, sweepArgs("-workers", "2"))
+	if code != 0 {
+		t.Fatalf("full sweep exit %d", code)
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "sweep.ckpt")
+	if _, _, code := runSweep(t, sweepArgs("-to", "0.06", "-workers", "2", "-checkpoint", ckpt)); code != 0 {
+		t.Fatalf("narrow sweep exit %d", code)
+	}
+	wider, stderr, code := runSweep(t, sweepArgs("-workers", "2", "-checkpoint", ckpt, "-resume",
+		"-no-cache=false", "-cache-dir", filepath.Join(dir, "cache")))
+	if code != 0 {
+		t.Fatalf("wider resume exit %d; stderr:\n%s", code, stderr)
+	}
+	if wider != full {
+		t.Errorf("wider resume CSV differs:\n--- full ---\n%s--- resumed ---\n%s", full, wider)
+	}
+	for _, want := range []string{"3 point(s) already journaled", "0 hits, 2 misses"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+}
+
+// Observed points always simulate: a -spans resume over a full journal
+// replays nothing and writes every point's span file.
+func TestParallelSweepResumeObservedReplaysNothing(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "sweep.ckpt")
+	first, _, code := runSweep(t, sweepArgs("-workers", "2", "-checkpoint", ckpt))
+	if code != 0 {
+		t.Fatalf("first sweep exit %d", code)
+	}
+	resumed, stderr, code := runSweep(t, sweepArgs("-workers", "2", "-checkpoint", ckpt, "-resume",
+		"-spans", filepath.Join(dir, "spans.json")))
+	if code != 0 {
+		t.Fatalf("observed resume exit %d; stderr:\n%s", code, stderr)
+	}
+	if resumed != first {
+		t.Errorf("observed resume CSV differs:\n--- first ---\n%s--- resumed ---\n%s", first, resumed)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "spans_r*.json")); len(files) != 5 {
+		t.Errorf("observed resume wrote %d span files, want 5 (replayed points skip their files)", len(files))
+	}
+}
+
 // -remote must print the exact CSV a local run of the same flags
 // prints: the coordinator assembles rows rendered by the same
 // sweepsvc spec/row layer the local path uses.
@@ -296,5 +408,29 @@ func TestSweepSpansExport(t *testing.T) {
 	}
 	if len(ct.TraceEvents) == 0 {
 		t.Errorf("%s holds no trace events", files[0])
+	}
+}
+
+// A timed-out attempt still closes its span file: the file must parse
+// as Chrome-trace JSON even though the run stopped mid-flight.
+func TestSweepSpansSurviveTimeout(t *testing.T) {
+	dir := t.TempDir()
+	_, stderr, code := runSweep(t, []string{
+		"-model", "SB", "-domains", "2", "-from", "0.02", "-to", "0.02", "-step", "0.02",
+		"-cycles", "500000000", "-seed", "7", "-no-cache", "-attempts", "1", "-point-timeout", "50ms",
+		"-spans", filepath.Join(dir, "s.json"),
+	})
+	if code == 0 || !strings.Contains(stderr, "timeout after 50ms") {
+		t.Fatalf("want a timed-out point, exit %d; stderr:\n%s", code, stderr)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "s_r0.020.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ct struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &ct); err != nil {
+		t.Fatalf("timed-out point's span file (%d bytes) is not valid Chrome trace JSON: %v", len(raw), err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,40 +38,76 @@ func (c *Client) httpClient() *http.Client {
 	return &http.Client{Timeout: 10 * time.Second}
 }
 
-// call performs one JSON round trip.  A nil out discards the body; a
-// non-2xx answer surfaces as an error carrying the server's message.
-func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+// statusError is a coordinator's non-2xx answer to one request.
+type statusError struct {
+	code int    // HTTP status code
+	msg  string // request, status and the server's message
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+// do performs one round trip and returns the body of a 2xx answer; any
+// other answer is a *statusError carrying the server's message.
+func (c *Client) do(ctx context.Context, method, path string, in any) ([]byte, error) {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
-			return fmt.Errorf("sweepsvc: client: %w", err)
+			return nil, fmt.Errorf("sweepsvc: client: %w", err)
 		}
 		body = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base()+path, body)
 	if err != nil {
-		return fmt.Errorf("sweepsvc: client: %w", err)
+		return nil, fmt.Errorf("sweepsvc: client: %w", err)
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("sweepsvc: client: %w", err)
+		return nil, fmt.Errorf("sweepsvc: client: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("sweepsvc: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
+		return nil, &statusError{code: resp.StatusCode,
+			msg: fmt.Sprintf("sweepsvc: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))}
 	}
-	if out == nil {
-		return nil
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("sweepsvc: client: %w", err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	return b, nil
+}
+
+// call performs one JSON round trip.  A nil out discards the body.
+func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
+	b, err := c.do(ctx, method, path, in)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(b, out); err != nil {
 		return fmt.Errorf("sweepsvc: client: %w", err)
 	}
 	return nil
+}
+
+// withRetry runs one client call through transient coordinator outages
+// (a bounce mid-sweep) under the given backoff policy.  A 404 — an
+// unknown job: the journal is gone, the report outlived it, or the
+// address is wrong — stops at once.
+func withRetry[T any](ctx context.Context, p backoff.Policy, attempts int, call func() (T, error)) (out T, err error) {
+	_, err = backoff.Retry(ctx, p, attempts, func(int) error {
+		var cerr error
+		out, cerr = call()
+		var se *statusError
+		if errors.As(cerr, &se) && se.code == http.StatusNotFound {
+			return backoff.Stop(cerr)
+		}
+		return cerr
+	})
+	return out, err
 }
 
 // Submit admits a sweep job and returns its ID and point count.
@@ -91,23 +128,8 @@ func (c *Client) Status(ctx context.Context, job string) (JobStatus, error) {
 
 // CSV fetches a completed job's assembled output.
 func (c *Client) CSV(ctx context.Context, job string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base()+"/api/jobs/"+job+"/csv", nil)
-	if err != nil {
-		return "", fmt.Errorf("sweepsvc: client: %w", err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", fmt.Errorf("sweepsvc: client: %w", err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", fmt.Errorf("sweepsvc: client: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("sweepsvc: csv %s: %s: %s", job, resp.Status, bytes.TrimSpace(b))
-	}
-	return string(b), nil
+	b, err := c.do(ctx, http.MethodGet, "/api/jobs/"+job+"/csv", nil)
+	return string(b), err
 }
 
 // Rows fetches a job's per-point output state in rate order — readable
@@ -118,19 +140,9 @@ func (c *Client) Rows(ctx context.Context, job string) ([]PointRow, error) {
 	return rows, err
 }
 
-// RowsWithRetry fetches a job's rows through transient coordinator
-// outages (a bounce mid-sweep) under the given backoff policy, stopping
-// early on a 404.
-func (c *Client) RowsWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) (rows []PointRow, err error) {
-	_, err = backoff.Retry(ctx, p, attempts, func(int) error {
-		var rerr error
-		rows, rerr = c.Rows(ctx, job)
-		if rerr != nil && isNotFound(rerr) {
-			return backoff.Stop(rerr)
-		}
-		return rerr
-	})
-	return rows, err
+// RowsWithRetry is Rows through withRetry.
+func (c *Client) RowsWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) ([]PointRow, error) {
+	return withRetry(ctx, p, attempts, func() ([]PointRow, error) { return c.Rows(ctx, job) })
 }
 
 // Acquire pulls up to max leases for worker.
@@ -167,53 +179,14 @@ func (c *Client) Complete(ctx context.Context, comp Completion) (bool, error) {
 	return resp.Accepted, nil
 }
 
-// CompleteWithRetry pushes a completion through transient coordinator
-// outages (a bounce mid-sweep) under the given backoff policy.  A 404
-// (unknown job — the report outlived its journal) stops immediately.
-func (c *Client) CompleteWithRetry(ctx context.Context, p backoff.Policy, attempts int, comp Completion) (accepted bool, err error) {
-	_, err = backoff.Retry(ctx, p, attempts, func(int) error {
-		var cerr error
-		accepted, cerr = c.Complete(ctx, comp)
-		if cerr != nil && isNotFound(cerr) {
-			return backoff.Stop(cerr)
-		}
-		return cerr
-	})
-	return accepted, err
+// CompleteWithRetry is Complete through withRetry: a completion
+// outlives a coordinator bounce, and if the lease expired meanwhile the
+// coordinator still accepts the first report for the point.
+func (c *Client) CompleteWithRetry(ctx context.Context, p backoff.Policy, attempts int, comp Completion) (bool, error) {
+	return withRetry(ctx, p, attempts, func() (bool, error) { return c.Complete(ctx, comp) })
 }
 
-// StatusWithRetry polls a job's progress through transient coordinator
-// outages (a bounce mid-sweep) under the given backoff policy.  A 404
-// (unknown job — the journal is gone or the address is wrong) stops
-// immediately.
-func (c *Client) StatusWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) (st JobStatus, err error) {
-	_, err = backoff.Retry(ctx, p, attempts, func(int) error {
-		var serr error
-		st, serr = c.Status(ctx, job)
-		if serr != nil && isNotFound(serr) {
-			return backoff.Stop(serr)
-		}
-		return serr
-	})
-	return st, err
-}
-
-// CSVWithRetry fetches a completed job's CSV through transient
-// coordinator outages under the given backoff policy, stopping early
-// on a 404.
-func (c *Client) CSVWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) (csv string, err error) {
-	_, err = backoff.Retry(ctx, p, attempts, func(int) error {
-		var cerr error
-		csv, cerr = c.CSV(ctx, job)
-		if cerr != nil && isNotFound(cerr) {
-			return backoff.Stop(cerr)
-		}
-		return cerr
-	})
-	return csv, err
-}
-
-// isNotFound sniffs the coordinator's 404 answer out of a client error.
-func isNotFound(err error) bool {
-	return err != nil && bytes.Contains([]byte(err.Error()), []byte("404"))
+// StatusWithRetry is Status through withRetry.
+func (c *Client) StatusWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) (JobStatus, error) {
+	return withRetry(ctx, p, attempts, func() (JobStatus, error) { return c.Status(ctx, job) })
 }

@@ -206,9 +206,19 @@ func TestCoordinatorWALTornTail(t *testing.T) {
 	if st.Done != 0 {
 		t.Errorf("torn point record counted as done: %+v", st)
 	}
-	// The journal must accept appends again.
-	if _, _, err := c2.SubmitJob(testSpec()); err != nil {
-		t.Errorf("SubmitJob after torn tail: %v", err)
+	// The journal must accept appends again, on a fresh line: a third
+	// open still drops only the torn line and replays the new job.
+	job2, _, err := c2.SubmitJob(testSpec())
+	if err != nil {
+		t.Fatalf("SubmitJob after torn tail: %v", err)
+	}
+	c2.Close()
+	c3 := openTestCoordinator(t, wal, nil)
+	if c3.Skipped() != 1 {
+		t.Errorf("third open: Skipped = %d, want 1", c3.Skipped())
+	}
+	if st, err := c3.Status(job2); err != nil || st.Total != 3 {
+		t.Errorf("job appended after the torn tail lost: %+v, %v", st, err)
 	}
 }
 

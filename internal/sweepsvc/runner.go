@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"surfbless/internal/sim"
 	"surfbless/internal/simcache"
@@ -19,6 +20,18 @@ import (
 //
 //hook:nil-disabled
 type RetryHook func(rate float64, attempt int, err error)
+
+// AttemptHook arms one execution of a point (nil = disabled): it may set
+// fingerprint-exempt knobs and observers on o — shards, a tracer, span
+// taps, a probe, a flight recorder — and returns a finish func that the
+// runner calls with the execution's error once the run ends.  finish
+// must release whatever the hook opened on every outcome, and returns
+// the error to classify: the run's own, or the first error it met while
+// finishing a run that produced a row.  An error from the hook itself
+// fails the attempt.
+//
+//hook:nil-disabled
+type AttemptHook func(rate float64, o *sim.Options) (finish func(error) error, err error)
 
 // Runner executes sweep points against the shared result store with
 // the service's retry policy.  The zero value runs uncached with the
@@ -34,6 +47,9 @@ type Runner struct {
 	// OnRetry, when non-nil, observes each failed attempt that will be
 	// retried.
 	OnRetry RetryHook
+	// Attach, when non-nil, arms every attempt: cmd/sweep hangs -shards
+	// and its per-point trace, span, probe and flight files here.
+	Attach AttemptHook
 }
 
 // Execution is one point's finished outcome.
@@ -84,7 +100,7 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
 		out.Attempts = attempt
-		res, rerr := r.attempt(ctx, spec, o)
+		res, rerr := r.attempt(ctx, spec, rate, o)
 
 		if rerr == nil {
 			out.Status = StatusWithAttempts("ok", attempt)
@@ -112,7 +128,7 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 			return out
 		}
 		if errors.Is(rerr, context.DeadlineExceeded) {
-			rerr = spec.TimeoutError()
+			rerr = fmt.Errorf("timeout after %dms", spec.PointTimeoutMS)
 		}
 		lastErr = rerr
 		if attempt == attempts {
@@ -132,26 +148,41 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 	return out
 }
 
-// attempt runs one execution with the per-point timeout applied and
-// panics contained.
-func (r *Runner) attempt(ctx context.Context, spec Spec, o sim.Options) (res sim.Result, err error) {
+// attempt runs one execution bounded by the spec's per-point timeout,
+// with the Attach hook armed around it and panics contained: a panic
+// escaping the simulator's own recover boundary becomes the error that
+// the hook's finish sees.
+func (r *Runner) attempt(ctx context.Context, spec Spec, rate float64, o sim.Options) (res sim.Result, err error) {
+	if spec.PointTimeoutMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.PointTimeoutMS)*time.Millisecond)
+		defer cancel()
+	}
+	// context.Background().Done() is nil, so an unbounded, uncancelled
+	// point costs the run loop nothing.
+	o.Ctx = ctx
+	finish := func(err error) error { return err }
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
 		}
+		err = finish(err)
 	}()
-	pctx, cancel := spec.PointContext(ctx)
-	defer cancel()
-	// context.Background().Done() is nil, so an unbounded, uncancelled
-	// point costs the run loop nothing.
-	o.Ctx = pctx
+	if r.Attach != nil {
+		f, herr := r.Attach(rate, &o)
+		if herr != nil {
+			return res, herr
+		}
+		finish = f
+	}
 	return sim.RunCached(o, r.Cache)
 }
 
 // SerialCSV runs every point of the spec serially in rate order and
-// writes the header plus one row per point to w — the reference output
-// the chaos harness compares the service's CSV against, and the local
-// engine behind cmd/sweep.  It returns the number of failed points.
+// writes the header plus one row per point to w.  It is the reference
+// output: the chaos harness, the service tests and cmd/sweep's tests
+// compare their CSVs against it.  It returns the number of failed
+// points.
 func (r *Runner) SerialCSV(ctx context.Context, spec Spec, w io.Writer) (failures int, err error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err

@@ -1,7 +1,8 @@
 // Package sweepsvc is the fault-tolerant sweep service: a lease-based
 // HTTP coordinator (cmd/sweepd) that shards sweep jobs into points, a
 // worker fleet (cmd/sweepworker) that pulls leases and simulates them,
-// and the shared spec/row layer that keeps the service's CSV output
+// and the spec/row layer and point executor (Runner) that local
+// `cmd/sweep` shares, which keep the service's CSV output
 // byte-identical to a serial `cmd/sweep` run.
 //
 // The design goal is crash-safety under partial failure (DESIGN.md
@@ -15,11 +16,9 @@
 package sweepsvc
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"surfbless/internal/config"
 	"surfbless/internal/fault"
@@ -73,20 +72,6 @@ type Spec struct {
 	// never consume retries.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
-
-// PointContext bounds one execution of a point by PointTimeoutMS
-// (unbounded when 0).  Local sweeps and the service both take their
-// per-point deadline from here, so the two time out alike.
-func (s Spec) PointContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.PointTimeoutMS == 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, time.Duration(s.PointTimeoutMS)*time.Millisecond)
-}
-
-// TimeoutError is what a point whose PointContext expired reports; its
-// text lands in the row's status cell.
-func (s Spec) TimeoutError() error { return fmt.Errorf("timeout after %dms", s.PointTimeoutMS) }
 
 // ParseModel resolves a model name (any case) to its config constant.
 func ParseModel(name string) (config.Model, error) {
