@@ -6,9 +6,16 @@
 
 GO ?= go
 
-.PHONY: ci vet lint lint-baseline staticcheck govulncheck build test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
+.PHONY: ci fmt vet lint lint-baseline staticcheck govulncheck build test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
 
-ci: vet lint lint-baseline build race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
+ci: fmt vet lint lint-baseline build race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
+
+# Formatting gate: every tracked Go file, analyzer fixtures included,
+# must be gofmt-clean.  Listing tracked files keeps build output such
+# as .bench_build/ out of the check.
+fmt:
+	@out=$$(git ls-files -z '*.go' | xargs -0 $$($(GO) env GOROOT)/bin/gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

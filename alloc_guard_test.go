@@ -25,9 +25,8 @@ type allocHarness struct {
 	now int64
 }
 
-// newAllocHarness builds a warmed 8×8 fabric at moderate load.
-// recycle arms the packet free list (disabled for RUNAHEAD, whose
-// retry timers hold packets past ejection).  A non-nil p is wired as
+// newAllocHarness builds a warmed 8×8 fabric at moderate load with the
+// packet free list armed, as sim.Run arms it.  A non-nil p is wired as
 // the fabric and collector probe before warm-up, so the event ring,
 // interval series and heatmaps all reach working capacity too.
 // shards > 1 steps the mesh as that many parallel tiles.
@@ -39,54 +38,36 @@ func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.P
 	meter := power.NewMeter(cfg, power.Default45nm())
 
 	fl := &packet.FreeList{}
-	recycle := model != config.RUNAHEAD
-	var sink func(int, *packet.Packet, int64)
-	if recycle {
-		sink = func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }
-	}
-	fab, err := sim.BuildFabric(cfg, nil, sink, col, meter)
+	fab, err := sim.BuildFabric(cfg, nil, func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }, col, meter)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if p != nil {
 		col.SetProbe(p)
-		if ps, ok := fab.(interface{ SetProbe(*probe.Probe) }); ok {
-			ps.SetProbe(p)
-		}
+		fab.SetProbe(p)
 	}
 	if shards > 1 {
-		ss, ok := fab.(interface {
-			SetShards(int) error
-			StopShards()
-		})
-		if !ok {
-			tb.Fatalf("%v fabric has no sharded stepping", model)
-		}
-		if err := ss.SetShards(shards); err != nil {
+		if err := fab.SetShards(shards); err != nil {
 			tb.Fatal(err)
 		}
-		tb.Cleanup(ss.StopShards)
+		tb.Cleanup(fab.StopShards)
 	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, []traffic.Source{
 		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
 		{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
 	}, 1)
-	if recycle {
-		gen.SetFreeList(fl)
-	}
+	gen.SetFreeList(fl)
 	h := &allocHarness{fab: fab, gen: gen, p: p}
 	for ; h.now < warmup; h.now++ {
 		gen.Tick(fab, h.now)
 		fab.Step(h.now)
 		h.p.Tick(h.now, fab.InFlight())
 	}
-	if recycle {
-		// Spare packets absorb in-flight-count fluctuation above the
-		// warm-up baseline, and pre-grow the free list's own backing
-		// array, so neither the generator nor Put allocates later.
-		for i := 0; i < 4096; i++ {
-			fl.Put(packet.New(0, geom.Coord{}, geom.Coord{}, 0, packet.Ctrl, 0))
-		}
+	// Spare packets absorb in-flight-count fluctuation above the warm-up
+	// baseline, and pre-grow the free list's own backing array, so
+	// neither the generator nor Put allocates later.
+	for i := 0; i < 4096; i++ {
+		fl.Put(packet.New(0, geom.Coord{}, geom.Coord{}, 0, packet.Ctrl, 0))
 	}
 	return h
 }
@@ -101,20 +82,11 @@ func (h *allocHarness) cycles(n int) {
 	}
 }
 
-// stepOnly advances n cycles without generating traffic.
-func (h *allocHarness) stepOnly(n int) {
-	for i := 0; i < n; i++ {
-		h.fab.Step(h.now)
-		h.p.Tick(h.now, h.fab.InFlight())
-		h.now++
-	}
-}
-
 // TestStepNoAlloc asserts the tentpole claim of DESIGN.md §12: after
-// warm-up, steady-state stepping performs zero heap allocations on
-// every fabric, serial and — on the fabrics that shard — stepped as
-// four parallel tiles.  The simulation is deterministic, so this is an
-// exact assertion, not a flaky statistical one.
+// warm-up, steady-state cycles — generation and stepping, with packets
+// recycled — perform zero heap allocations on every fabric, serial and
+// stepped as four parallel tiles.  The simulation is deterministic, so
+// this is an exact assertion, not a flaky statistical one.
 func TestStepNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -123,13 +95,14 @@ func TestStepNoAlloc(t *testing.T) {
 		model  config.Model
 		shards int
 	}
-	var inputs []input
-	for _, model := range []config.Model{
+	models := []config.Model{
 		config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
-	} {
+	}
+	var inputs []input
+	for _, model := range models {
 		inputs = append(inputs, input{model, 1})
 	}
-	for _, model := range []config.Model{config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER} {
+	for _, model := range models {
 		inputs = append(inputs, input{model, 4})
 	}
 	for _, in := range inputs {
@@ -140,16 +113,6 @@ func TestStepNoAlloc(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			h := newAllocHarness(t, model, 3000, nil, in.shards)
-			window := func() float64 {
-				if model == config.RUNAHEAD {
-					// RUNAHEAD cannot recycle (its retry heap reads
-					// EjectedAt after ejection), so packet construction in
-					// Tick still allocates; the guarantee covers Step
-					// itself, fed by the NI backlog built during warm-up.
-					return testing.AllocsPerRun(1, func() { h.stepOnly(500) })
-				}
-				return testing.AllocsPerRun(1, func() { h.cycles(500) })
-			}
 			// Scratch buffers, link queues and VC fifos grow toward their
 			// (bounded) working capacity for tens of thousands of cycles:
 			// ever-rarer traffic bursts set new occupancy maxima.  Warm
@@ -163,19 +126,13 @@ func TestStepNoAlloc(t *testing.T) {
 				if attempt == 600 {
 					t.Fatalf("%v: stepping still allocates after 300k warm-up cycles (steady-state leak)", model)
 				}
-				if window() == 0 {
+				if testing.AllocsPerRun(1, func() { h.cycles(500) }) == 0 {
 					streak++
 				} else {
 					streak = 0
 				}
 			}
-			var avg float64
-			if model == config.RUNAHEAD {
-				avg = testing.AllocsPerRun(5, func() { h.stepOnly(500) })
-			} else {
-				avg = testing.AllocsPerRun(5, func() { h.cycles(500) })
-			}
-			if avg != 0 {
+			if avg := testing.AllocsPerRun(5, func() { h.cycles(500) }); avg != 0 {
 				t.Errorf("%v: %.2f allocs per 500 steady-state cycles, want 0", model, avg)
 			}
 		})

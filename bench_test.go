@@ -236,8 +236,7 @@ var benchSources = []traffic.Source{
 }
 
 // benchFabric drives one fabric for b.N cycles after a warm-up, with
-// the packet free list armed (except RUNAHEAD, which cannot recycle);
-// allocs/op is reported and expected to be 0 — TestStepNoAlloc asserts
+// the packet free list armed as sim.Run arms it; allocs/op is reported and expected to be 0 — TestStepNoAlloc asserts
 // the same property exactly.  The timed loop runs gen.Tick as well as
 // Step, so ns/op is a whole cycle — generation plus stepping
 // (BenchmarkTick times generation alone).  With probed set it arms an
@@ -250,11 +249,7 @@ func benchFabric(b *testing.B, model config.Model, probed bool) {
 	col := stats.NewCollector(2, 0, 0)
 	meter := power.NewMeter(cfg, power.Default45nm())
 	fl := &packet.FreeList{}
-	var sink network.Sink
-	if model != config.RUNAHEAD {
-		sink = func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }
-	}
-	fab, err := sim.BuildFabric(cfg, nil, sink, col, meter)
+	fab, err := sim.BuildFabric(cfg, nil, func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }, col, meter)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,14 +258,10 @@ func benchFabric(b *testing.B, model config.Model, probed bool) {
 		p = &probe.Probe{}
 		p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
 		col.SetProbe(p)
-		if ps, ok := fab.(interface{ SetProbe(*probe.Probe) }); ok {
-			ps.SetProbe(p)
-		}
+		fab.SetProbe(p)
 	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
-	if sink != nil {
-		gen.SetFreeList(fl)
-	}
+	gen.SetFreeList(fl)
 	now := int64(0)
 	for ; now < benchWarmup; now++ {
 		gen.Tick(fab, now)
@@ -330,23 +321,15 @@ func benchFabricGiant(b *testing.B, model config.Model, shards int) {
 	col := stats.NewCollector(2, 0, 0)
 	meter := power.NewMeter(cfg, power.Default45nm())
 	fl := &packet.FreeList{}
-	sink := network.Sink(func(_ int, p *packet.Packet, _ int64) { fl.Put(p) })
-	fab, err := sim.BuildFabric(cfg, nil, sink, col, meter)
+	fab, err := sim.BuildFabric(cfg, nil, func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }, col, meter)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if shards > 1 {
-		ss, ok := fab.(interface {
-			SetShards(int) error
-			StopShards()
-		})
-		if !ok {
-			b.Fatalf("%v fabric has no sharded stepping", model)
-		}
-		if err := ss.SetShards(shards); err != nil {
+		if err := fab.SetShards(shards); err != nil {
 			b.Fatal(err)
 		}
-		defer ss.StopShards()
+		defer fab.StopShards()
 	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 	gen.SetFreeList(fl)
@@ -416,9 +399,7 @@ func benchStepOverhead(b *testing.B, model config.Model) {
 			r.p = &probe.Probe{}
 			r.p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
 			col.SetProbe(r.p)
-			if ps, ok := fab.(interface{ SetProbe(*probe.Probe) }); ok {
-				ps.SetProbe(r.p)
-			}
+			fab.SetProbe(r.p)
 		}
 		r.gen = traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 		r.gen.SetFreeList(fl)
@@ -528,36 +509,7 @@ func BenchmarkExtensionPatterns(b *testing.B) {
 func BenchmarkStepCHIPPER(b *testing.B) { benchFabricCycles(b, config.CHIPPER) }
 
 // BenchmarkStepRUNAHEAD measures simulated Runahead cycles per second.
-// Unlike every other Step benchmark it excludes generation from the
-// timed region (StopTimer brackets gen.Tick), so its ns/op is pure
-// Step: RUNAHEAD cannot recycle packets — its retry timers hold
-// pointers past ejection — so Tick allocates by design, while Step
-// itself stays allocation-free.
-func BenchmarkStepRUNAHEAD(b *testing.B) {
-	cfg := config.Default(config.RUNAHEAD)
-	cfg.Domains = 2
-	col := stats.NewCollector(2, 0, 0)
-	meter := power.NewMeter(cfg, power.Default45nm())
-	fab, err := sim.BuildFabric(cfg, nil, nil, col, meter)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
-	now := int64(0)
-	for ; now < benchWarmup; now++ {
-		gen.Tick(fab, now)
-		fab.Step(now)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for end := now + int64(b.N); now < end; now++ {
-		b.StopTimer()
-		gen.Tick(fab, now)
-		b.StartTimer()
-		fab.Step(now)
-	}
-	b.ReportMetric(float64(cfg.Nodes()), "routers/cycle")
-}
+func BenchmarkStepRUNAHEAD(b *testing.B) { benchFabricCycles(b, config.RUNAHEAD) }
 
 // tickSink is a network.Fabric that accepts every offer and recycles
 // the packet at once, so BenchmarkTick times generation alone.
@@ -570,8 +522,8 @@ func (tickSink) Audit() error                                   { return nil }
 
 // BenchmarkTick times the traffic generator on its own — one Tick per
 // op, with the Step rigs' sources and free list — on the paper's 8×8
-// mesh and on the 32×32 giant mesh.  The Step benchmarks above (all but
-// BenchmarkStepRUNAHEAD) include this cost in their cycle time.
+// mesh and on the 32×32 giant mesh.  The Step benchmarks above include
+// this cost in their cycle time.
 func BenchmarkTick(b *testing.B) {
 	for _, side := range []int{8, 32} {
 		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {

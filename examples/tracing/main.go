@@ -51,9 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if ps, ok := fab.(interface{ SetProbe(*probe.Probe) }); ok {
-		ps.SetProbe(p) // spatial heatmaps too
-	}
+	fab.SetProbe(p) // spatial heatmaps too
 	sources := make([]traffic.Source, cfg.Domains)
 	for i := range sources {
 		sources[i] = traffic.Source{Rate: 0.02, Class: packet.Ctrl, VNet: -1}

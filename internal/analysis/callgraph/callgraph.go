@@ -15,7 +15,7 @@
 //     analyzer owns exactly those shapes).
 //   - reference edges — a function or method *mentioned* without being
 //     called: a method value bound to a struct field or passed as an
-//     argument (`router.NewKernel(c, e.recvTile, e.moveTile)`).  A
+//     argument (the tile roots handed to `router.NewKernel`).  A
 //     referenced function is assumed callable wherever the reference
 //     escapes, so reachability follows these edges too; without them
 //     the sharded stepping path — tile closures invoked by the worker

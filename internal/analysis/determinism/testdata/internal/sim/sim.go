@@ -9,15 +9,15 @@ import (
 
 // WallClock exercises the forbidden time reads.
 func WallClock() int64 {
-	t := time.Now() // want `time\.Now reads the wall clock`
-	d := time.Since(t) // want `time\.Since reads the wall clock`
+	t := time.Now()     // want `time\.Now reads the wall clock`
+	d := time.Since(t)  // want `time\.Since reads the wall clock`
 	_ = time.Unix(0, 0) // constructors are fine
 	return int64(d)
 }
 
 // GlobalRand exercises the global math/rand source.
 func GlobalRand() int {
-	n := rand.Intn(8) // want `rand\.Intn draws from the global math/rand source`
+	n := rand.Intn(8)                  // want `rand\.Intn draws from the global math/rand source`
 	rand.Shuffle(n, func(i, j int) {}) // want `rand\.Shuffle draws from the global math/rand source`
 	return n
 }

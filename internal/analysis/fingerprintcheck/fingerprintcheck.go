@@ -7,7 +7,7 @@
 // A field that influences simulation results but does not reach that
 // payload poisons the cache — two semantically different runs collide
 // on one key and the second silently returns the first's results.
-// The repository's convention (set by Options.Recycle) is that every
+// The repository's convention (set by Options.Shards) is that every
 // deliberately unfingerprinted field carries an explicit `json:"-"`
 // tag plus a comment arguing why results cannot depend on it.
 //
@@ -98,7 +98,7 @@ func (w *walker) checkStruct(st *types.Struct, owner string) {
 		tag := reflect.StructTag(st.Tag(i)).Get("json")
 		name, _, _ := strings.Cut(tag, ",")
 		if name == "-" && tag != "-," {
-			continue // explicit exemption, the Recycle convention
+			continue // explicit exemption, the Shards convention
 		}
 		if !f.Exported() {
 			if f.Anonymous() {
@@ -145,7 +145,7 @@ func (w *walker) checkFieldType(f *types.Var, t types.Type, owner string) {
 	case *types.Interface:
 		w.report(f, "field %s.%s is interface-typed (%s), so its serialization depends on the dynamic value; give it a concrete type or exempt it with json:\"-\" and fold the information into the payload another way", owner, f.Name(), t)
 	case *types.Signature:
-		w.report(f, "field %s.%s is func-typed; json.Marshal fails on it at run time, so the fingerprint path is broken — exempt it with json:\"-\" like Options.Recycle, or change the type", owner, f.Name())
+		w.report(f, "field %s.%s is func-typed; json.Marshal fails on it at run time, so the fingerprint path is broken — exempt it with json:\"-\" like Options.Shards, or change the type", owner, f.Name())
 	case *types.Chan:
 		w.report(f, "field %s.%s is channel-typed; json.Marshal fails on it at run time, so the fingerprint path is broken — exempt it with json:\"-\" or change the type", owner, f.Name())
 	}

@@ -22,9 +22,9 @@ type Options struct {
 	Coeffs  *config.Coefficients
 	Stamp   config.Stamp // MarshalText: opaque, trusted
 
-	// Exempt fields, the Recycle convention.
-	Tracer  Tracer `json:"-"`
-	Recycle bool   `json:"-"`
+	// Exempt fields, the Shards convention.
+	Tracer Tracer `json:"-"`
+	Shards int    `json:"-"`
 
 	// Violations.
 	hidden   int                  // want `field sim\.Options\.hidden is unexported, so encoding/json silently omits it`

@@ -33,24 +33,24 @@ func (f *Fabric) Step(now int64) {
 
 // route holds the composite-construct findings.
 func (f *Fabric) route(now int64) {
-	tmp := make([]int, 4) // want `make allocates on the Step hot path`
-	m := map[int]int{1: 2} // want `map literal allocates`
-	s := []int{1, 2}       // want `slice literal allocates`
-	p := &Fabric{}         // want `&composite literal escapes to the heap`
-	fresh := append(s, 3)  // want `append into a fresh destination allocates`
+	tmp := make([]int, 4)                                           // want `make allocates on the Step hot path`
+	m := map[int]int{1: 2}                                          // want `map literal allocates`
+	s := []int{1, 2}                                                // want `slice literal allocates`
+	p := &Fabric{}                                                  // want `&composite literal escapes to the heap`
+	fresh := append(s, 3)                                           // want `append into a fresh destination allocates`
 	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] }) // want `sort\.Slice allocates` `closure literal allocates`
 	_, _, _, _ = m, p, fresh, now
 }
 
 // misc holds the call/statement findings.
 func (f *Fabric) misc(name string, b []int) {
-	n := new(Fabric)  // want `new allocates`
-	raw := []byte(name) // want `string conversion allocates a copy`
-	back := string(raw) // want `string conversion allocates a copy`
-	msg := name + "!"   // want `string concatenation allocates`
+	n := new(Fabric)         // want `new allocates`
+	raw := []byte(name)      // want `string conversion allocates a copy`
+	back := string(raw)      // want `string conversion allocates a copy`
+	msg := name + "!"        // want `string concatenation allocates`
 	const folded = "a" + "b" // constant-folded: silent
-	go f.route(0)    // want `go statement allocates a goroutine`
-	defer f.route(0) // want `defer allocates its frame record`
+	go f.route(0)            // want `go statement allocates a goroutine`
+	defer f.route(0)         // want `defer allocates its frame record`
 	_, _, _, _, _ = n, back, msg, folded, b
 }
 

@@ -19,9 +19,9 @@ type Fabric struct {
 
 // Unguarded calls must be flagged for every hook kind.
 func (f *Fabric) Unguarded(id int) bool {
-	f.probe.Traverse(id) // want `call through hook field f\.probe is not nil-guarded`
-	f.tracer(id)         // want `call through hook field f\.tracer is not nil-guarded`
-	f.sink(id)           // want `call through hook field f\.sink is not nil-guarded`
+	f.probe.Traverse(id)       // want `call through hook field f\.probe is not nil-guarded`
+	f.tracer(id)               // want `call through hook field f\.tracer is not nil-guarded`
+	f.sink(id)                 // want `call through hook field f\.sink is not nil-guarded`
 	return f.faults.Frozen(id) // want `call through hook field f\.faults is not nil-guarded`
 }
 

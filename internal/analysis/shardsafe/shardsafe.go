@@ -39,7 +39,7 @@
 //
 //   - `if fx.direct { ... }` — a bool field named direct on a safe
 //     (tile-local) value selects the serial context that applies
-//     effects inline instead of deferring them (router.Core's effect
+//     effects inline instead of deferring them (router.Kernel's effect
 //     methods);
 //   - any condition with a conjunct `X != nil` where X is a
 //     *fault.Injector — the stepping kernel (router.Kernel) forces the

@@ -3,6 +3,8 @@ package coherence
 import (
 	"math/rand"
 	"testing"
+
+	"surfbless/internal/dueq"
 )
 
 // ---------------------------------------------------------------------
@@ -138,7 +140,7 @@ type cluster struct {
 	l1s  []*L1
 	l2s  []*L2
 	mcs  map[int]*MC
-	wire eventQueue
+	wire dueq.Queue[*Msg]
 	rng  *rand.Rand
 	jit  int
 	now  int64
@@ -153,7 +155,7 @@ func newCluster(n int, jitter int, seed int64) *cluster {
 		if c.jit > 1 {
 			d += int64(c.rng.Intn(c.jit))
 		}
-		c.wire.schedule(m, now+d)
+		c.wire.Push(m, now+d)
 	}
 	homeOf := func(block uint64) int { return int(block % uint64(n)) }
 	mcOf := func(block uint64) int { return 0 }
@@ -166,7 +168,7 @@ func newCluster(n int, jitter int, seed int64) *cluster {
 }
 
 func (c *cluster) step() {
-	for _, m := range c.wire.due(c.now) {
+	for m, ok := c.wire.PopDue(c.now); ok; m, ok = c.wire.PopDue(c.now) {
 		c.route(m)
 	}
 	for _, l2 := range c.l2s {
@@ -195,7 +197,7 @@ func (c *cluster) route(m *Msg) {
 func (c *cluster) settle(t *testing.T, max int) {
 	t.Helper()
 	for i := 0; i < max; i++ {
-		busy := c.wire.pending() > 0
+		busy := c.wire.Len() > 0
 		for _, l1 := range c.l1s {
 			busy = busy || l1.Busy()
 		}

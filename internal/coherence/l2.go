@@ -3,6 +3,8 @@ package coherence
 import (
 	"fmt"
 	"sort"
+
+	"surfbless/internal/dueq"
 )
 
 // txnKind classifies the L2's per-line transient states.
@@ -41,7 +43,7 @@ type L2 struct {
 	mcOf    func(block uint64) int
 	latency int64
 
-	inq      eventQueue
+	inq      dueq.Queue[*Msg] // the bank pipeline: messages wait out the access latency
 	busy     map[uint64]*l2Txn
 	waiting  map[uint64][]*Msg
 	evicting map[uint64]*evictTxn
@@ -70,12 +72,15 @@ func NewL2(node, capacityBytes, blockBytes, ways int, latency int64, mcOf func(u
 // Deliver feeds a message into the bank pipeline; it is processed after
 // the bank access latency.
 func (b *L2) Deliver(m *Msg, now int64) {
-	b.inq.schedule(m, now+b.latency)
+	b.inq.Push(m, now+b.latency)
 }
 
-// Tick processes every message whose bank latency has elapsed.
+// Tick processes every message whose bank latency has elapsed, in
+// (due cycle, arrival) order.  Handling never schedules at or before
+// now (the latency is at least 1 and a busy-set retry waits one
+// cycle), so draining in place sees exactly the messages due on entry.
 func (b *L2) Tick(now int64) {
-	for _, m := range b.inq.due(now) {
+	for m, ok := b.inq.PopDue(now); ok; m, ok = b.inq.PopDue(now) {
 		b.handle(m, now)
 	}
 }
@@ -83,7 +88,7 @@ func (b *L2) Tick(now int64) {
 // Pending returns messages still inside the bank pipeline or parked
 // behind busy lines (for quiescence detection).
 func (b *L2) Pending() int {
-	n := b.inq.pending() + len(b.busy) + len(b.evicting)
+	n := b.inq.Len() + len(b.busy) + len(b.evicting)
 	for _, q := range b.waiting {
 		n += len(q)
 	}
@@ -267,7 +272,7 @@ func (b *L2) handleMemData(m *Msg, now int64) {
 	})
 	if victim.State != Invalid && b.busy[victim.Tag] != nil {
 		// Every way of the set is mid-transaction; retry next cycle.
-		b.inq.schedule(m, now+1)
+		b.inq.Push(m, now+1)
 		return
 	}
 	b.evictVictim(victim, now)

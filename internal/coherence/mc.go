@@ -1,6 +1,10 @@
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+
+	"surfbless/internal/dueq"
+)
 
 // MC is one memory controller (Table 1: four, one at each mesh corner).
 // It serves MemRead with a fixed DRAM latency and absorbs MemWB; queuing
@@ -11,7 +15,7 @@ type MC struct {
 	send    SendFunc
 	latency int64
 
-	inq eventQueue
+	inq dueq.Queue[*Msg] // reads in DRAM service
 
 	Reads, Writebacks int64
 }
@@ -29,7 +33,7 @@ func (mc *MC) Deliver(m *Msg, now int64) {
 	switch m.Type {
 	case MemRead:
 		mc.Reads++
-		mc.inq.schedule(m, now+mc.latency)
+		mc.inq.Push(m, now+mc.latency)
 	case MemWB:
 		mc.Writebacks++ // absorbed; data values are not modelled
 	default:
@@ -39,13 +43,13 @@ func (mc *MC) Deliver(m *Msg, now int64) {
 
 // Tick sends the fills whose DRAM latency has elapsed.
 func (mc *MC) Tick(now int64) {
-	for _, m := range mc.inq.due(now) {
+	for m, ok := mc.inq.PopDue(now); ok; m, ok = mc.inq.PopDue(now) {
 		mc.send(&Msg{Type: MemData, Addr: m.Addr, From: mc.node, To: m.From}, now)
 	}
 }
 
 // Pending returns in-service read requests (for quiescence detection).
-func (mc *MC) Pending() int { return mc.inq.pending() }
+func (mc *MC) Pending() int { return mc.inq.Len() }
 
 // CornerMCs returns the node ids of the four mesh corners for an N×N
 // mesh of the given width — the Table-1 memory-controller placement.

@@ -160,10 +160,10 @@ func Explode(p *Packet) []Flit {
 // needs no heap allocation: the sink returns each delivered packet via
 // Put and the traffic generator draws replacements via New.  Recycling
 // is observably equivalent to fresh allocation — New resets every
-// field — but a recycled pointer MUST NOT be retained past ejection by
-// any fabric (the runahead retry timers do exactly that, which is why
-// sim.Run never arms a free list for RUNAHEAD).  The zero value is an
-// empty list, ready to use.  Not safe for concurrent use.
+// field — but a fabric that keeps a packet pointer past ejection must
+// recognise reuse (RUNAHEAD's source timers compare the packet ID they
+// recorded).  The zero value is an empty list, ready to use.  Not safe
+// for concurrent use.
 type FreeList struct {
 	free []*Packet
 }

@@ -39,7 +39,7 @@ import (
 
 // Fabric is a BLESS mesh.  It implements network.Fabric.  Faults
 // (SetFaults) break the port-count invariant on purpose, so while armed
-// the fabric routes stricken packets through the core's
+// the fabric routes stricken packets through the kernel's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
 	router.Kernel
@@ -67,12 +67,11 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.BLESS {
 		return nil, fmt.Errorf("bless: config model is %v", cfg.Model)
 	}
-	core, err := router.NewCore(cfg, sink, col, meter)
-	if err != nil {
+	f := &Fabric{}
+	var err error
+	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.collectTile, f.resolveTile); err != nil {
 		return nil, err
 	}
-	f := &Fabric{}
-	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
 	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}

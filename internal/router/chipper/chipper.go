@@ -55,7 +55,7 @@ const (
 // Fabric is a CHIPPER mesh.  It implements network.Fabric.  With
 // faults armed (SetFaults) a down link is treated exactly like a
 // missing border port — the fix-up pass reassigns its packets — and
-// packets that still find no output enter the core's
+// packets that still find no output enter the kernel's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
 	router.Kernel
@@ -83,12 +83,11 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.CHIPPER {
 		return nil, fmt.Errorf("chipper: config model is %v", cfg.Model)
 	}
-	core, err := router.NewCore(cfg, sink, col, meter)
-	if err != nil {
+	f := &Fabric{}
+	var err error
+	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.collectTile, f.resolveTile); err != nil {
 		return nil, err
 	}
-	f := &Fabric{}
-	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
 	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}

@@ -10,23 +10,35 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/probe"
+	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
-// Core is the fabric-independent half of every mesh fabric: the
-// per-node NIs, the NI-side packet lifecycle with its energy and
-// conservation accounting, the monotonic-Step guard and NI-level fault
-// recovery.  A fabric embeds one (Kernel, for fabrics that shard) and
-// supplies its router node functions.
+// Kernel is the fabric-independent half of every mesh fabric and its
+// one stepping loop.  It owns the per-node NIs, the NI-side packet
+// lifecycle with its energy and conservation accounting, the
+// monotonic-Step guard and NI-level fault recovery; a fabric embeds it
+// and supplies its router node functions through two tile roots,
+// annotated for shardsafe:
 //
-// Node functions report effects — meter counters, collector lifecycle
-// events, the sink hand-off, the in-flight and flit counters — through
-// the Core's effect methods, passing the effect context of the tile
-// doing the work.  The serial context applies each effect inline; a
-// shard tile's context accumulates them for replay at the cycle
-// barrier (Kernel).  Deferral is exact: the meter and counters are
-// linear, and replay preserves the serial call order.
-type Core struct {
+//	//shard:phase(receive)   drain the tile's inbound link lines
+//	//shard:phase(resolve)   route the tile's routers and send on
+//	                         their outbound lines
+//
+// Each root covers shard.Range(nodes, len(FX), t) and passes &FX[t] to
+// its node functions, which report effects — meter counters, collector
+// lifecycle events, the sink hand-off, the in-flight and flit counters
+// — through the Kernel's effect methods.  Serial stepping runs both
+// roots once, as tile 0 of 1 with the direct context, which applies
+// each effect inline.  After SetShards(n) they run tile-parallel on a
+// worker pool with a barrier between the phases; each tile's context
+// accumulates its effects, and the contexts replay in tile order at
+// the end of the cycle.  Deferral is exact: the meter and counters are
+// linear, and replay preserves the serial call order.  Each link line
+// has one reader (receive) and one writer (resolve) and a delay of at
+// least one cycle, so no phase observes a same-cycle write and sharded
+// stepping is bit-identical to serial stepping (DESIGN.md §17).
+type Kernel struct {
 	Mesh geom.Mesh
 	NIs  []*NI // one per node, in node-ID order
 
@@ -52,11 +64,52 @@ type Core struct {
 
 	inFlight          int
 	flitsIn, flitsOut int64
+
+	recv, resolve func(tile int)
+	serial        []FX // the direct context
+	tiles         []FX // one deferred context per tile; nil = serial
+	pool          *shard.Pool
+}
+
+// NewKernel returns the kernel of a cfg.Model fabric on cfg's mesh,
+// with one NI per node, stepping the fabric's two tile roots.  The
+// collector and meter are required; sink may be nil when ejected
+// packets need no consumer.
+func NewKernel(cfg config.Config, sink network.Sink, col *stats.Collector, meter *power.Meter, recv, resolve func(tile int)) (Kernel, error) {
+	if col == nil || meter == nil {
+		return Kernel{}, fmt.Errorf("%v: collector and meter are required", cfg.Model)
+	}
+	k := Kernel{
+		Mesh: cfg.Mesh(), Now: -1, FX: []FX{{direct: true}},
+		model: cfg.Model, col: col, meter: meter, sink: sink,
+		recv: recv, resolve: resolve,
+	}
+	k.serial = k.FX
+	k.NIs = make([]*NI, k.Mesh.Nodes())
+	for i := range k.NIs {
+		k.NIs[i] = NewNI(cfg.Domains, cfg.InjectionQueueCap)
+	}
+	return k, nil
+}
+
+// SetProbe attaches a hot-path observer recording per-router and
+// per-link traversals (nil to remove).
+func (k *Kernel) SetProbe(p *probe.Probe) { k.probe = p }
+
+// SetFaults arms a fault injector (nil to disarm) together with the
+// NI-level drop-with-retransmit recovery.  Fabrics that never lose a
+// packet to a fault — WH/Surf block instead, RUNAHEAD's source timers
+// recover natively — leave the retry queue empty.
+func (k *Kernel) SetFaults(inj *fault.Injector) {
+	k.Faults, k.recov = inj, nil
+	if inj != nil {
+		k.recov = &Recovery{MaxRetries: inj.MaxRetries(), Backoff: inj.Backoff()}
+	}
 }
 
 // FX is one tile's effect context.  The serial context (direct) applies
 // every effect inline; a tile context accumulates them until the
-// barrier.  Node functions only pass it to the Core's effect methods.
+// barrier.  Node functions only pass it to the Kernel's effect methods.
 type FX struct {
 	direct bool
 
@@ -69,81 +122,43 @@ type FX struct {
 // lifeEvt is one deferred packet lifecycle event: the collector call
 // and sink hand-off a tile recorded for replay at the barrier.
 type lifeEvt struct {
-	node  int32
-	eject bool
-	p     *packet.Packet
+	node int32
+	kind evtKind
+	p    *packet.Packet
 }
 
-// NewCore returns the core of a cfg.Model fabric on cfg's mesh, with
-// one NI per node.  The collector and meter are required; sink may be
-// nil when ejected packets need no consumer.
-func NewCore(cfg config.Config, sink network.Sink, col *stats.Collector, meter *power.Meter) (Core, error) {
-	if col == nil || meter == nil {
-		return Core{}, fmt.Errorf("%v: collector and meter are required", cfg.Model)
-	}
-	c := Core{
-		Mesh: cfg.Mesh(), Now: -1, FX: []FX{{direct: true}},
-		model: cfg.Model, col: col, meter: meter, sink: sink,
-	}
-	c.NIs = make([]*NI, c.Mesh.Nodes())
-	for i := range c.NIs {
-		c.NIs[i] = NewNI(cfg.Domains, cfg.InjectionQueueCap)
-	}
-	return c, nil
-}
+// evtKind selects the collector call a lifeEvt replays.
+type evtKind uint8
 
-// SetProbe attaches a hot-path observer recording per-router and
-// per-link traversals (nil to remove).
-func (c *Core) SetProbe(p *probe.Probe) { c.probe = p }
-
-// SetFaults arms a fault injector (nil to disarm) together with the
-// NI-level drop-with-retransmit recovery.  Fabrics that never lose a
-// packet to a fault — WH/Surf block instead, RUNAHEAD's source timers
-// recover natively — leave the retry queue empty.
-func (c *Core) SetFaults(inj *fault.Injector) {
-	c.Faults, c.recov = inj, nil
-	if inj != nil {
-		c.recov = &Recovery{MaxRetries: inj.MaxRetries(), Backoff: inj.Backoff()}
-	}
-}
+const (
+	evInjected evtKind = iota
+	evEjected          // also hands the packet to the sink
+	evRetransmitted
+)
 
 // Offer queues p at node's NI with the standard accounting: a full
 // queue counts a refusal; an accepted packet is created, written into
 // the NI buffer and counted in flight.
-func (c *Core) Offer(node int, p *packet.Packet, now int64) bool {
-	if !c.NIs[node].Offer(p) {
-		c.col.Refused(p.Domain, now)
+func (k *Kernel) Offer(node int, p *packet.Packet, now int64) bool {
+	if !k.NIs[node].Offer(p) {
+		k.col.Refused(p.Domain, now)
 		return false
 	}
-	c.col.Created(p)
-	c.meter.BufferWrite(p.Size)
-	c.inFlight++
+	k.col.Created(p)
+	k.meter.BufferWrite(p.Size)
+	k.inFlight++
 	return true
-}
-
-// Begin opens cycle now: it enforces the network.Fabric contract that
-// Step runs with strictly increasing cycle numbers, then relaunches
-// due retransmissions.
-func (c *Core) Begin(now int64) {
-	if now <= c.Now {
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("%v: Step(%d) after Step(%d)", c.model, now, c.Now))
-	}
-	c.Now = now
-	if c.recov != nil {
-		c.relaunchRetries(now)
-	}
 }
 
 // relaunchRetries re-offers packets whose retransmission backoff
 // expired to their source NI; a full NI costs another backoff round
 // without consuming a retry attempt.
-func (c *Core) relaunchRetries(now int64) {
-	for p := c.recov.Queue.PopDue(now); p != nil; p = c.recov.Queue.PopDue(now) {
-		if c.NIs[c.Mesh.ID(p.Src)].Offer(p) {
-			c.meter.BufferWrite(p.Size)
+func (k *Kernel) relaunchRetries(now int64) {
+	for p, ok := k.recov.Queue.PopDue(now); ok; p, ok = k.recov.Queue.PopDue(now) {
+		if k.NIs[k.Mesh.ID(p.Src)].Offer(p) {
+			k.meter.BufferWrite(p.Size)
 		} else {
-			c.recov.Queue.Push(p, now+c.recov.Backoff)
+			k.recov.Queue.Push(p, now+k.recov.Backoff)
 		}
 	}
 }
@@ -152,86 +167,83 @@ func (c *Core) relaunchRetries(now int64) {
 // bounded source retransmission with backoff, then a counted drop.
 // Faults force serial stepping, so it applies its effects inline and is
 // only called behind a `Faults != nil` guard.
-func (c *Core) DropOrRetry(p *packet.Packet, now int64) {
-	if c.recov.TryRetry(p, now) {
-		c.Retransmitted(p, now)
+func (k *Kernel) DropOrRetry(p *packet.Packet, now int64) {
+	if k.recov.TryRetry(p, now) {
+		k.col.Retransmitted(p, now)
 		return
 	}
-	c.col.Dropped(p, now)
-	c.inFlight--
+	k.col.Dropped(p, now)
+	k.inFlight--
 }
 
-// Retransmitted reports a source retransmission of p (serial only).
-func (c *Core) Retransmitted(p *packet.Packet, now int64) { c.col.Retransmitted(p, now) }
-
 // Traverse reports one router traversal to the probe, if attached.
-func (c *Core) Traverse(node int, d geom.Dir, p *packet.Packet, flits int, deflected bool, now int64) {
-	if c.probe != nil {
-		c.probe.Traverse(node, d, p, flits, deflected, now)
+func (k *Kernel) Traverse(node int, d geom.Dir, p *packet.Packet, flits int, deflected bool, now int64) {
+	if k.probe != nil {
+		k.probe.Traverse(node, d, p, flits, deflected, now)
 	}
 }
 
 // InFlight returns accepted-but-undelivered packets.
-func (c *Core) InFlight() int { return c.inFlight }
+func (k *Kernel) InFlight() int { return k.inFlight }
 
 // Backlog returns the packets waiting at NIs or for retransmission.
-func (c *Core) Backlog() int {
+func (k *Kernel) Backlog() int {
 	n := 0
-	for _, ni := range c.NIs {
+	for _, ni := range k.NIs {
 		n += ni.Backlog()
 	}
-	if c.recov != nil {
-		n += c.recov.Queue.Len()
+	if k.recov != nil {
+		n += k.recov.Queue.Len()
 	}
 	return n
 }
 
 // Flits returns the flits injected into the network minus those
 // ejected, for fabrics that count flits (FlitIn/FlitOut).
-func (c *Core) Flits() int64 { return c.flitsIn - c.flitsOut }
+func (k *Kernel) Flits() int64 { return k.flitsIn - k.flitsOut }
 
 // ---- effects ----
 
 // BufferWrite records n flits written into router buffers.
-func (c *Core) BufferWrite(fx *FX, n int) {
+func (k *Kernel) BufferWrite(fx *FX, n int) {
 	if fx.direct {
-		c.meter.BufferWrite(n)
+		k.meter.BufferWrite(n)
 		return
 	}
 	fx.bufW += int64(n)
 }
 
 // BufferRead records n flits read from router or NI buffers.
-func (c *Core) BufferRead(fx *FX, n int) {
+func (k *Kernel) BufferRead(fx *FX, n int) {
 	if fx.direct {
-		c.meter.BufferRead(n)
+		k.meter.BufferRead(n)
 		return
 	}
 	fx.bufR += int64(n)
 }
 
 // Crossbar records n flits crossing a crossbar.
-func (c *Core) Crossbar(fx *FX, n int) {
+func (k *Kernel) Crossbar(fx *FX, n int) {
 	if fx.direct {
-		c.meter.CrossbarTraversal(n)
+		k.meter.CrossbarTraversal(n)
 		return
 	}
 	fx.xbar += int64(n)
 }
 
 // Alloc records one route/VC allocation.
-func (c *Core) Alloc(fx *FX) {
+func (k *Kernel) Alloc(fx *FX) {
 	if fx.direct {
-		c.meter.Allocation(1)
+		k.meter.Allocation(1)
 		return
 	}
 	fx.alloc++
 }
 
 // Link records n flits traversing a link.
-func (c *Core) Link(fx *FX, n int) {
+func (k *Kernel) Link(fx *FX, n int) {
 	if fx.direct {
-		c.meter.LinkTraversal(n)
+		k.meter.LinkTraversal(n)
 		return
 	}
 	fx.lnk += int64(n)
@@ -239,11 +251,11 @@ func (c *Core) Link(fx *FX, n int) {
 
 // Hop records a whole packet of n flits forwarded by a bufferless
 // router: one allocation, then the crossbar and the output link.
-func (c *Core) Hop(fx *FX, n int) {
+func (k *Kernel) Hop(fx *FX, n int) {
 	if fx.direct {
-		c.meter.Allocation(1)
-		c.meter.CrossbarTraversal(n)
-		c.meter.LinkTraversal(n)
+		k.meter.Allocation(1)
+		k.meter.CrossbarTraversal(n)
+		k.meter.LinkTraversal(n)
 		return
 	}
 	fx.alloc++
@@ -252,18 +264,18 @@ func (c *Core) Hop(fx *FX, n int) {
 }
 
 // FlitIn counts one flit entering the network from an NI.
-func (c *Core) FlitIn(fx *FX) {
+func (k *Kernel) FlitIn(fx *FX) {
 	if fx.direct {
-		c.flitsIn++
+		k.flitsIn++
 		return
 	}
 	fx.flitsIn++
 }
 
 // FlitOut counts one flit leaving the network at its destination.
-func (c *Core) FlitOut(fx *FX) {
+func (k *Kernel) FlitOut(fx *FX) {
 	if fx.direct {
-		c.flitsOut++
+		k.flitsOut++
 		return
 	}
 	fx.flitsOut++
@@ -271,30 +283,39 @@ func (c *Core) FlitOut(fx *FX) {
 
 // Injected stamps p's first entry into the network and reports it to
 // the collector; a retransmission keeps its first stamp.
-func (c *Core) Injected(fx *FX, p *packet.Packet, now int64) {
+func (k *Kernel) Injected(fx *FX, p *packet.Packet, now int64) {
 	if p.InjectedAt >= 0 {
 		return
 	}
 	p.InjectedAt = now
 	if fx.direct {
-		c.col.Injected(p)
+		k.col.Injected(p)
 		return
 	}
-	fx.evts = append(fx.evts, lifeEvt{p: p})
+	fx.evts = append(fx.evts, lifeEvt{kind: evInjected, p: p})
 }
 
 // Ejected stamps p's delivery at node, reports it to the collector,
 // takes it out of flight and hands it to the sink.
-func (c *Core) Ejected(fx *FX, node int, p *packet.Packet, now int64) {
+func (k *Kernel) Ejected(fx *FX, node int, p *packet.Packet, now int64) {
 	p.EjectedAt = now
 	if fx.direct {
-		c.col.Ejected(p)
-		c.inFlight--
-		if c.sink != nil {
-			c.sink(node, p, now)
+		k.col.Ejected(p)
+		k.inFlight--
+		if k.sink != nil {
+			k.sink(node, p, now)
 		}
 		return
 	}
 	fx.inFlight--
-	fx.evts = append(fx.evts, lifeEvt{node: int32(node), eject: true, p: p})
+	fx.evts = append(fx.evts, lifeEvt{node: int32(node), kind: evEjected, p: p})
+}
+
+// Retransmitted reports a source retransmission of p.
+func (k *Kernel) Retransmitted(fx *FX, p *packet.Packet, now int64) {
+	if fx.direct {
+		k.col.Retransmitted(p, now)
+		return
+	}
+	fx.evts = append(fx.evts, lifeEvt{kind: evRetransmitted, p: p})
 }

@@ -1,41 +1,26 @@
 package router
 
-import "surfbless/internal/shard"
+import (
+	"fmt"
 
-// Kernel is a Core that steps its mesh as contiguous node tiles.  The
-// fabric supplies two tile roots, annotated for shardsafe:
-//
-//	//shard:phase(receive)   drain the tile's inbound link lines
-//	//shard:phase(resolve)   route the tile's routers and send on
-//	                         their outbound lines
-//
-// Each root covers shard.Range(nodes, len(FX), t) and passes &FX[t] to
-// its node functions.  Serial stepping runs both roots once, as tile 0
-// of 1 with the direct context.  After SetShards(n) they run
-// tile-parallel on a worker pool with a barrier between the phases,
-// and the tiles' deferred effects replay in tile order at the end of
-// the cycle.  Each link line has one reader (receive) and one writer
-// (resolve) and a delay of at least one cycle, so no phase observes a
-// same-cycle write and sharded stepping is bit-identical to serial
-// stepping (DESIGN.md §17).
-type Kernel struct {
-	Core
-	recv, resolve func(tile int)
-	serial        []FX // the direct context
-	tiles         []FX // one deferred context per tile; nil = serial
-	pool          *shard.Pool
-}
+	"surfbless/internal/shard"
+)
 
-// NewKernel wraps c with the fabric's two tile roots.
-func NewKernel(c Core, recv, resolve func(tile int)) Kernel {
-	return Kernel{Core: c, recv: recv, resolve: resolve, serial: c.FX}
-}
-
-// Step advances the network by one cycle.  An armed fault injector
-// forces the serial schedule: recovery mutates shared retry state and
-// fault checks are ordered against the serial node walk.
+// Step advances the network by one cycle.  It enforces the
+// network.Fabric contract that Step runs with strictly increasing
+// cycle numbers and relaunches due fault retransmissions, then runs
+// the tile roots.  An armed fault injector forces the serial schedule:
+// recovery mutates shared retry state and fault checks are ordered
+// against the serial node walk.
 func (k *Kernel) Step(now int64) {
-	k.Begin(now)
+	if now <= k.Now {
+		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+		panic(fmt.Sprintf("%v: Step(%d) after Step(%d)", k.model, now, k.Now))
+	}
+	k.Now = now
+	if k.recov != nil {
+		k.relaunchRetries(now)
+	}
 	if k.pool == nil || k.Faults != nil {
 		k.FX = k.serial
 		k.recv(0)
@@ -105,13 +90,16 @@ func (k *Kernel) applyFX(fx *FX) {
 	k.inFlight += fx.inFlight
 	for i := range fx.evts {
 		ev := &fx.evts[i]
-		if ev.eject {
+		switch ev.kind {
+		case evInjected:
+			k.col.Injected(ev.p)
+		case evEjected:
 			k.col.Ejected(ev.p)
 			if k.sink != nil {
 				k.sink(int(ev.node), ev.p, k.Now)
 			}
-		} else {
-			k.col.Injected(ev.p)
+		case evRetransmitted:
+			k.col.Retransmitted(ev.p, k.Now)
 		}
 		ev.p = nil
 	}

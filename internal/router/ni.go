@@ -1,16 +1,16 @@
 // Package router holds the plumbing shared by every router model: the
-// fabric core (Core: NIs, packet lifecycle and energy effects, fault
-// recovery) and its serial/sharded stepping kernel (Kernel), the
-// network-interface queues feeding injection ports, priority ordering
-// helpers, the drop-with-retransmit retry queue used under fault
-// injection, and a deterministic hash used where the paper calls for a
-// random choice.
+// fabric kernel that all six fabrics embed (Kernel: NIs, packet
+// lifecycle and energy effects, fault recovery, and the one
+// serial/sharded stepping loop), the network-interface queues feeding
+// injection ports, priority ordering helpers, the drop-with-retransmit
+// recovery policy used under fault injection, and a deterministic hash
+// used where the paper calls for a random choice.
 package router
 
 import (
-	"container/heap"
 	"fmt"
 
+	"surfbless/internal/dueq"
 	"surfbless/internal/packet"
 )
 
@@ -86,59 +86,6 @@ func (ni *NI) Backlog() int {
 // DomainBacklog returns the number of queued packets for one domain.
 func (ni *NI) DomainBacklog(domain int) int { return len(ni.queues[domain]) }
 
-// retryItem is one packet awaiting source retransmission.
-type retryItem struct {
-	due int64
-	seq uint64 // insertion order breaks due-cycle ties deterministically
-	p   *packet.Packet
-}
-
-type retryItems []retryItem
-
-func (h retryItems) Len() int { return len(h) }
-func (h retryItems) Less(i, j int) bool {
-	if h[i].due != h[j].due {
-		return h[i].due < h[j].due
-	}
-	return h[i].seq < h[j].seq
-}
-func (h retryItems) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *retryItems) Push(x any)   { *h = append(*h, x.(retryItem)) }
-func (h *retryItems) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// RetryQueue holds packets that a fault knocked out of the network
-// until their retransmission backoff expires.  Ordering is (due cycle,
-// insertion sequence), so draining is deterministic.  The zero value
-// is ready to use.
-type RetryQueue struct {
-	items retryItems
-	seq   uint64
-}
-
-// Push schedules p for retransmission at cycle due.
-func (q *RetryQueue) Push(p *packet.Packet, due int64) {
-	heap.Push(&q.items, retryItem{due: due, seq: q.seq, p: p})
-	q.seq++
-}
-
-// PopDue removes and returns the next packet whose backoff has expired
-// by cycle now, or nil when none is due.
-func (q *RetryQueue) PopDue(now int64) *packet.Packet {
-	if len(q.items) == 0 || q.items[0].due > now {
-		return nil
-	}
-	return heap.Pop(&q.items).(retryItem).p
-}
-
-// Len returns the number of packets awaiting retransmission.
-func (q *RetryQueue) Len() int { return len(q.items) }
-
 // Recovery is the NI-level drop-with-retransmit policy shared by the
 // fault-aware fabrics: a packet knocked out by a fault gets up to
 // MaxRetries source retransmissions with exponential backoff
@@ -146,7 +93,7 @@ func (q *RetryQueue) Len() int { return len(q.items) }
 // *Recovery (faults off) makes TryRetry refuse, restoring the
 // fault-free behavior.
 type Recovery struct {
-	Queue      RetryQueue
+	Queue      dueq.Queue[*packet.Packet] // packets awaiting their backoff
 	MaxRetries int
 	Backoff    int64
 }

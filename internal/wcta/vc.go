@@ -61,8 +61,8 @@ func vcAnalyze(cfg config.Config, fs FlowSet, confined bool, dec *wave.Decoder) 
 	// pairs; Local (the ejection port) is per-node and per-domain, so
 	// only mesh links carry contention.
 	routes := make([]map[linkID]bool, len(fs.Flows))
-	costs := make([]int64, len(fs.Flows))  // zero-load C_g per flow
-	gates := make([]int64, len(fs.Flows))  // gating share of C_g
+	costs := make([]int64, len(fs.Flows)) // zero-load C_g per flow
+	gates := make([]int64, len(fs.Flows)) // gating share of C_g
 	for i, f := range fs.Flows {
 		routes[i] = xyRoute(mesh, f.Src, f.Dst)
 		hops := int64(mesh.Hops(f.Src, f.Dst))

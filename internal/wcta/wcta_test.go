@@ -92,10 +92,10 @@ func TestZeroLoadBounds(t *testing.T) {
 		want  int64
 		tight bool
 	}{
-		{config.WH, 4, 30, true},  // 5·6
-		{config.WH, 8, 70, true},  // 5·14
-		{config.SB, 4, 18, true},  // 3·6
-		{config.SB, 8, 42, true},  // 3·14
+		{config.WH, 4, 30, true},    // 5·6
+		{config.WH, 8, 70, true},    // 5·14
+		{config.SB, 4, 18, true},    // 3·6
+		{config.SB, 8, 42, true},    // 3·14
 		{config.Surf, 4, 36, false}, // 5·6 + 6·1
 		{config.Surf, 8, 84, false}, // 5·14 + 14·1
 	} {
