@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-baseline staticcheck govulncheck build test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
+.PHONY: ci fmt vet lint lint-baseline staticcheck govulncheck build examples test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
 
-ci: fmt vet lint lint-baseline build race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
+ci: fmt vet lint lint-baseline build examples race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
 
 # Formatting gate: every tracked Go file, analyzer fixtures included,
 # must be gofmt-clean.  Listing tracked files keeps build output such
@@ -58,6 +58,17 @@ govulncheck:
 build:
 	$(GO) build ./...
 
+# Library-surface smoke runs: every example but energysweep (about 17 s
+# on its own) must exit 0.  The tracing example writes a ~10 MB span
+# file per run, so TMPDIR points at a directory removed afterwards.
+examples:
+	@tmp=$$(mktemp -d); status=0; \
+	for ex in quickstart isolation coherence tracing; do \
+		echo "examples/$$ex"; \
+		TMPDIR=$$tmp $(GO) run ./examples/$$ex > /dev/null || { status=1; break; }; \
+	done; \
+	rm -rf $$tmp; exit $$status
+
 test:
 	$(GO) test ./...
 
@@ -103,9 +114,11 @@ bench-smoke:
 
 # Sharded-stepping gate (DESIGN.md §17): a 32×32 mesh stepped as four
 # tiles under -race must produce results and fingerprints bit-identical
-# to serial stepping, on every model with a sharded path.
+# to serial stepping, on every model with a sharded path.  The barrier
+# replay also writes the probe's event ring, so the lifecycle events
+# and the trace CSV must match serial stepping under -race too.
 bench-shard:
-	$(GO) test -race -run 'TestShardMatchesSerialGiant' -count=1 ./internal/sim
+	$(GO) test -race -run 'TestShardMatchesSerialGiant|TestShardedEventsMatchSerial|TestShardedTraceMatchesSerial' -count=1 ./internal/sim
 
 # Observability budget gate (DESIGN.md §15): probed Step must stay
 # within 1.10x of unprobed on the paper's fabrics.  The Overhead

@@ -43,7 +43,6 @@ func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.P
 		tb.Fatal(err)
 	}
 	if p != nil {
-		col.SetProbe(p)
 		fab.SetProbe(p)
 	}
 	if shards > 1 {

@@ -257,7 +257,6 @@ func benchFabric(b *testing.B, model config.Model, probed bool) {
 	if probed {
 		p = &probe.Probe{}
 		p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
-		col.SetProbe(p)
 		fab.SetProbe(p)
 	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
@@ -398,7 +397,6 @@ func benchStepOverhead(b *testing.B, model config.Model) {
 		if probed {
 			r.p = &probe.Probe{}
 			r.p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
-			col.SetProbe(r.p)
 			fab.SetProbe(r.p)
 		}
 		r.gen = traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)

@@ -45,8 +45,8 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	record := fs.String("record", "BLESS", "model to record from (ignored with -from)")
-	play := fs.String("play", "SB", "model to replay into")
+	record := fs.String("record", "BLESS", "model to record from: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD, any case (ignored with -from)")
+	play := fs.String("play", "SB", "model to replay into: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD, any case")
 	domains := fs.Int("domains", 2, "number of domains")
 	rate := fs.Float64("rate", 0.05, "total injection rate while recording")
 	cycles := fs.Int64("cycles", 5000, "recording length in cycles")
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	playModel, err := modelByName(*play)
+	playModel, err := config.ParseModel(*play)
 	if err != nil {
 		return fatal(err)
 	}
@@ -91,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceCSV = string(raw)
 		fmt.Fprintf(stdout, "replaying %s into %v\n\n", *from, playModel)
 	} else {
-		recModel, err := modelByName(*record)
+		recModel, err := config.ParseModel(*record)
 		if err != nil {
 			return fatal(err)
 		}
@@ -169,37 +169,29 @@ func flightLine(mesh geom.Mesh, e *probe.Event) string {
 	}
 }
 
-// recordRun executes a generated run with the tracer attached and
-// returns the trace plus the run's total stats.
+// recordRun executes a generated run with a trace writer tapping its
+// event stream and returns the trace plus the run's total stats.
 func recordRun(model config.Model, domains int, rate float64, cycles, seed int64) (string, stats.Domain, error) {
 	cfg := config.Default(model)
 	cfg.Domains = domains
-	col := stats.NewCollector(domains, 0, 0)
 	var buf strings.Builder
-	tw := trace.New(&buf)
-	col.SetTracer(tw.Tracer())
-	meter := power.NewMeter(cfg, power.Default45nm())
-	fab, err := sim.BuildFabric(cfg, nil, nil, col, meter)
-	if err != nil {
-		return "", stats.Domain{}, err
-	}
+	tw := trace.New(&buf, cfg.Mesh())
 	sources := make([]traffic.Source, domains)
 	for i := range sources {
 		sources[i] = traffic.Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}
 	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, sources, seed)
-	now := int64(0)
-	for ; now < cycles; now++ {
-		gen.Tick(fab, now)
-		fab.Step(now)
-	}
-	for limit := now + 50*cycles; now < limit && fab.InFlight() > 0; now++ {
-		fab.Step(now)
+	res, err := sim.Run(sim.Options{
+		Cfg: cfg, Pattern: traffic.UniformRandom, Sources: sources, Seed: seed,
+		Measure: cycles, Drain: 50 * cycles,
+		Taps: []probe.Tap{tw},
+	})
+	if err != nil {
+		return "", stats.Domain{}, err
 	}
 	if err := tw.Close(); err != nil {
 		return "", stats.Domain{}, err
 	}
-	return buf.String(), col.Total(), nil
+	return buf.String(), res.Total, nil
 }
 
 // replayRun feeds a trace into a fresh fabric of the given model.
@@ -228,23 +220,4 @@ func replayRun(model config.Model, domains int, mesh geom.Mesh, r io.Reader, std
 		fmt.Fprintf(stderr, "replay: %d offers refused under backpressure (dropped)\n", rp.Refused)
 	}
 	return col.Total(), nil
-}
-
-func modelByName(s string) (config.Model, error) {
-	switch strings.ToUpper(s) {
-	case "WH":
-		return config.WH, nil
-	case "BLESS":
-		return config.BLESS, nil
-	case "SURF":
-		return config.Surf, nil
-	case "SB":
-		return config.SB, nil
-	case "CHIPPER":
-		return config.CHIPPER, nil
-	case "RUNAHEAD":
-		return config.RUNAHEAD, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q", s)
-	}
 }

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "SB", "network model: WH, BLESS, Surf or SB")
+	model := flag.String("model", "SB", "network model: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD (any case)")
 	domains := flag.Int("domains", 2, "number of interference domains")
 	rate := flag.Float64("rate", 0.05, "total injection rate (packets/node/cycle)")
 	pattern := flag.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, hotspot")
@@ -45,7 +45,7 @@ func main() {
 		}
 		*domains = cfg.Domains
 	} else {
-		m, err := modelByName(*model)
+		m, err := config.ParseModel(*model)
 		if err != nil {
 			fatal(err)
 		}
@@ -97,21 +97,6 @@ func main() {
 	fmt.Printf("energy over %d cycles: %v\n", res.Cycles, res.Energy)
 	if res.LeftInFlight > 0 {
 		fmt.Printf("warning: %d packets still in flight after the drain budget (saturated?)\n", res.LeftInFlight)
-	}
-}
-
-func modelByName(s string) (config.Model, error) {
-	switch s {
-	case "WH", "wh":
-		return config.WH, nil
-	case "BLESS", "bless":
-		return config.BLESS, nil
-	case "Surf", "surf":
-		return config.Surf, nil
-	case "SB", "sb":
-		return config.SB, nil
-	default:
-		return 0, fmt.Errorf("unknown model %q (want WH, BLESS, Surf or SB)", s)
 	}
 }
 

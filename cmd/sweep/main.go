@@ -109,7 +109,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	model := fs.String("model", "SB", "network model: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD")
+	model := fs.String("model", "SB", "network model: WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD (any case)")
 	domains := fs.Int("domains", 2, "number of interference domains")
 	from := fs.Float64("from", 0.01, "first total injection rate")
 	to := fs.Float64("to", 0.30, "last total injection rate")
@@ -141,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	m, err := sweepsvc.ParseModel(*model)
+	m, err := config.ParseModel(*model)
 	if err != nil {
 		return fatal(err)
 	}
@@ -465,8 +465,8 @@ func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, err
 			return nil, err
 		}
 		fmt.Fprintln(fh, trace.Header())
-		tw := trace.New(fh)
-		o.Tracer = tw.Tracer()
+		tw := trace.New(fh, o.Cfg.Mesh())
+		o.Taps = append(o.Taps, tw)
 		files = append(files, tw)
 	}
 	if f.spans != "" {

@@ -1,8 +1,9 @@
-// Tracing: attach a packet-lifecycle trace writer and an interval
-// probe to a simulation, analyze one packet's journey and sketch the
-// run's time series — useful for understanding how waves, deflections
-// and the old-first policy interact.  The trace is CSV; pipe it into
-// your favourite tooling.
+// Tracing: tap a simulation's event stream with a packet-lifecycle
+// trace writer, a span exporter and a custom latency tap, analyze one
+// packet's journey and sketch the run's time series from an interval
+// probe — useful for understanding how waves, deflections and the
+// old-first policy interact.  The trace is CSV; pipe it into your
+// favourite tooling.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/packet"
-	"surfbless/internal/power"
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
 	"surfbless/internal/stats"
@@ -21,22 +21,29 @@ import (
 	"surfbless/internal/traffic"
 )
 
+// latencies is a custom tap: it rebuilds each domain's total-latency
+// histogram from the ejection events, which carry both the creation
+// and the ejection cycle.
+type latencies []stats.Histogram
+
+func (l latencies) Consume(batch []probe.Event) {
+	for _, e := range batch {
+		if e.Kind == probe.KindEjected {
+			l[e.Domain].Add(e.Cycle - e.Created)
+		}
+	}
+}
+
 func main() {
 	cfg := config.Default(config.SB)
 	cfg.Domains = 4 // a misaligned domain count: deflections will show
 
-	col := stats.NewCollector(cfg.Domains, 0, 0)
+	// Every observer taps the run's one event stream.  The trace writer
+	// logs each packet lifecycle event as a CSV line.
 	var buf strings.Builder
-	tw := trace.New(&buf)
-	col.SetTracer(tw.Tracer())
+	tw := trace.New(&buf, cfg.Mesh())
 
-	// A probe rides along with the tracer: same lifecycle events,
-	// bucketed into 200-cycle intervals instead of logged line by line.
-	p := &probe.Probe{}
-	p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: cfg.Domains, Every: 200, WarmupEnd: 0, MeasureEnd: 2000})
-	col.SetProbe(p)
-
-	// A Chrome-trace exporter taps the same event stream: every hop and
+	// A Chrome-trace exporter taps the same stream: every hop and
 	// packet life becomes a timeline slice loadable in
 	// https://ui.perfetto.dev (one simulated cycle = 1 µs of trace time).
 	spans, err := os.CreateTemp("", "surfbless_spans_*.json")
@@ -44,39 +51,32 @@ func main() {
 		log.Fatal(err)
 	}
 	pf := trace.NewPerfetto(spans, cfg.Mesh())
-	p.AttachTap(pf)
+	lat := make(latencies, cfg.Domains)
 
-	meter := power.NewMeter(cfg, power.Default45nm())
-	fab, err := sim.BuildFabric(cfg, nil, nil, col, meter)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fab.SetProbe(p) // spatial heatmaps too
+	// The probe folds the same events into 200-cycle intervals instead
+	// of logging them line by line, plus spatial heatmaps.
+	p := &probe.Probe{}
 	sources := make([]traffic.Source, cfg.Domains)
 	for i := range sources {
 		sources[i] = traffic.Source{Rate: 0.02, Class: packet.Ctrl, VNet: -1}
 	}
-	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, sources, 7)
-
-	now := int64(0)
-	for ; now < 2000; now++ {
-		gen.Tick(fab, now)
-		fab.Step(now)
-		p.Tick(now, fab.InFlight())
-	}
-	for ; fab.InFlight() > 0; now++ {
-		fab.Step(now)
-		p.Tick(now, fab.InFlight())
+	res, err := sim.Run(sim.Options{
+		Cfg: cfg, Pattern: traffic.UniformRandom, Sources: sources, Seed: 7,
+		Measure: 2000, Drain: 1 << 20,
+		Probe: p, ProbeEvery: 200,
+		Taps: []probe.Tap{tw, pf, lat},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {
 		log.Fatal(err)
 	}
-	p.Flush() // drain the event ring into the tap before closing it
 	if err := pf.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("traced %d events over %d cycles\n\n", tw.Events(), now)
+	fmt.Printf("traced %d events over %d cycles\n\n", tw.Events(), res.Cycles)
 	fmt.Printf("chrome trace: %d spans in %s (load at https://ui.perfetto.dev)\n\n", pf.Events(), spans.Name())
 	fmt.Println(trace.Header())
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -101,15 +101,14 @@ func main() {
 	fmt.Printf("\nmost-deflected packet: %s\n", worst)
 	fmt.Printf("(%d deflections — an ejection-miss victim bouncing to a wave turn row)\n", worstDefl)
 
-	// Per-domain tail latency from the built-in histograms.
+	// Per-domain tail latency from the latency tap's histograms.
 	fmt.Println()
-	for d := 0; d < cfg.Domains; d++ {
-		fmt.Printf("domain %d latency: %v\n", d, col.Latency(d))
+	for d := range lat {
+		fmt.Printf("domain %d latency: %v\n", d, &lat[d])
 	}
 
 	// The probe's sparkline digest: injections, ejections, latency and
 	// occupancy per 200-cycle interval, one block per domain.
 	fmt.Println()
 	fmt.Println(p.Summary())
-	_ = os.Stdout
 }

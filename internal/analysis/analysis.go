@@ -30,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Analyzer describes one static check.  Exactly one of Run and
@@ -103,4 +104,12 @@ type Diagnostic struct {
 	// the registered directive names (see KnownDirectives).
 	Category string
 	Message  string
+}
+
+// PathIs reports whether an import path is suffix or ends in
+// "/"+suffix, so an analyzer that keys on a package such as
+// "internal/probe" applies alike to this module and to testdata
+// modules mirroring its layout.
+func PathIs(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

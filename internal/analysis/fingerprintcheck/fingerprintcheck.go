@@ -11,10 +11,11 @@
 // deliberately unfingerprinted field carries an explicit `json:"-"`
 // tag plus a comment arguing why results cannot depend on it.
 //
-// The analyzer finds every `json.Marshal(x)` inside a function named
-// Fingerprint, takes x's struct type as a payload root, and walks all
-// struct types reachable through serialized fields within the same
-// module.  Each field must be one of:
+// The analyzer finds every `json.Marshal(x)` — or the cache's shared
+// derivation `simcache.KeyOf(version, x)`, which marshals x — inside a
+// function named Fingerprint, takes x's struct type as a payload root,
+// and walks all struct types reachable through serialized fields
+// within the same module.  Each field must be one of:
 //
 //   - serialized: exported, of a type encoding/json marshals
 //     completely and deterministically (basics, structs, slices,
@@ -58,12 +59,17 @@ func run(pass *analysis.Pass) error {
 				if !ok || len(call.Args) == 0 {
 					return true
 				}
-				if fn := calleeFunc(pass, call); fn == nil || fn.Pkg() == nil ||
-					fn.Pkg().Path() != "encoding/json" ||
-					(fn.Name() != "Marshal" && fn.Name() != "MarshalIndent") {
+				fn := calleeFunc(pass, call)
+				if fn == nil || fn.Pkg() == nil {
 					return true
 				}
-				w.root(call.Args[0], call.Pos())
+				path := fn.Pkg().Path()
+				switch {
+				case path == "encoding/json" && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent"):
+					w.root(call.Args[0], call.Pos())
+				case analysis.PathIs(path, "internal/simcache") && fn.Name() == "KeyOf" && len(call.Args) == 2:
+					w.root(call.Args[1], call.Pos())
+				}
 				return true
 			})
 		}

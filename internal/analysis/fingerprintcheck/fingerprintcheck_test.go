@@ -9,5 +9,5 @@ import (
 
 func TestFingerprintCheck(t *testing.T) {
 	analysistest.Run(t, "testdata", fingerprintcheck.Analyzer,
-		"./internal/sim", "./internal/config")
+		"./internal/sim", "./internal/config", "./internal/system", "./internal/simcache")
 }

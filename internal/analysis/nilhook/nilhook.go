@@ -1,10 +1,10 @@
 // Package nilhook implements the nocvet analyzer that verifies every
-// probe / fault / tracer / sink hook invocation on the simulator's
+// probe / fault / recorder / sink hook invocation on the simulator's
 // hot paths is nil-guarded.
 //
 // The observability and fault layers are wired as optional hook
 // fields (`probe *probe.Probe`, `faults *fault.Injector`,
-// `tracer stats.Tracer`, `sink network.Sink`) with the contract
+// `recorder *probe.FlightRecorder`, `sink network.Sink`) with the contract
 // "nil = disabled, hot path untouched".  Every fabric touches these
 // fields millions of times per run, and an unguarded call on a
 // disabled hook is a nil-pointer panic that only fires in the exact

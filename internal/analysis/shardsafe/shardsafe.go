@@ -53,10 +53,11 @@
 //
 //	internal/link    Line methods        safe (delay≥1 lines are the
 //	                                     sanctioned cross-tile channel)
-//	internal/probe   Flush               effects-only
-//	                 everything else     safe (per-tile ring segments)
-//	internal/stats   everything          effects-only (collector and
-//	                                     tracer lifecycle aggregates)
+//	internal/probe   Traverse            safe (per-router ring segments)
+//	                 everything else     effects-only (the shared
+//	                                     lifecycle stream and the drain)
+//	internal/stats   everything          effects-only (collector
+//	                                     lifecycle aggregates)
 //	internal/power   everything          effects-only (meter counters)
 //	internal/packet  FreeList methods    effects-only (free-list reuse)
 //	internal/shard   Range               safe (pure index arithmetic)
@@ -385,7 +386,7 @@ func (w *walker) isFaultPtr(e ast.Expr) bool {
 		return false
 	}
 	pkg := named.Obj().Pkg()
-	return pkg != nil && pathIs(pkg.Path(), "internal/fault")
+	return pkg != nil && analysis.PathIs(pkg.Path(), "internal/fault")
 }
 
 func (w *walker) isNil(e ast.Expr) bool {
@@ -810,24 +811,24 @@ func callPolicy(fn *types.Func) policy {
 	}
 	path := pkg.Path()
 	switch {
-	case pathIs(path, "internal/link"):
+	case analysis.PathIs(path, "internal/link"):
 		if recvTypeName(fn) == "Line" {
 			return policySafe
 		}
-	case pathIs(path, "internal/probe"):
-		if fn.Name() == "Flush" {
-			return policyEffects
+	case analysis.PathIs(path, "internal/probe"):
+		if fn.Name() == "Traverse" {
+			return policySafe
 		}
-		return policySafe
-	case pathIs(path, "internal/stats"):
 		return policyEffects
-	case pathIs(path, "internal/power"):
+	case analysis.PathIs(path, "internal/stats"):
 		return policyEffects
-	case pathIs(path, "internal/packet"):
+	case analysis.PathIs(path, "internal/power"):
+		return policyEffects
+	case analysis.PathIs(path, "internal/packet"):
 		if recvTypeName(fn) == "FreeList" {
 			return policyEffects
 		}
-	case pathIs(path, "internal/shard"):
+	case analysis.PathIs(path, "internal/shard"):
 		if fn.Name() == "Range" {
 			return policySafe
 		}
@@ -836,7 +837,7 @@ func callPolicy(fn *types.Func) policy {
 }
 
 func isShardRange(fn *types.Func) bool {
-	return fn != nil && fn.Pkg() != nil && pathIs(fn.Pkg().Path(), "internal/shard") && fn.Name() == "Range"
+	return fn != nil && fn.Pkg() != nil && analysis.PathIs(fn.Pkg().Path(), "internal/shard") && fn.Name() == "Range"
 }
 
 func recvTypeName(fn *types.Func) string {
@@ -852,8 +853,4 @@ func recvTypeName(fn *types.Func) string {
 		return n.Origin().Obj().Name()
 	}
 	return ""
-}
-
-func pathIs(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

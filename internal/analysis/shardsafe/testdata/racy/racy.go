@@ -73,7 +73,8 @@ func (e *Eng) resolveTile(t int) {
 		e.seenBy[t] = id          // want "unconfined write to e\\.seenBy\\[t\\] in tile-parallel phase resolve"
 		e.log = append(e.log, id) // want "unconfined write to e\\.log in tile-parallel phase resolve"
 	}
-	e.probe.Flush() // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"
+	e.probe.Flush()       // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"
+	e.probe.Lifecycle(lo) // want "probe\\.\\(\\*Probe\\)\\.Lifecycle folds into shared aggregate state and is effects-phase-only"
 	obs.Record(e.ctr)
 }
 

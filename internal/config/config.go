@@ -9,6 +9,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"surfbless/internal/fault"
 	"surfbless/internal/geom"
@@ -53,6 +54,18 @@ func (m Model) String() string {
 		return s
 	}
 	return fmt.Sprintf("Model(%d)", int(m))
+}
+
+// ParseModel resolves a model name in any case ("sb", "Surf",
+// "RUNAHEAD") to its constant.  Every -model flag and config file goes
+// through it.
+func ParseModel(name string) (Model, error) {
+	for m, s := range modelNames {
+		if strings.EqualFold(s, name) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("config: unknown model %q (want WH, BLESS, Surf, SB, CHIPPER or RUNAHEAD)", name)
 }
 
 // Bufferless reports whether the model has no in-network VCs (only

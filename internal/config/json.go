@@ -16,19 +16,18 @@ func (m Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s)
 }
 
-// UnmarshalJSON accepts the paper abbreviations (case-sensitive).
+// UnmarshalJSON accepts the paper abbreviations in any case.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	for model, name := range modelNames {
-		if name == s {
-			*m = model
-			return nil
-		}
+	parsed, err := ParseModel(s)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("config: unknown model %q (want WH, BLESS, Surf, SB or CHIPPER)", s)
+	*m = parsed
+	return nil
 }
 
 // Load reads and validates a configuration from a JSON file.  Fields

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestModelJSONRoundTrip(t *testing.T) {
-	for _, m := range []Model{WH, BLESS, Surf, SB, CHIPPER} {
+	for _, m := range []Model{WH, BLESS, Surf, SB, CHIPPER, RUNAHEAD} {
 		raw, err := json.Marshal(m)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -25,8 +26,37 @@ func TestModelJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`"NOPE"`), &m); err == nil {
 		t.Error("unknown model name accepted")
 	}
+	if err := json.Unmarshal([]byte(`"runahead"`), &m); err != nil || m != RUNAHEAD {
+		t.Errorf("lower-case name decoded to %v, %v; want RUNAHEAD", m, err)
+	}
 	if _, err := json.Marshal(Model(99)); err == nil {
 		t.Error("unknown model value encoded")
+	}
+}
+
+// TestParseModel: every model parses from its name in any case, and an
+// unknown name fails with an error listing all six.
+func TestParseModel(t *testing.T) {
+	for name, want := range map[string]Model{
+		"WH": WH, "wh": WH, "Wh": WH,
+		"BLESS": BLESS, "bless": BLESS, "Bless": BLESS,
+		"Surf": Surf, "surf": Surf, "SURF": Surf,
+		"SB": SB, "sb": SB, "Sb": SB,
+		"CHIPPER": CHIPPER, "chipper": CHIPPER, "Chipper": CHIPPER,
+		"RUNAHEAD": RUNAHEAD, "runahead": RUNAHEAD, "RunAhead": RUNAHEAD,
+	} {
+		if got, err := ParseModel(name); err != nil || got != want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	_, err := ParseModel("MinBD")
+	if err == nil {
+		t.Fatal("unknown model accepted")
+	}
+	for _, m := range []Model{WH, BLESS, Surf, SB, CHIPPER, RUNAHEAD} {
+		if !strings.Contains(err.Error(), m.String()) {
+			t.Errorf("error %q does not name %v", err, m)
+		}
 	}
 }
 

@@ -143,7 +143,6 @@ func WCTAConformance(sc Scale) ([]WCTARow, error) {
 						Measure:  sc.Measure,
 						Drain:    sc.Drain,
 						Seed:     seed,
-						Cache:    Cache(),
 						Recorder: rec,
 					})
 					pointDone()

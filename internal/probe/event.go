@@ -99,6 +99,13 @@ type Event struct {
 	// Dir is the out-link direction of a KindLinkBusy/KindDeflect hop
 	// (geom.Dir).
 	Dir uint8 `json:"dir"`
+	// Hops and Deflections are the packet's router traversals and
+	// unproductive hops as of a lifecycle event — not as of the drain,
+	// and not as of the sharded kernel's end-of-cycle replay (zero on
+	// router and tick events).  They fill the record's padding, so they
+	// saturate at 65535, far above any count a run reaches.
+	Hops        uint16 `json:"hops"`
+	Deflections uint16 `json:"deflections"`
 }
 
 // Tap observes drained event batches.  The probe hands each flushed

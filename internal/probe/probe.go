@@ -16,7 +16,7 @@
 // Hot-path architecture (DESIGN.md §15): hooks do not accumulate.
 // Every hook appends one fixed-size Event into a preallocated ring
 // segment — per-router segments for the router events, one driver
-// segment for the NI/collector lifecycle stream — and all windowing,
+// segment for the kernel's packet lifecycle stream — and all windowing,
 // bucketing and counter arithmetic happens once per ProbeEvery
 // interval when the ring drains (Probe.fold).  An append is a bounds
 // check, a capacity check and a 48-byte store: no allocation, no
@@ -386,8 +386,18 @@ func (pr *Probe) Flush() {
 // pr==nil/armed guard.
 func (pr *Probe) driver() *segment { return &pr.segs[len(pr.segs)-1] }
 
-// lifecycle appends one driver-stream packet event at cycle.
-func (pr *Probe) lifecycle(kind Kind, p *packet.Packet, cycle int64, node int32) {
+// Lifecycle appends one packet lifecycle event at cycle to the ring's
+// shared lifecycle segment: kind is KindCreated, KindInjected,
+// KindEjected, KindDropped or KindRetransmit, node is the router an
+// ejection happened at (-1 otherwise), and hops and defl are the
+// packet's counts as of the event.  router.Kernel is the only caller:
+// it reports inline when stepping serially and, when sharded, replays
+// each tile's deferred events at the barrier with the counts recorded
+// at deferral.
+func (pr *Probe) Lifecycle(kind Kind, p *packet.Packet, cycle int64, node, hops, defl int) {
+	if pr == nil || !pr.armed {
+		return
+	}
 	s := pr.driver()
 	if s.n == len(s.buf) {
 		pr.flush(s)
@@ -397,23 +407,19 @@ func (pr *Probe) lifecycle(kind Kind, p *packet.Packet, cycle int64, node int32)
 	e.Cycle = cycle
 	e.Created = p.CreatedAt
 	e.ID = p.ID
-	e.Node = node
+	e.Node = int32(node)
 	e.Src = int32(pr.cfg.Mesh.ID(p.Src))
 	e.Dst = int32(pr.cfg.Mesh.ID(p.Dst))
 	e.Flits = int32(p.Size)
 	e.Domain = int16(p.Domain)
 	e.Kind = kind
 	e.Dir = 0
+	e.Hops = sat16(hops)
+	e.Deflections = sat16(defl)
 }
 
-// Created records an in-window NI acceptance (and domain occupancy for
-// any packet).  Wired from stats.Collector.
-func (pr *Probe) Created(p *packet.Packet) {
-	if pr == nil || !pr.armed {
-		return
-	}
-	pr.lifecycle(KindCreated, p, p.CreatedAt, -1)
-}
+// sat16 narrows a count to the Event's 16-bit fields, saturating.
+func sat16(n int) uint16 { return uint16(min(n, 0xffff)) }
 
 // Refused records a rejected offer at cycle now.
 func (pr *Probe) Refused(domain int, now int64) {
@@ -427,42 +433,6 @@ func (pr *Probe) Refused(domain int, now int64) {
 	e := &s.buf[s.n]
 	s.n++
 	*e = Event{Cycle: now, Node: -1, Src: -1, Dst: -1, Domain: int16(domain), Kind: KindRefused}
-}
-
-// Injected records an in-window packet entering the network.
-func (pr *Probe) Injected(p *packet.Packet) {
-	if pr == nil || !pr.armed {
-		return
-	}
-	pr.lifecycle(KindInjected, p, p.InjectedAt, -1)
-}
-
-// Ejected records a delivery: the time series entry at the ejection
-// cycle and the destination router's heatmap cell.
-func (pr *Probe) Ejected(p *packet.Packet) {
-	if pr == nil || !pr.armed {
-		return
-	}
-	pr.lifecycle(KindEjected, p, p.EjectedAt, int32(pr.cfg.Mesh.ID(p.Dst)))
-}
-
-// Dropped records a packet discarded by the fault machinery after its
-// retransmission budget ran out; like an ejection it ends the
-// packet's occupancy.
-func (pr *Probe) Dropped(p *packet.Packet, now int64) {
-	if pr == nil || !pr.armed {
-		return
-	}
-	pr.lifecycle(KindDropped, p, now, -1)
-}
-
-// Retransmitted records one source retransmission attempt after a
-// fault drop.
-func (pr *Probe) Retransmitted(p *packet.Packet, now int64) {
-	if pr == nil || !pr.armed {
-		return
-	}
-	pr.lifecycle(KindRetransmit, p, now, -1)
 }
 
 // Traverse is the router hot-path hook: flits of p left node through

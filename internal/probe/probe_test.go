@@ -17,16 +17,31 @@ func pkt(id uint64, domain int, created, injected, ejected int64) *packet.Packet
 	return p
 }
 
+// created, injected and ejected report p's lifecycle at its stamped
+// cycles, the way router.Kernel does; the tests' packets end at (1,1),
+// node 3 of a 2×2 mesh.
+func created(pr *probe.Probe, p *packet.Packet) {
+	pr.Lifecycle(probe.KindCreated, p, p.CreatedAt, -1, 0, 0)
+}
+
+func injected(pr *probe.Probe, p *packet.Packet) {
+	pr.Lifecycle(probe.KindInjected, p, p.InjectedAt, -1, 0, 0)
+}
+
+func ejected(pr *probe.Probe, p *packet.Packet) {
+	pr.Lifecycle(probe.KindEjected, p, p.EjectedAt, 3, p.Hops, p.Deflections)
+}
+
 // TestNilAndDisarmedSafe: every event method must be a no-op on a nil
 // receiver and on a zero-value (disarmed) probe — the routers' hot
 // paths rely on it.
 func TestNilAndDisarmedSafe(t *testing.T) {
 	p := pkt(1, 0, 10, 11, 20)
 	for name, pr := range map[string]*probe.Probe{"nil": nil, "disarmed": {}} {
-		pr.Created(p)
+		created(pr, p)
 		pr.Refused(0, 5)
-		pr.Injected(p)
-		pr.Ejected(p)
+		injected(pr, p)
+		ejected(pr, p)
 		pr.Traverse(0, geom.East, p, 1, true, 12)
 		pr.Tick(12, 3)
 		if pr.Armed() {
@@ -83,9 +98,9 @@ func TestWarmupBoundary(t *testing.T) {
 		{200, false}, // first drain-era creation
 	} {
 		p := pkt(uint64(i), 0, c.created, c.created+1, c.created+10)
-		pr.Created(p)
-		pr.Injected(p)
-		pr.Ejected(p)
+		created(pr, p)
+		injected(pr, p)
+		ejected(pr, p)
 	}
 	tot := pr.Totals()[0]
 	if tot.Created != 2 || tot.Injected != 2 || tot.Ejected != 2 {
@@ -105,9 +120,9 @@ func TestDrainEjectionBucketed(t *testing.T) {
 	pr := &probe.Probe{}
 	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 100, WarmupEnd: 0, MeasureEnd: 200})
 	p := pkt(1, 0, 150, 151, 260)
-	pr.Created(p)
-	pr.Injected(p)
-	pr.Ejected(p)
+	created(pr, p)
+	injected(pr, p)
+	ejected(pr, p)
 	ivs := pr.Intervals()
 	if len(ivs) != 3 {
 		t.Fatalf("got %d intervals, want 3 (ejection at 260)", len(ivs))
@@ -127,11 +142,11 @@ func TestHeatmapAndExports(t *testing.T) {
 	pr := &probe.Probe{}
 	pr.Arm(probe.Config{Mesh: mesh, Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: 100})
 	p := pkt(1, 1, 10, 11, 40)
-	pr.Created(p)
-	pr.Injected(p)
+	created(pr, p)
+	injected(pr, p)
 	pr.Traverse(0, geom.East, p, 1, false, 20)
 	pr.Traverse(1, geom.South, p, 1, true, 30)
-	pr.Ejected(p)
+	ejected(pr, p)
 	pr.Tick(40, 0)
 
 	h := pr.Heatmap()
@@ -194,8 +209,8 @@ func TestRearmResets(t *testing.T) {
 	pr := &probe.Probe{}
 	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 10})
 	p := pkt(1, 0, 5, 6, 9)
-	pr.Created(p)
-	pr.Ejected(p)
+	created(pr, p)
+	ejected(pr, p)
 	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 10})
 	if got := pr.Intervals(); got != nil {
 		t.Errorf("re-armed probe kept %d intervals", len(got))

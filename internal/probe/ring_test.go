@@ -64,15 +64,15 @@ func TestTapSeesEveryEvent(t *testing.T) {
 	pr.AttachTap(bt)
 
 	p := pkt(7, 0, 10, 11, 90)
-	pr.Created(p)
-	pr.Injected(p)
+	created(pr, p)
+	injected(pr, p)
 	for now := int64(0); now < 120; now++ {
 		if now == 40 {
 			pr.Traverse(1, geom.South, p, 1, false, now)
 		}
 		pr.Tick(now, 1)
 	}
-	pr.Ejected(p)
+	ejected(pr, p)
 	pr.Flush()
 
 	// created + injected + traverse + ejected + 120 ticks.
@@ -107,12 +107,12 @@ func TestDroppedAndRetransmitCounters(t *testing.T) {
 	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 2, Every: 100, WarmupEnd: 50})
 	in := pkt(1, 0, 60, 61, 0)  // in-window
 	out := pkt(2, 1, 10, 11, 0) // created pre-warm-up
-	pr.Created(in)
-	pr.Created(out)
-	pr.Retransmitted(in, 120)
-	pr.Retransmitted(out, 130) // windowed by now, which IS in window
-	pr.Dropped(in, 150)
-	pr.Dropped(out, 160)
+	created(pr, in)
+	created(pr, out)
+	pr.Lifecycle(probe.KindRetransmit, in, 120, -1, 0, 0)
+	pr.Lifecycle(probe.KindRetransmit, out, 130, -1, 0, 0) // windowed by now, which IS in window
+	pr.Lifecycle(probe.KindDropped, in, 150, -1, 0, 0)
+	pr.Lifecycle(probe.KindDropped, out, 160, -1, 0, 0)
 	pr.Tick(200, 0)
 
 	tot := pr.Totals()
@@ -208,4 +208,42 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}()
 	m.Counter("bad name", "")
+}
+
+func TestKindString(t *testing.T) {
+	for k, want := range map[probe.Kind]string{
+		probe.KindCreated: "created", probe.KindRefused: "refused", probe.KindInjected: "injected",
+		probe.KindEjected: "ejected", probe.KindDropped: "dropped", probe.KindRetransmit: "retransmit",
+	} {
+		if k.String() != want {
+			t.Errorf("%d names %q, want %q", k, k.String(), want)
+		}
+	}
+	if probe.Kind(99).String() != "Kind(99)" {
+		t.Error("unknown kind name wrong")
+	}
+}
+
+// TestLifecycleCarriesCounts: a lifecycle event records the hop and
+// deflection counts it is handed, not the packet's, and saturates them
+// at the fields' 16-bit range.
+func TestLifecycleCarriesCounts(t *testing.T) {
+	pr := &probe.Probe{}
+	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1})
+	bt := &batchTap{}
+	pr.AttachTap(bt)
+	p := pkt(5, 0, 1, 2, 90)
+	p.Hops, p.Deflections = 40, 30
+	pr.Lifecycle(probe.KindInjected, p, 2, -1, 0, 0)
+	pr.Lifecycle(probe.KindEjected, p, 90, 3, 70000, 12)
+	pr.Flush()
+	if len(bt.events) != 2 {
+		t.Fatalf("tap saw %d events, want 2", len(bt.events))
+	}
+	if e := bt.events[0]; e.Hops != 0 || e.Deflections != 0 {
+		t.Errorf("injection counts %d/%d, want the 0/0 handed in", e.Hops, e.Deflections)
+	}
+	if e := bt.events[1]; e.Hops != 65535 || e.Deflections != 12 || e.Node != 3 || e.Src != 0 || e.Dst != 3 {
+		t.Errorf("ejection = %+v, want hops saturated at 65535, 12 deflections, node 3, route 0→3", e)
+	}
 }

@@ -26,11 +26,14 @@ import (
 //	                         their outbound lines
 //
 // Each root covers shard.Range(nodes, len(FX), t) and passes &FX[t] to
-// its node functions, which report effects — meter counters, collector
+// its node functions, which report effects — meter counters, packet
 // lifecycle events, the sink hand-off, the in-flight and flit counters
-// — through the Kernel's effect methods.  Serial stepping runs both
-// roots once, as tile 0 of 1 with the direct context, which applies
-// each effect inline.  After SetShards(n) they run tile-parallel on a
+// — through the Kernel's effect methods.  The Kernel is the one source
+// of packet lifecycle events: each goes to the collector and, when one
+// is attached, to the probe's event ring, whose taps (trace CSV, flow
+// tracker, flight recorder, span export) see the serial sequence.
+// Serial stepping runs both roots once, as tile 0 of 1 with the direct
+// context, which applies each effect inline.  After SetShards(n) they run tile-parallel on a
 // worker pool with a barrier between the phases; each tile's context
 // accumulates its effects, and the contexts replay in tile order at
 // the end of the cycle.  Deferral is exact: the meter and counters are
@@ -59,7 +62,7 @@ type Kernel struct {
 	col   *stats.Collector
 	meter *power.Meter
 	sink  network.Sink
-	probe *probe.Probe // nil = no spatial observation
+	probe *probe.Probe // nil = no event stream
 	recov *Recovery    // non-nil iff Faults is
 
 	inFlight          int
@@ -92,8 +95,8 @@ func NewKernel(cfg config.Config, sink network.Sink, col *stats.Collector, meter
 	return k, nil
 }
 
-// SetProbe attaches a hot-path observer recording per-router and
-// per-link traversals (nil to remove).
+// SetProbe attaches the event ring that receives the fabric's router
+// traversals and the Kernel's packet lifecycle events (nil to remove).
 func (k *Kernel) SetProbe(p *probe.Probe) { k.probe = p }
 
 // SetFaults arms a fault injector (nil to disarm) together with the
@@ -119,22 +122,16 @@ type FX struct {
 	evts                         []lifeEvt
 }
 
-// lifeEvt is one deferred packet lifecycle event: the collector call
-// and sink hand-off a tile recorded for replay at the barrier.
+// lifeEvt is one deferred packet lifecycle event: the collector and
+// probe calls and the sink hand-off a tile recorded for replay at the
+// barrier.  hops and defl are the packet's counts at deferral: by the
+// replay the live packet may have hopped again in the same cycle.
 type lifeEvt struct {
-	node int32
-	kind evtKind
-	p    *packet.Packet
+	node       int32
+	kind       probe.Kind // KindInjected, KindEjected or KindRetransmit
+	hops, defl int32
+	p          *packet.Packet
 }
-
-// evtKind selects the collector call a lifeEvt replays.
-type evtKind uint8
-
-const (
-	evInjected evtKind = iota
-	evEjected          // also hands the packet to the sink
-	evRetransmitted
-)
 
 // Offer queues p at node's NI with the standard accounting: a full
 // queue counts a refusal; an accepted packet is created, written into
@@ -142,9 +139,13 @@ const (
 func (k *Kernel) Offer(node int, p *packet.Packet, now int64) bool {
 	if !k.NIs[node].Offer(p) {
 		k.col.Refused(p.Domain, now)
+		if k.probe != nil {
+			k.probe.Refused(p.Domain, now)
+		}
 		return false
 	}
 	k.col.Created(p)
+	k.report(probe.KindCreated, p, p.CreatedAt, -1)
 	k.meter.BufferWrite(p.Size)
 	k.inFlight++
 	return true
@@ -170,10 +171,20 @@ func (k *Kernel) relaunchRetries(now int64) {
 func (k *Kernel) DropOrRetry(p *packet.Packet, now int64) {
 	if k.recov.TryRetry(p, now) {
 		k.col.Retransmitted(p, now)
+		k.report(probe.KindRetransmit, p, now, -1)
 		return
 	}
 	k.col.Dropped(p, now)
+	k.report(probe.KindDropped, p, now, -1)
 	k.inFlight--
+}
+
+// report hands one lifecycle event, with p's counts as of now, to the
+// probe if one is attached.
+func (k *Kernel) report(kind probe.Kind, p *packet.Packet, cycle int64, node int) {
+	if k.probe != nil {
+		k.probe.Lifecycle(kind, p, cycle, node, p.Hops, p.Deflections)
+	}
 }
 
 // Traverse reports one router traversal to the probe, if attached.
@@ -290,9 +301,10 @@ func (k *Kernel) Injected(fx *FX, p *packet.Packet, now int64) {
 	p.InjectedAt = now
 	if fx.direct {
 		k.col.Injected(p)
+		k.report(probe.KindInjected, p, now, -1)
 		return
 	}
-	fx.evts = append(fx.evts, lifeEvt{kind: evInjected, p: p})
+	fx.record(probe.KindInjected, -1, p)
 }
 
 // Ejected stamps p's delivery at node, reports it to the collector,
@@ -301,6 +313,7 @@ func (k *Kernel) Ejected(fx *FX, node int, p *packet.Packet, now int64) {
 	p.EjectedAt = now
 	if fx.direct {
 		k.col.Ejected(p)
+		k.report(probe.KindEjected, p, now, node)
 		k.inFlight--
 		if k.sink != nil {
 			k.sink(node, p, now)
@@ -308,14 +321,21 @@ func (k *Kernel) Ejected(fx *FX, node int, p *packet.Packet, now int64) {
 		return
 	}
 	fx.inFlight--
-	fx.evts = append(fx.evts, lifeEvt{node: int32(node), kind: evEjected, p: p})
+	fx.record(probe.KindEjected, node, p)
 }
 
 // Retransmitted reports a source retransmission of p.
 func (k *Kernel) Retransmitted(fx *FX, p *packet.Packet, now int64) {
 	if fx.direct {
 		k.col.Retransmitted(p, now)
+		k.report(probe.KindRetransmit, p, now, -1)
 		return
 	}
-	fx.evts = append(fx.evts, lifeEvt{kind: evRetransmitted, p: p})
+	fx.record(probe.KindRetransmit, -1, p)
+}
+
+// record defers one lifecycle event of p to the barrier replay, with
+// p's counts as of now.
+func (fx *FX) record(kind probe.Kind, node int, p *packet.Packet) {
+	fx.evts = append(fx.evts, lifeEvt{node: int32(node), kind: kind, hops: int32(p.Hops), defl: int32(p.Deflections), p: p})
 }

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 
+	"surfbless/internal/probe"
 	"surfbless/internal/shard"
 )
 
@@ -74,9 +75,10 @@ func (k *Kernel) StopShards() {
 }
 
 // applyFX merges one tile's deferred effects: meter counters, the flit
-// and in-flight counters, then the lifecycle replay — collector calls
-// and sink hand-offs in recorded order.  Tile order is the serial node
-// order, so observers see the serial event sequence.
+// and in-flight counters, then the lifecycle replay — collector and
+// probe calls and sink hand-offs in recorded order, the probe getting
+// the counts recorded at deferral.  Tile order is the serial node
+// order, so the collector and the event ring see the serial sequence.
 //
 //shard:phase(effects)
 func (k *Kernel) applyFX(fx *FX) {
@@ -91,15 +93,18 @@ func (k *Kernel) applyFX(fx *FX) {
 	for i := range fx.evts {
 		ev := &fx.evts[i]
 		switch ev.kind {
-		case evInjected:
+		case probe.KindInjected:
 			k.col.Injected(ev.p)
-		case evEjected:
+		case probe.KindEjected:
 			k.col.Ejected(ev.p)
-			if k.sink != nil {
-				k.sink(int(ev.node), ev.p, k.Now)
-			}
-		case evRetransmitted:
+		case probe.KindRetransmit:
 			k.col.Retransmitted(ev.p, k.Now)
+		}
+		if k.probe != nil {
+			k.probe.Lifecycle(ev.kind, ev.p, k.Now, int(ev.node), int(ev.hops), int(ev.defl))
+		}
+		if ev.kind == probe.KindEjected && k.sink != nil {
+			k.sink(int(ev.node), ev.p, k.Now)
 		}
 		ev.p = nil
 	}

@@ -53,14 +53,9 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, err
 	}
 	sched := wave.New(cfg.Mesh(), cfg.HopDelay())
-	var dec *wave.Decoder
-	if cfg.WaveSets != nil {
-		var err error
-		if dec, err = wave.FromSets(sched.Smax(), cfg.WaveSets); err != nil {
-			return nil, err
-		}
-	} else {
-		dec = wave.RoundRobin(sched.Smax(), cfg.Domains)
+	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	if err != nil {
+		return nil, err
 	}
 	// Every domain must own at least one wave or its traffic never moves.
 	for d := 0; d < cfg.Domains; d++ {

@@ -121,13 +121,9 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 	mesh := f.Mesh
 	sched := wave.New(mesh, cfg.HopDelay())
 
-	var dec *wave.Decoder
-	if cfg.WaveSets != nil {
-		if dec, err = wave.FromSets(sched.Smax(), cfg.WaveSets); err != nil {
-			return nil, err
-		}
-	} else {
-		dec = wave.RoundRobin(sched.Smax(), cfg.Domains)
+	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	if err != nil {
+		return nil, err
 	}
 
 	if slotWidths == nil {

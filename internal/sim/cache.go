@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"surfbless/internal/simcache"
-)
+import "surfbless/internal/simcache"
 
 // FingerprintVersion tags the canonical Options serialization AND the
 // simulator's behaviour.  Bump it whenever either changes semantics —
@@ -17,49 +12,23 @@ import (
 // (max(32, W+H−1)), which changes its results on meshes with W+H ≥ 34.
 const FingerprintVersion = "surfbless-sim-v3"
 
-// Fingerprint derives the content-addressed cache key of a run: a
-// SHA-256 of FingerprintVersion plus the canonical JSON serialization
-// of the options.  encoding/json emits struct fields in declaration
-// order, so equal options always serialize to equal bytes; everything
+// Fingerprint derives the content-addressed cache key of a run:
+// simcache.KeyOf over FingerprintVersion and the options.  Everything
 // a run depends on — config, pattern, sources, slot widths, phases,
 // seed, audit cadence, energy coefficients — is an exported field of
-// Options and therefore covered.
+// Options and therefore covered; observers and execution knobs are
+// tagged `json:"-"`.
 func Fingerprint(o Options) (simcache.Key, error) {
-	payload, err := json.Marshal(o)
-	if err != nil {
-		return simcache.Key{}, fmt.Errorf("sim: fingerprint: %w", err)
-	}
-	return simcache.Fingerprint(FingerprintVersion, payload), nil
+	return simcache.KeyOf(FingerprintVersion, o)
 }
 
-// RunCached is Run behind a content-addressed cache: a hit
-// deserializes the stored Result, a miss runs the simulation and
-// stores it.  A nil cache, an unserializable option set, or a cached
-// value that no longer decodes all degrade to a plain Run — the cache
-// can make a run faster, never wrong.  Observed runs (a Probe or
-// Tracer attached) always simulate for real: a cache hit would return
-// the right Result but leave the observer with nothing to observe.
+// RunCached is Run behind a content-addressed cache (simcache.Cached).
+// Observed runs (a probe, recorder or tap attached) always simulate for
+// real: a cache hit would return the right Result but leave the
+// observers with nothing to observe.
 func RunCached(o Options, c *simcache.Cache) (Result, error) {
-	if c == nil || o.Observed() {
+	if o.Observed() {
 		return Run(o)
 	}
-	key, err := Fingerprint(o)
-	if err != nil {
-		return Run(o)
-	}
-	if raw, ok := c.Get(key); ok {
-		var res Result
-		if err := json.Unmarshal(raw, &res); err == nil {
-			return res, nil
-		}
-		c.NoteCorrupt()
-	}
-	res, err := Run(o)
-	if err != nil {
-		return res, err
-	}
-	if raw, err := json.Marshal(res); err == nil {
-		c.Put(key, raw)
-	}
-	return res, nil
+	return simcache.Cached(c, FingerprintVersion, o, func() (Result, error) { return Run(o) })
 }

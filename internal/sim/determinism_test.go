@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"surfbless/internal/config"
-	"surfbless/internal/packet"
+	"surfbless/internal/probe"
 	"surfbless/internal/simcache"
-	"surfbless/internal/stats"
+	"surfbless/internal/trace"
 	"surfbless/internal/traffic"
 )
 
@@ -196,28 +197,29 @@ func TestShardMatchesSerialGiant(t *testing.T) {
 	}
 }
 
-// TestShardedEventsMatchSerial checks the kernel's claim that observers
-// see the serial event sequence: a tracer records every lifecycle event
-// as (kind, packet ID, domain, cycle), and the sequence at Shards=4
-// must equal the serial one on every model.  At 0.10 per domain
-// RUNAHEAD retransmits, so its deferred Retransmitted events are
-// covered too.
-func TestShardedEventsMatchSerial(t *testing.T) {
-	type event struct {
-		kind   stats.EventKind
-		id     uint64
-		domain int
-		cycle  int64
-	}
-	record := func(o Options) []event {
-		var evs []event
-		o.Tracer = func(k stats.EventKind, p *packet.Packet, domain int, now int64) {
-			e := event{kind: k, domain: domain, cycle: now}
-			if p != nil {
-				e.id = p.ID
-			}
-			evs = append(evs, e)
+// lifecycleTap keeps a copy of every packet lifecycle event it is
+// handed (the kinds KindCreated through KindRetransmit), in stream
+// order.
+type lifecycleTap []probe.Event
+
+func (l *lifecycleTap) Consume(batch []probe.Event) {
+	for _, e := range batch {
+		if e.Kind <= probe.KindRetransmit {
+			*l = append(*l, e)
 		}
+	}
+}
+
+// TestShardedEventsMatchSerial checks the kernel's claim that the
+// event ring sees the serial lifecycle sequence: a tap records every
+// lifecycle event, and the events at Shards=4 — counts as of the event
+// included — must equal the serial ones on every model.  At 0.10 per
+// domain RUNAHEAD retransmits, so its deferred Retransmitted events
+// are covered too.
+func TestShardedEventsMatchSerial(t *testing.T) {
+	record := func(o Options) lifecycleTap {
+		var evs lifecycleTap
+		o.Taps = []probe.Tap{&evs}
 		if _, err := Run(o); err != nil {
 			t.Fatalf("%v: %v", o.Cfg.Model, err)
 		}
@@ -229,8 +231,11 @@ func TestShardedEventsMatchSerial(t *testing.T) {
 		serial := record(o)
 		o.Shards = 4
 		sharded := record(o)
-		if model == config.RUNAHEAD && !slices.ContainsFunc(serial, func(e event) bool { return e.kind == stats.EvRetransmit }) {
+		if model == config.RUNAHEAD && !slices.ContainsFunc(serial, func(e probe.Event) bool { return e.Kind == probe.KindRetransmit }) {
 			t.Errorf("%v: no retransmissions at this load", model)
+		}
+		if i := slices.IndexFunc(serial, func(e probe.Event) bool { return e.Kind == probe.KindEjected && e.Node != e.Dst }); i >= 0 {
+			t.Errorf("%v: ejection away from the destination: %+v", model, serial[i])
 		}
 		if len(serial) != len(sharded) {
 			t.Errorf("%v: %d events serial, %d sharded", model, len(serial), len(sharded))
@@ -239,6 +244,83 @@ func TestShardedEventsMatchSerial(t *testing.T) {
 			if serial[i] != sharded[i] {
 				t.Errorf("%v: event %d differs: serial %+v, sharded %+v", model, i, serial[i], sharded[i])
 				break
+			}
+		}
+	}
+}
+
+// traceCSV runs o with a trace writer tapping its event stream and
+// returns the CSV.
+func traceCSV(t *testing.T, o Options) string {
+	t.Helper()
+	var sb strings.Builder
+	w := trace.New(&sb, o.Cfg.Mesh())
+	o.Taps = []probe.Tap{w}
+	if _, err := Run(o); err != nil {
+		t.Fatalf("%v: %v", o.Cfg.Model, err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// traceGolden pins the SHA-256 of the lifecycle trace CSV (no header)
+// for every model on the determinism options and a fault plan.  The
+// digests were recorded when the trace was a collector callback that
+// read each packet's live counts, so they prove that the event ring
+// reproduces the serial trace byte for byte.
+var traceGolden = map[string]string{
+	"WH/det":          "b0737270f4e8deb0bededcb359d59acc7f66f618d7d8f96fba3286c60b4fa3a7",
+	"WH/faulty":       "f353410482b88dfc8a5174124920c93119a4d1c19ee3f4bce4b6f7beeeba1d35",
+	"BLESS/det":       "58401e62394e74a12df7d6448339e9765c292a63dd90fec4d6648fbab18459ac",
+	"BLESS/faulty":    "fa0f5ca887fbe273366abfbdcd162bbb64325b8a3ae3af2eed207a83ce4209e2",
+	"Surf/det":        "754ecfbbf50c8d3b88e970ae068a2f6e4416fc4f5fbcb6ccfe1fd83395a47c92",
+	"Surf/faulty":     "fa565a0904c0359fad90710e3dbae55c305e1dedf07fd20650e57ea51d9c7d52",
+	"SB/det":          "ec408ebeae91d84a61b2e1e78a1607b011ee69c7d07d0c8373c07235292bca5f",
+	"SB/faulty":       "f2f81cf446becbd204ce1fb5b3dd4cf1fdb0961502f3a0d92f131b81561dfabe",
+	"CHIPPER/det":     "432bbebc094e25615988297739ea00a37d4207e9596a648338617a8e8600d56c",
+	"CHIPPER/faulty":  "58f521fcae6e7dcbfeb81a920a4e6990af2605f63f15825c6e00198184d49af3",
+	"RUNAHEAD/det":    "2d6dd08acd1e1c6d1fa03f70a81e9927a59b6493315796db54869590d77d90e2",
+	"RUNAHEAD/faulty": "091c34c31b4a62df2af7c38568fa5c03dd7292de93d35e75bbc9d870e4f83a1f",
+}
+
+func TestTraceGolden(t *testing.T) {
+	for _, model := range allModels {
+		for _, in := range []struct {
+			name string
+			o    Options
+		}{
+			{"det", determinismOptions(model, 7)},
+			{"faulty", faultyOptions(model, 1)},
+		} {
+			key := model.String() + "/" + in.name
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(traceCSV(t, in.o)))); got != traceGolden[key] {
+				t.Errorf("%s: trace digest %s, want %s", key, got, traceGolden[key])
+			}
+		}
+	}
+}
+
+// TestShardedTraceMatchesSerial: the trace CSV prints each packet's
+// hop and deflection counts, so at Shards=4 it must still equal the
+// serial trace byte for byte on every model — the counts an event
+// carries are those of its own moment, not of the end-of-cycle replay.
+func TestShardedTraceMatchesSerial(t *testing.T) {
+	for _, model := range allModels {
+		o := determinismOptions(model, 7)
+		serial := traceCSV(t, o)
+		o.Shards = 4
+		if sharded := traceCSV(t, o); sharded != serial {
+			a, b := strings.Split(serial, "\n"), strings.Split(sharded, "\n")
+			for i := range min(len(a), len(b)) {
+				if a[i] != b[i] {
+					t.Errorf("%v: trace line %d differs: serial %q, sharded %q", model, i+1, a[i], b[i])
+					break
+				}
+			}
+			if len(a) != len(b) {
+				t.Errorf("%v: %d trace lines serial, %d sharded", model, len(a), len(b))
 			}
 		}
 	}
@@ -294,6 +376,27 @@ func TestRunDeterminismAcrossOrderings(t *testing.T) {
 			if !reflect.DeepEqual(serial[i], got[i]) {
 				t.Errorf("%s: run %d diverged from the serial result", name, i)
 			}
+		}
+	}
+}
+
+// TestFingerprintPinned pins two cache keys recorded before the key
+// derivation moved into simcache.KeyOf, so entries already on disk
+// under results/.simcache stay reachable.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		o    Options
+		want string
+	}{
+		{determinismOptions(config.SB, 7), "e583c6a120011c2ab765145088c5c7a483b82e772b03c9e9c4719cad8ee2ca03"},
+		{faultyOptions(config.RUNAHEAD, 1), "3405ace549705b6054095d9a9a21d25d71d3af2ee4ae5445330e0cd2ca509c25"},
+	} {
+		k, err := Fingerprint(c.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.String() != c.want {
+			t.Errorf("%v: fingerprint %s, want %s", c.o.Cfg.Model, k, c.want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/probe"
 	"surfbless/internal/simcache"
+	"surfbless/internal/stats"
 	"surfbless/internal/traffic"
 )
 
@@ -220,7 +221,7 @@ func TestProbeQuietDomainFlat(t *testing.T) {
 	}
 }
 
-// TestRunCachedBypassesForObservers: a probed or traced run must hit
+// TestRunCachedBypassesForObservers: a probed or tapped run must hit
 // the simulator even when the cache already holds the point — a cache
 // hit would leave the observer empty.
 func TestRunCachedBypassesForObservers(t *testing.T) {
@@ -253,5 +254,35 @@ func TestRunCachedBypassesForObservers(t *testing.T) {
 	}
 	if tot := p.Totals(); tot[0].Ejected != res.Domains[0].Ejected {
 		t.Errorf("probe ejections %d != result %d", tot[0].Ejected, res.Domains[0].Ejected)
+	}
+}
+
+// TestFlowTrackerIgnoresWindow: a flow tracker tapping a run sees every
+// delivered packet, warm-up and drain included — a latency bound has no
+// warm-up exemption — while the result's aggregates stay windowed.
+func TestFlowTrackerIgnoresWindow(t *testing.T) {
+	o := determinismOptions(config.SB, 3)
+	tr := stats.NewFlowTracker(o.Cfg.Mesh())
+	var evs lifecycleTap
+	o.Taps = []probe.Tap{tr, &evs}
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tracked int64
+	for _, k := range tr.Keys() {
+		tracked += tr.Flow(k).Ejected
+	}
+	all := int64(0)
+	for _, e := range evs {
+		if e.Kind == probe.KindEjected {
+			all++
+		}
+	}
+	if tracked != all {
+		t.Errorf("tracker saw %d ejections, the event stream carried %d", tracked, all)
+	}
+	if tracked <= res.Total.Ejected {
+		t.Errorf("tracker saw %d ejections, no more than the %d in the measurement window", tracked, res.Total.Ejected)
 	}
 }

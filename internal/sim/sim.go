@@ -1,5 +1,5 @@
 // Package sim is the synthetic-workload simulator façade: it builds the
-// fabric selected by the configuration (WH, BLESS, Surf or SB), drives
+// fabric selected by the configuration (any of the six models), drives
 // it with a traffic generator through warm-up / measurement / drain
 // phases, and returns the per-domain statistics and the energy report —
 // everything the §5.1 experiments need.
@@ -61,11 +61,13 @@ type Options struct {
 	Coefficients *power.Coefficients
 
 	// Probe, when non-nil, is armed for this run (interval ProbeEvery,
-	// window [Warmup, Warmup+Measure)) and receives the run's lifecycle
-	// and router hot-path events — time series, heatmaps, occupancy.
-	// Observation never changes results, so the field is excluded from
-	// the cache fingerprint; RunCached still bypasses the cache for
-	// probed runs because a cache hit would leave the probe empty.
+	// window [Warmup, Warmup+Measure)) and receives the run's event
+	// stream: the fabric kernel's packet lifecycle events and the
+	// routers' hot-path traversals, folded into time series, heatmaps
+	// and occupancy.  Observation never changes results, so the field
+	// is excluded from the cache fingerprint; RunCached still bypasses
+	// the cache for observed runs because a cache hit would leave the
+	// observers empty.
 	Probe *probe.Probe `json:"-"`
 	// ProbeEvery is the probe's time-series bucket width in cycles
 	// (≤0 = probe.DefaultEvery).  Ignored without a Probe.
@@ -73,10 +75,14 @@ type Options struct {
 
 	// Taps are attached to the run's probe after arming (Arm detaches
 	// taps, so pre-attaching to Probe would be lost): each drained ring
-	// batch fans out to them in order — span exporters
-	// (trace.Perfetto), custom aggregators.  Requires an event source
-	// like Recorder: when Probe is nil, Run arms a private probe.
-	// Observation-only and fingerprint-exempt.
+	// batch fans out to them in order — the lifecycle trace
+	// (trace.Writer), per-flow latency maxima (stats.FlowTracker), span
+	// exporters (trace.Perfetto), custom aggregators.  Taps see every
+	// event, warm-up and drain included, with each packet's hop and
+	// deflection counts as of the event; events are plain values, so
+	// recycling never disturbs them.  When Probe is nil, Run arms a
+	// private probe to feed them.  Observation-only and
+	// fingerprint-exempt.
 	Taps []probe.Tap `json:"-"`
 
 	// Recorder, when non-nil, is attached as a flight recorder: it
@@ -87,20 +93,6 @@ type Options struct {
 	// probe just to feed the recorder.  Observation-only and
 	// fingerprint-exempt like Probe.
 	Recorder *probe.FlightRecorder `json:"-"`
-
-	// Tracer, when non-nil, is installed on the run's collector and
-	// sees every packet lifecycle event (see stats.Tracer).  Like
-	// Probe, it is observation-only and fingerprint-exempt; RunCached
-	// bypasses the cache for traced runs.  The packet is valid only
-	// during the call: Run recycles delivered packets.
-	Tracer stats.Tracer `json:"-"`
-
-	// Flows, when non-nil, receives every delivered packet's per-flow
-	// (src,dst,domain) latency maxima — the observed p100 the wcta
-	// conformance oracle compares against analytical bounds.  Like
-	// Probe and Tracer it is observation-only and fingerprint-exempt;
-	// RunCached bypasses the cache so the tracker is actually filled.
-	Flows *stats.FlowTracker `json:"-"`
 
 	// Ctx, when non-nil, lets the caller cancel a run mid-flight: the
 	// cycle loop polls it on the watchdog's cadence (every 1024th
@@ -134,11 +126,10 @@ type Options struct {
 }
 
 // Observed reports whether the run carries an observer that requires a
-// real simulation (a probe, a tracer or a flow tracker): cached
+// real simulation (a probe, a flight recorder or a tap): cached
 // results cannot replay the events such observers consume.
 func (o Options) Observed() bool {
-	return o.Probe != nil || o.Recorder != nil || len(o.Taps) > 0 ||
-		o.Tracer != nil || o.Flows != nil
+	return o.Probe != nil || o.Recorder != nil || len(o.Taps) > 0
 }
 
 // Result is one run's outcome.
@@ -223,12 +214,6 @@ func Run(o Options) (Result, error) {
 		co = *o.Coefficients
 	}
 	col := stats.NewCollector(o.Cfg.Domains, o.Warmup, o.Warmup+o.Measure)
-	if o.Tracer != nil {
-		col.SetTracer(o.Tracer)
-	}
-	if o.Flows != nil {
-		col.SetFlowTracker(o.Flows)
-	}
 	if (o.Recorder != nil || len(o.Taps) > 0) && o.Probe == nil {
 		// Recorders and taps need an event source; arm a private probe
 		// so callers can observe without also wanting time series.
@@ -242,7 +227,6 @@ func Run(o Options) (Result, error) {
 			WarmupEnd:  o.Warmup,
 			MeasureEnd: o.Warmup + o.Measure,
 		})
-		col.SetProbe(o.Probe)
 		if o.Recorder != nil {
 			o.Recorder.Reset()
 			o.Probe.AttachTap(o.Recorder)

@@ -51,6 +51,48 @@ func Fingerprint(version string, payload []byte) Key {
 	return k
 }
 
+// KeyOf derives the key of a run from its options: the Fingerprint of
+// version and the options' canonical JSON.  encoding/json emits struct
+// fields in declaration order, so equal options always serialize to
+// equal bytes, and every exported, untagged field is covered.
+func KeyOf(version string, opts any) (Key, error) {
+	payload, err := json.Marshal(opts)
+	if err != nil {
+		return Key{}, fmt.Errorf("simcache: fingerprint: %w", err)
+	}
+	return Fingerprint(version, payload), nil
+}
+
+// Cached is run behind c, keyed by KeyOf(version, opts): a hit decodes
+// the stored result, a miss runs and stores it.  A nil cache, options
+// that do not serialize, or an entry that no longer decodes all degrade
+// to a plain run — the cache can make a run faster, never wrong.  A
+// failed run is never stored.
+func Cached[R any](c *Cache, version string, opts any, run func() (R, error)) (R, error) {
+	if c == nil {
+		return run()
+	}
+	key, err := KeyOf(version, opts)
+	if err != nil {
+		return run()
+	}
+	if raw, ok := c.Get(key); ok {
+		var res R
+		if err := json.Unmarshal(raw, &res); err == nil {
+			return res, nil
+		}
+		c.NoteCorrupt()
+	}
+	res, err := run()
+	if err != nil {
+		return res, err
+	}
+	if raw, err := json.Marshal(res); err == nil {
+		c.Put(key, raw)
+	}
+	return res, nil
+}
+
 // DefaultMaxEntries bounds the in-memory LRU when Options.MaxEntries
 // is not positive.  Entries are whole simulation results (a few KB
 // each), so the default keeps the footprint in the tens of MB.

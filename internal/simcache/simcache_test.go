@@ -3,6 +3,7 @@ package simcache
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -253,5 +254,49 @@ func TestConcurrentAccess(t *testing.T) {
 	s := c.Stats()
 	if s.Hits == 0 || s.Corrupt != 0 {
 		t.Errorf("stats %+v, want hits and no corruption", s)
+	}
+}
+
+// TestCached: a miss runs and stores, a hit decodes without running, a
+// failed run is never stored, an entry that no longer decodes is
+// counted corrupt and re-run, and a nil cache always runs.
+func TestCached(t *testing.T) {
+	type opts struct{ Seed int }
+	type result struct{ Sum int }
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	run := func() (result, error) { runs++; return result{Sum: 42}, nil }
+	for i := 0; i < 2; i++ {
+		if got, err := Cached(c, "v1", opts{Seed: 1}, run); err != nil || got.Sum != 42 {
+			t.Fatalf("call %d: %+v, %v", i, got, err)
+		}
+	}
+	if runs != 1 {
+		t.Errorf("%d runs for a miss and a hit, want 1", runs)
+	}
+	fail := func() (result, error) { runs++; return result{}, errors.New("boom") }
+	if _, err := Cached(c, "v1", opts{Seed: 2}, fail); err == nil {
+		t.Error("run error swallowed")
+	}
+	key, err := KeyOf("v1", opts{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Error("failed run was stored")
+	}
+	c.Put(key, []byte("not json"))
+	if got, err := Cached(c, "v1", opts{Seed: 2}, run); err != nil || got.Sum != 42 {
+		t.Errorf("corrupt entry: %+v, %v", got, err)
+	}
+	if s := c.Stats(); s.Corrupt != 1 {
+		t.Errorf("stats %+v, want 1 corrupt", s)
+	}
+	runs = 0
+	if _, err := Cached(nil, "v1", opts{Seed: 1}, run); err != nil || runs != 1 {
+		t.Errorf("nil cache: %d runs, %v; want 1 run", runs, err)
 	}
 }

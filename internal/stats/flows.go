@@ -4,7 +4,7 @@ import (
 	"sort"
 
 	"surfbless/internal/geom"
-	"surfbless/internal/packet"
+	"surfbless/internal/probe"
 )
 
 // FlowKey identifies one flow: every packet travelling src→dst inside
@@ -27,36 +27,45 @@ type FlowStats struct {
 	MaxTotalLatency   int64 // worst creation→ejection latency seen
 }
 
-// FlowTracker records per-flow maxima behind the Collector's nil-safe
-// hook contract (nil = disabled, hot path untouched).  The flow map
-// holds values, not pointers, so steady-state observation allocates
-// only on map growth — one rehash per flow-count doubling, amortized
-// zero for the bounded flow populations the conformance harness drives.
-//
-//hook:nil-disabled
+// FlowTracker records per-flow maxima as a probe tap: attach it to a
+// run (sim.Options.Taps) and it folds every delivered packet into its
+// flow.  An ejection event carries the creation cycle but not the
+// injection cycle, so the tracker keys each packet's first injection
+// by packet ID and forgets it at ejection or drop; that map holds at
+// most the packets in flight.  The flow map holds values, not
+// pointers, so steady-state observation allocates only on map growth.
 type FlowTracker struct {
-	flows map[FlowKey]FlowStats
+	mesh     geom.Mesh
+	injected map[uint64]int64 // packet ID → first injection cycle
+	flows    map[FlowKey]FlowStats
 }
 
-// NewFlowTracker returns an empty tracker.
-func NewFlowTracker() *FlowTracker {
-	return &FlowTracker{flows: make(map[FlowKey]FlowStats)}
+// NewFlowTracker returns an empty tracker for a run on mesh.
+func NewFlowTracker(mesh geom.Mesh) *FlowTracker {
+	return &FlowTracker{mesh: mesh, injected: make(map[uint64]int64), flows: make(map[FlowKey]FlowStats)}
 }
 
-// Observe folds one delivered packet into its flow's maxima.  The
-// packet must be ejected (both stamps set); the Collector guarantees
-// this by calling Observe only from Ejected.
-func (t *FlowTracker) Observe(p *packet.Packet) {
-	k := FlowKey{Src: p.Src, Dst: p.Dst, Domain: p.Domain}
-	fs := t.flows[k]
-	fs.Ejected++
-	if nl := p.NetworkLatency(); nl > fs.MaxNetworkLatency {
-		fs.MaxNetworkLatency = nl
+// Consume implements probe.Tap.  The kernel reports a packet's
+// injection once, on its first entry into the network, and every
+// packet is injected before it is ejected.
+func (t *FlowTracker) Consume(batch []probe.Event) {
+	for i := range batch {
+		e := &batch[i]
+		switch e.Kind {
+		case probe.KindInjected:
+			t.injected[e.ID] = e.Cycle
+		case probe.KindDropped:
+			delete(t.injected, e.ID)
+		case probe.KindEjected:
+			k := FlowKey{Src: t.mesh.CoordOf(int(e.Src)), Dst: t.mesh.CoordOf(int(e.Dst)), Domain: int(e.Domain)}
+			fs := t.flows[k]
+			fs.Ejected++
+			fs.MaxNetworkLatency = max(fs.MaxNetworkLatency, e.Cycle-t.injected[e.ID])
+			fs.MaxTotalLatency = max(fs.MaxTotalLatency, e.Cycle-e.Created)
+			t.flows[k] = fs
+			delete(t.injected, e.ID)
+		}
 	}
-	if tl := p.TotalLatency(); tl > fs.MaxTotalLatency {
-		fs.MaxTotalLatency = tl
-	}
-	t.flows[k] = fs
 }
 
 // Flow returns the accumulated stats for k (zero value when the flow

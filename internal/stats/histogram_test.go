@@ -112,12 +112,8 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-func TestCollectorHistogramAndTracer(t *testing.T) {
+func TestCollectorHistogram(t *testing.T) {
 	c := NewCollector(2, 0, 0)
-	var events []string
-	c.SetTracer(func(kind EventKind, p *packet.Packet, domain int, now int64) {
-		events = append(events, kind.String())
-	})
 	p := packet.New(1, geom.Coord{}, geom.Coord{X: 1, Y: 0}, 1, packet.Ctrl, 0)
 	p.InjectedAt = 2
 	p.EjectedAt = 12
@@ -125,25 +121,10 @@ func TestCollectorHistogramAndTracer(t *testing.T) {
 	c.Injected(p)
 	c.Ejected(p)
 	c.Refused(0, 5)
-	if got := strings.Join(events, ","); got != "created,injected,ejected,refused" {
-		t.Errorf("tracer events = %q", got)
-	}
 	if c.Latency(1).Count() != 1 || c.Latency(1).Max() != 12 {
 		t.Errorf("histogram not fed: %v", c.Latency(1))
 	}
 	if c.Latency(0).Count() != 0 {
 		t.Error("wrong domain's histogram fed")
-	}
-	// Tracer removal.
-	c.SetTracer(nil)
-	c.Refused(0, 6) // must not panic
-}
-
-func TestEventKindString(t *testing.T) {
-	if EvCreated.String() != "created" || EvEjected.String() != "ejected" {
-		t.Error("event names wrong")
-	}
-	if EventKind(9).String() != "EventKind(9)" {
-		t.Error("unknown event name wrong")
 	}
 }

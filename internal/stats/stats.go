@@ -7,13 +7,18 @@
 // [WarmupEnd, MeasureEnd) are counted; everything else (warm-up and
 // drain traffic) still flows through the network but leaves no trace in
 // the averages.  MeasureEnd == 0 means "no upper bound".
+//
+// A Collector only aggregates.  The fabric kernel (router.Kernel) calls
+// its lifecycle methods and reports the same events to the probe's
+// event ring, where observers that need every event — the per-flow
+// FlowTracker here, trace.Writer, the flight recorder — attach as
+// probe taps.
 package stats
 
 import (
 	"fmt"
 
 	"surfbless/internal/packet"
-	"surfbless/internal/probe"
 )
 
 // Domain accumulates metrics for one interference domain.
@@ -62,54 +67,12 @@ func ratio(sum, n int64) float64 {
 	return float64(sum) / float64(n)
 }
 
-// EventKind classifies tracer callbacks.
-type EventKind int
-
-// Tracer event kinds.
-const (
-	EvCreated EventKind = iota
-	EvRefused
-	EvInjected
-	EvEjected
-	EvDropped    // packet discarded after exhausting its retry budget
-	EvRetransmit // packet re-queued at its source after a fault drop
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EvCreated:
-		return "created"
-	case EvRefused:
-		return "refused"
-	case EvInjected:
-		return "injected"
-	case EvEjected:
-		return "ejected"
-	case EvDropped:
-		return "dropped"
-	case EvRetransmit:
-		return "retransmit"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Tracer observes every packet lifecycle event the collector sees
-// (windowed or not).  p is nil for EvRefused.
-//
-//hook:nil-disabled
-type Tracer func(kind EventKind, p *packet.Packet, domain int, now int64)
-
 // Collector gathers per-domain and aggregate statistics for one run.
 type Collector struct {
 	warmupEnd  int64
 	measureEnd int64 // 0 = unbounded
 	domains    []Domain
 	histos     []Histogram // per-domain total-latency histograms (in-window)
-	tracer     Tracer
-	probe      *probe.Probe // nil = no time-series observation
-	flows      *FlowTracker // nil = no per-flow p100 tracking
 
 	// Conservation accounting over the WHOLE run (not windowed), used
 	// by tests to prove no packet is ever lost or duplicated.
@@ -148,21 +111,6 @@ func NewCollector(domains int, warmupEnd, measureEnd int64) *Collector {
 	}
 }
 
-// SetTracer installs a lifecycle observer (nil to remove).
-func (c *Collector) SetTracer(t Tracer) { c.tracer = t }
-
-// SetProbe attaches a time-series probe that receives every lifecycle
-// event the collector sees (nil to remove).  The probe applies the
-// same measurement window as the collector, so its totals reconcile
-// with the Domain aggregates.
-func (c *Collector) SetProbe(p *probe.Probe) { c.probe = p }
-
-// SetFlowTracker attaches a per-flow (src,dst,domain) max-latency
-// tracker (nil to remove).  Unlike the windowed Domain aggregates it
-// sees every delivered packet, warm-up and drain included: the
-// worst-case bounds it is checked against must hold unconditionally.
-func (c *Collector) SetFlowTracker(t *FlowTracker) { c.flows = t }
-
 // InWindow reports whether a packet created at cycle t is measured.
 func (c *Collector) InWindow(t int64) bool {
 	return t >= c.warmupEnd && (c.measureEnd == 0 || t < c.measureEnd)
@@ -198,12 +146,6 @@ func (c *Collector) Created(p *packet.Packet) {
 	}
 	c.AllCreated++
 	c.allByDomain[p.Domain].created++
-	if c.tracer != nil {
-		c.tracer(EvCreated, p, p.Domain, p.CreatedAt)
-	}
-	if c.probe != nil {
-		c.probe.Created(p)
-	}
 	if c.InWindow(p.CreatedAt) {
 		c.domain(p.Domain).Created++
 	}
@@ -213,12 +155,6 @@ func (c *Collector) Created(p *packet.Packet) {
 func (c *Collector) Refused(domain int, now int64) {
 	if !c.domainOK(domain) {
 		return
-	}
-	if c.tracer != nil {
-		c.tracer(EvRefused, nil, domain, now)
-	}
-	if c.probe != nil {
-		c.probe.Refused(domain, now)
 	}
 	if c.InWindow(now) {
 		c.domain(domain).Refused++
@@ -232,12 +168,6 @@ func (c *Collector) Injected(p *packet.Packet) {
 	}
 	c.AllInjected++
 	c.allByDomain[p.Domain].injected++
-	if c.tracer != nil {
-		c.tracer(EvInjected, p, p.Domain, p.InjectedAt)
-	}
-	if c.probe != nil {
-		c.probe.Injected(p)
-	}
 	if c.InWindow(p.CreatedAt) {
 		c.domain(p.Domain).Injected++
 	}
@@ -250,15 +180,6 @@ func (c *Collector) Ejected(p *packet.Packet) {
 	}
 	c.AllEjected++
 	c.allByDomain[p.Domain].ejected++
-	if c.tracer != nil {
-		c.tracer(EvEjected, p, p.Domain, p.EjectedAt)
-	}
-	if c.probe != nil {
-		c.probe.Ejected(p)
-	}
-	if c.flows != nil {
-		c.flows.Observe(p)
-	}
 	if !c.InWindow(p.CreatedAt) {
 		return
 	}
@@ -287,12 +208,6 @@ func (c *Collector) Dropped(p *packet.Packet, now int64) {
 	}
 	c.AllDropped++
 	c.allByDomain[p.Domain].dropped++
-	if c.tracer != nil {
-		c.tracer(EvDropped, p, p.Domain, now)
-	}
-	if c.probe != nil {
-		c.probe.Dropped(p, now)
-	}
 	if c.InWindow(p.CreatedAt) {
 		c.domain(p.Domain).Dropped++
 	}
@@ -304,12 +219,6 @@ func (c *Collector) Dropped(p *packet.Packet, now int64) {
 func (c *Collector) Retransmitted(p *packet.Packet, now int64) {
 	if !c.domainOK(p.Domain) {
 		return
-	}
-	if c.tracer != nil {
-		c.tracer(EvRetransmit, p, p.Domain, now)
-	}
-	if c.probe != nil {
-		c.probe.Retransmitted(p, now)
 	}
 	if c.InWindow(now) {
 		c.domain(p.Domain).Retransmits++

@@ -73,29 +73,9 @@ type Spec struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
-// ParseModel resolves a model name (any case) to its config constant.
-func ParseModel(name string) (config.Model, error) {
-	switch strings.ToUpper(name) {
-	case "WH":
-		return config.WH, nil
-	case "BLESS":
-		return config.BLESS, nil
-	case "SURF":
-		return config.Surf, nil
-	case "SB":
-		return config.SB, nil
-	case "CHIPPER":
-		return config.CHIPPER, nil
-	case "RUNAHEAD":
-		return config.RUNAHEAD, nil
-	default:
-		return 0, fmt.Errorf("sweepsvc: unknown model %q", name)
-	}
-}
-
 // Validate reports the first problem with the spec, or nil.
 func (s Spec) Validate() error {
-	m, err := ParseModel(s.Model)
+	m, err := config.ParseModel(s.Model)
 	if err != nil {
 		return err
 	}
@@ -178,7 +158,7 @@ func (s Spec) Attempts() int {
 // service workers all call it, which is what makes their fingerprints
 // — and therefore their cache entries and CSV rows — interchangeable.
 func (s Spec) Options(rate float64) (sim.Options, error) {
-	m, err := ParseModel(s.Model)
+	m, err := config.ParseModel(s.Model)
 	if err != nil {
 		return sim.Options{}, err
 	}

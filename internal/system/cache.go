@@ -1,11 +1,6 @@
 package system
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"surfbless/internal/simcache"
-)
+import "surfbless/internal/simcache"
 
 // FingerprintVersion tags the canonical Options serialization and the
 // full-system simulator's behaviour (cores, MESI hierarchy, NoC).
@@ -19,37 +14,11 @@ const FingerprintVersion = "surfbless-system-v1"
 // application profile, instruction quota, cycle bound, seed, memory
 // latencies, energy coefficients, wave sets).
 func Fingerprint(o Options) (simcache.Key, error) {
-	payload, err := json.Marshal(o)
-	if err != nil {
-		return simcache.Key{}, fmt.Errorf("system: fingerprint: %w", err)
-	}
-	return simcache.Fingerprint(FingerprintVersion, payload), nil
+	return simcache.KeyOf(FingerprintVersion, o)
 }
 
-// RunCached is Run behind a content-addressed cache, with the same
-// degradation contract as sim.RunCached: nil cache, unserializable
-// options and undecodable entries all fall back to a plain Run.
+// RunCached is Run behind a content-addressed cache, with the
+// degradation contract of simcache.Cached.
 func RunCached(o Options, c *simcache.Cache) (Result, error) {
-	if c == nil {
-		return Run(o)
-	}
-	key, err := Fingerprint(o)
-	if err != nil {
-		return Run(o)
-	}
-	if raw, ok := c.Get(key); ok {
-		var res Result
-		if err := json.Unmarshal(raw, &res); err == nil {
-			return res, nil
-		}
-		c.NoteCorrupt()
-	}
-	res, err := Run(o)
-	if err != nil {
-		return res, err
-	}
-	if raw, err := json.Marshal(res); err == nil {
-		c.Put(key, raw)
-	}
-	return res, nil
+	return simcache.Cached(c, FingerprintVersion, o, func() (Result, error) { return Run(o) })
 }

@@ -19,6 +19,7 @@ import (
 	"surfbless/internal/coherence"
 	"surfbless/internal/config"
 	"surfbless/internal/cpu"
+	"surfbless/internal/dueq"
 	"surfbless/internal/geom"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
@@ -253,18 +254,11 @@ type sys struct {
 	// per-vnet queues so a full data NI queue cannot block control
 	// messages (and vice versa).
 	outbox [][][]*coherence.Msg
-	// loopback delivers node-local messages (L1→own L2 bank) without
-	// touching the network, uniformly across models.
-	loopback []loopMsg
+	// loopback delivers node-local messages (L1→own L2 bank) one cycle
+	// later without touching the network, uniformly across models.
+	loopback dueq.Queue[*coherence.Msg]
 	ids      packet.IDSource
 	now      int64
-
-	inFlightLocal int
-}
-
-type loopMsg struct {
-	at  int64
-	msg *coherence.Msg
 }
 
 func (s *sys) build() {
@@ -300,8 +294,7 @@ func (s *sys) build() {
 func (s *sys) post(m *coherence.Msg, now int64) {
 	if m.From == m.To {
 		// Node-local hop: bypass the network with a one-cycle loopback.
-		s.loopback = append(s.loopback, loopMsg{at: now + 1, msg: m})
-		s.inFlightLocal++
+		s.loopback.Push(m, now+1)
 		return
 	}
 	vn := m.Type.VNet()
@@ -359,20 +352,12 @@ func (s *sys) run() (Result, error) {
 	var execDone int64 = -1
 	for s.now = 0; s.now < s.opt.MaxCycles; s.now++ {
 		now := s.now
-		// Local loopback deliveries due this cycle.  Delivering can post
-		// fresh loopback messages (an L1 fill may evict and write back
-		// to its own bank), so swap the queue out before iterating.
-		if len(s.loopback) > 0 {
-			due := s.loopback
-			s.loopback = nil
-			for _, lm := range due {
-				if lm.at <= now {
-					s.inFlightLocal--
-					s.deliver(lm.msg.To, lm.msg, now)
-				} else {
-					s.loopback = append(s.loopback, lm)
-				}
-			}
+		// Local loopback deliveries due this cycle, in posting order.
+		// Delivering can post fresh loopback messages (an L1 fill may
+		// evict and write back to its own bank); those fall due next
+		// cycle.
+		for m, ok := s.loopback.PopDue(now); ok; m, ok = s.loopback.PopDue(now) {
+			s.deliver(m.To, m, now)
 		}
 		done := true
 		for n, core := range s.cores {
@@ -401,7 +386,7 @@ func (s *sys) run() (Result, error) {
 		Finished:   execDone >= 0,
 		VNets:      make([]stats.Domain, coherence.NumVNets),
 		Total:      s.col.Total(),
-		Energy:     s.meter.Report(max64(execDone, s.now)),
+		Energy:     s.meter.Report(max(execDone, s.now)),
 	}
 	for v := 0; v < coherence.NumVNets; v++ {
 		res.VNets[v] = s.col.Domain(v)
@@ -427,7 +412,7 @@ func (s *sys) run() (Result, error) {
 
 // quiescent reports whether every queue in the system is empty.
 func (s *sys) quiescent() bool {
-	if s.fab.InFlight() != 0 || s.inFlightLocal != 0 {
+	if s.fab.InFlight() != 0 || s.loopback.Len() != 0 {
 		return false
 	}
 	for n := range s.outbox {
@@ -444,11 +429,4 @@ func (s *sys) quiescent() bool {
 		}
 	}
 	return true
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

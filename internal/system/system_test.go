@@ -189,3 +189,16 @@ func TestEnergyOrdering(t *testing.T) {
 			surf.Energy, wh.Energy)
 	}
 }
+
+// TestFingerprintPinned pins a cache key recorded before the key
+// derivation moved into simcache.KeyOf, so entries already on disk
+// under results/.simcache stay reachable.
+func TestFingerprintPinned(t *testing.T) {
+	k, err := Fingerprint(Options{Model: config.SB, App: swaptions(t), InstrPerCore: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "e44611d595a86d767a75d11bfad06aba2841c6846db12af2233a76bc09b69ab9"; k.String() != want {
+		t.Errorf("fingerprint %s, want %s", k, want)
+	}
+}

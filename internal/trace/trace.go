@@ -1,11 +1,14 @@
-// Package trace turns the collector's lifecycle callbacks into a
-// line-oriented packet trace, for debugging schedules and for offline
-// analysis (each line is also valid CSV).
+// Package trace renders a run's event stream for people and tools.
+// Writer is a probe tap that writes the packet lifecycle events as a
+// line-oriented trace, for debugging schedules and for offline
+// analysis (each line is also valid CSV); Perfetto renders the whole
+// stream as Chrome trace JSON.
 //
 // Format, one event per line:
 //
 //	cycle,kind,packet_id,domain,srcX:srcY,dstX:dstY,hops,deflections
 //
+// hops and deflections are the packet's counts as of the event.
 // Refusals have no packet; they log the domain with empty packet
 // fields.  Writing is buffered; call Flush (or Close) when done.
 package trace
@@ -15,44 +18,41 @@ import (
 	"fmt"
 	"io"
 
-	"surfbless/internal/packet"
-	"surfbless/internal/stats"
+	"surfbless/internal/geom"
+	"surfbless/internal/probe"
 )
 
-// Writer streams packet lifecycle events.
+// Writer streams packet lifecycle events.  Attach it to a run's probe
+// as a tap (sim.Options.Taps); it skips router and tick events.
 type Writer struct {
 	bw     *bufio.Writer
 	out    io.Writer
+	mesh   geom.Mesh
 	events int64
-	filter stats.EventKind
-	all    bool
 	closed bool
 	cerr   error
 }
 
-// New returns a Writer emitting every event kind to w.
-func New(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w), out: w, all: true}
+// New returns a Writer for a run on mesh, emitting to w.
+func New(w io.Writer, mesh geom.Mesh) *Writer {
+	return &Writer{bw: bufio.NewWriter(w), out: w, mesh: mesh}
 }
 
-// NewFiltered returns a Writer emitting only the given kind.
-func NewFiltered(w io.Writer, kind stats.EventKind) *Writer {
-	return &Writer{bw: bufio.NewWriter(w), out: w, filter: kind}
-}
-
-// Tracer returns the callback to install with Collector.SetTracer.
-func (t *Writer) Tracer() stats.Tracer {
-	return func(kind stats.EventKind, p *packet.Packet, domain int, now int64) {
-		if !t.all && kind != t.filter {
-			return
+// Consume implements probe.Tap.
+func (t *Writer) Consume(batch []probe.Event) {
+	for i := range batch {
+		e := &batch[i]
+		switch e.Kind {
+		case probe.KindRefused:
+			fmt.Fprintf(t.bw, "%d,%s,,%d,,,,\n", e.Cycle, e.Kind, e.Domain)
+		case probe.KindCreated, probe.KindInjected, probe.KindEjected, probe.KindDropped, probe.KindRetransmit:
+			src, dst := t.mesh.CoordOf(int(e.Src)), t.mesh.CoordOf(int(e.Dst))
+			fmt.Fprintf(t.bw, "%d,%s,%d,%d,%d:%d,%d:%d,%d,%d\n",
+				e.Cycle, e.Kind, e.ID, e.Domain, src.X, src.Y, dst.X, dst.Y, e.Hops, e.Deflections)
+		default:
+			continue
 		}
 		t.events++
-		if p == nil {
-			fmt.Fprintf(t.bw, "%d,%s,,%d,,,,\n", now, kind, domain)
-			return
-		}
-		fmt.Fprintf(t.bw, "%d,%s,%d,%d,%d:%d,%d:%d,%d,%d\n",
-			now, kind, p.ID, domain, p.Src.X, p.Src.Y, p.Dst.X, p.Dst.Y, p.Hops, p.Deflections)
 	}
 }
 

@@ -8,26 +8,29 @@ import (
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
 	"surfbless/internal/packet"
-	"surfbless/internal/power"
-	"surfbless/internal/router/bless"
-	"surfbless/internal/stats"
+	"surfbless/internal/probe"
+	"surfbless/internal/sim"
+	"surfbless/internal/traffic"
 )
 
 func TestLineFormat(t *testing.T) {
 	var sb strings.Builder
-	w := New(&sb)
-	tr := w.Tracer()
-	p := packet.New(7, geom.Coord{X: 1, Y: 2}, geom.Coord{X: 3, Y: 4}, 1, packet.Ctrl, 10)
-	p.Hops = 5
-	p.Deflections = 2
-	tr(stats.EvEjected, p, 1, 42)
-	tr(stats.EvRefused, nil, 0, 43)
+	mesh := geom.NewMesh(4, 5)
+	w := New(&sb, mesh)
+	w.Consume([]probe.Event{
+		{Cycle: 41, Created: 10, ID: 7, Node: 9, Src: -1, Dst: -1, Flits: 1, Domain: 1, Kind: probe.KindLinkBusy},
+		{Cycle: 42, Created: 10, ID: 7, Node: int32(mesh.ID(geom.Coord{X: 3, Y: 4})),
+			Src: int32(mesh.ID(geom.Coord{X: 1, Y: 2})), Dst: int32(mesh.ID(geom.Coord{X: 3, Y: 4})),
+			Flits: 1, Domain: 1, Kind: probe.KindEjected, Hops: 5, Deflections: 2},
+		{Cycle: 42, Node: -1, Src: -1, Dst: -1, Flits: 3, Kind: probe.KindTick},
+		{Cycle: 43, Node: -1, Src: -1, Dst: -1, Domain: 0, Kind: probe.KindRefused},
+	})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("%d lines, want 2", len(lines))
+		t.Fatalf("%d lines, want 2 (router and tick events skipped)", len(lines))
 	}
 	if lines[0] != "42,ejected,7,1,1:2,3:4,5,2" {
 		t.Errorf("ejection line = %q", lines[0])
@@ -44,63 +47,30 @@ func TestLineFormat(t *testing.T) {
 	}
 }
 
-func TestFiltered(t *testing.T) {
-	var sb strings.Builder
-	w := NewFiltered(&sb, stats.EvEjected)
-	tr := w.Tracer()
-	p := packet.New(1, geom.Coord{}, geom.Coord{X: 1, Y: 0}, 0, packet.Ctrl, 0)
-	tr(stats.EvCreated, p, 0, 1)
-	tr(stats.EvInjected, p, 0, 2)
-	tr(stats.EvEjected, p, 0, 3)
-	w.Flush()
-	if w.Events() != 1 {
-		t.Errorf("filtered writer saw %d events, want 1", w.Events())
-	}
-	if !strings.HasPrefix(sb.String(), "3,ejected") {
-		t.Errorf("output = %q", sb.String())
-	}
-}
-
-// End to end: trace a real BLESS run and check event accounting matches
-// the collector's conservation counters.
+// End to end: trace a real BLESS run through a tap and check the event
+// accounting matches the run's statistics.
 func TestTraceRealRun(t *testing.T) {
 	var sb strings.Builder
-	w := New(&sb)
 	cfg := config.Default(config.BLESS)
-	col := stats.NewCollector(1, 0, 0)
-	col.SetTracer(w.Tracer())
-	meter := power.NewMeter(cfg, power.Default45nm())
-	fab, err := bless.New(cfg, nil, col, meter)
+	cfg.Domains = 1
+	w := New(&sb, cfg.Mesh())
+	res, err := sim.Run(sim.Options{
+		Cfg: cfg, Pattern: traffic.UniformRandom, Seed: 3,
+		Sources: []traffic.Source{{Rate: 0.1, Class: packet.Ctrl, VNet: -1}},
+		Measure: 50, Drain: 500,
+		Taps: []probe.Tap{w},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids packet.IDSource
-	mesh := cfg.Mesh()
-	now := int64(0)
-	for cyc := 0; cyc < 50; cyc++ {
-		for node := 0; node < mesh.Nodes(); node += 7 {
-			src := mesh.CoordOf(node)
-			dst := mesh.CoordOf((node + 13) % mesh.Nodes())
-			if src == dst {
-				continue
-			}
-			fab.Inject(node, packet.New(ids.Next(), src, dst, 0, packet.Ctrl, now), now)
-		}
-		fab.Step(now)
-		now++
-	}
-	for i := 0; i < 500 && fab.InFlight() > 0; i++ {
-		fab.Step(now)
-		now++
-	}
 	w.Flush()
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	want := col.AllCreated + col.AllInjected + col.AllEjected
-	if int64(len(lines)) != want {
-		t.Errorf("%d trace lines, want %d (created+injected+ejected)", len(lines), want)
+	tot := res.Total
+	if want := tot.Created + tot.Refused + tot.Injected + tot.Ejected; int64(len(lines)) != want || w.Events() != want {
+		t.Errorf("%d trace lines, %d events, want %d (created+refused+injected+ejected)", len(lines), w.Events(), want)
 	}
-	if int64(strings.Count(sb.String(), ",ejected,")) != col.AllEjected {
-		t.Error("ejection count mismatch")
+	if int64(strings.Count(sb.String(), ",ejected,")) != tot.Ejected || tot.Ejected == 0 {
+		t.Errorf("ejection count mismatch: trace %d, run %d", strings.Count(sb.String(), ",ejected,"), tot.Ejected)
 	}
 }
 
@@ -120,10 +90,8 @@ var errClose = errors.New("disk full")
 
 func TestCloseFlushesAndClosesUnderlying(t *testing.T) {
 	var rec closeRecorder
-	w := New(&rec)
-	p := packet.New(1, geom.Coord{}, geom.Coord{X: 1}, 0, packet.Ctrl, 5)
-	p.EjectedAt = 9
-	w.Tracer()(stats.EvEjected, p, 0, 9)
+	w := New(&rec, geom.NewMesh(2, 2))
+	w.Consume([]probe.Event{{Cycle: 9, Created: 5, ID: 1, Node: 1, Src: 0, Dst: 1, Kind: probe.KindEjected}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +105,13 @@ func TestCloseFlushesAndClosesUnderlying(t *testing.T) {
 
 func TestClosePropagatesError(t *testing.T) {
 	rec := closeRecorder{err: errClose}
-	w := New(&rec)
+	w := New(&rec, geom.NewMesh(2, 2))
 	if err := w.Close(); err != errClose {
 		t.Errorf("Close error = %v, want %v", err, errClose)
 	}
 	// A plain non-Closer writer: Close degrades to Flush.
 	var sb strings.Builder
-	if err := New(&sb).Close(); err != nil {
+	if err := New(&sb, geom.NewMesh(2, 2)).Close(); err != nil {
 		t.Errorf("Close on non-Closer = %v", err)
 	}
 }
@@ -154,7 +122,7 @@ func TestClosePropagatesError(t *testing.T) {
 // error unchanged.
 func TestCloseIdempotent(t *testing.T) {
 	var rec closeRecorder
-	w := New(&rec)
+	w := New(&rec, geom.NewMesh(2, 2))
 	for i := 0; i < 3; i++ {
 		if err := w.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
@@ -166,7 +134,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 	// The sticky error path: every Close reports the same failure.
 	rec2 := closeRecorder{err: errClose}
-	w2 := New(&rec2)
+	w2 := New(&rec2, geom.NewMesh(2, 2))
 	if err := w2.Close(); err != errClose {
 		t.Fatalf("first Close = %v, want %v", err, errClose)
 	}

@@ -8,6 +8,7 @@ import (
 	"surfbless/internal/geom"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
+	"surfbless/internal/probe"
 	"surfbless/internal/router/bless"
 	"surfbless/internal/router/surfbless"
 	"surfbless/internal/stats"
@@ -44,21 +45,25 @@ func TestReplayerRejects(t *testing.T) {
 	}
 }
 
-// The record/replay loop: trace a BLESS run, replay the identical
-// population into an SB fabric, and check every packet is delivered.
+// The record/replay loop: trace a BLESS run through a tap on its event
+// ring, replay the identical population into an SB fabric, and check
+// every packet is delivered.
 func TestRecordReplayRoundTrip(t *testing.T) {
 	// Record.
 	recCfg := config.Default(config.BLESS)
 	recCfg.Domains = 2
 	recCol := stats.NewCollector(2, 0, 0)
 	var buf strings.Builder
-	tw := trace.New(&buf)
-	recCol.SetTracer(tw.Tracer())
+	tw := trace.New(&buf, recCfg.Mesh())
+	events := &probe.Probe{}
+	events.Arm(probe.Config{Mesh: recCfg.Mesh(), Domains: 2})
+	events.AttachTap(tw)
 	recMeter := power.NewMeter(recCfg, power.Default45nm())
 	recFab, err := bless.New(recCfg, nil, recCol, recMeter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recFab.SetProbe(events)
 	gen := New(recCfg.Mesh(), UniformRandom, []Source{
 		{Rate: 0.03, Class: packet.Ctrl, VNet: -1},
 		{Rate: 0.03, Class: packet.Ctrl, VNet: -1},
@@ -71,6 +76,7 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	for ; recFab.InFlight() > 0; now++ {
 		recFab.Step(now)
 	}
+	events.Flush()
 	tw.Flush()
 
 	// Replay into SB.

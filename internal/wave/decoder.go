@@ -70,6 +70,16 @@ func FromSets(smax int, sets [][]int) (*Decoder, error) {
 	return d, nil
 }
 
+// NewDecoder returns the decoder of a fabric with the given domain
+// count: the explicit wave sets of §5.2 when sets is non-nil, else the
+// round-robin assignment of §5.1.
+func NewDecoder(smax, domains int, sets [][]int) (*Decoder, error) {
+	if sets != nil {
+		return FromSets(smax, sets)
+	}
+	return RoundRobin(smax, domains), nil
+}
+
 // computeRuns derives, for each wave, the maximal run of consecutive
 // same-domain waves containing it.  Runs do not wrap around Smax: a
 // window of L slots must fit inside [0, Smax) so that the L flits of a

@@ -255,3 +255,27 @@ func TestEjectionAlignmentByDomainCount(t *testing.T) {
 		}
 	}
 }
+
+// TestNewDecoderPicksAssignment: nil wave sets select the round-robin
+// assignment, explicit sets select FromSets and carry its errors.
+func TestNewDecoderPicksAssignment(t *testing.T) {
+	rr, err := NewDecoder(12, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := NewDecoder(12, 2, [][]int{{0, 1}, {5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 12; w++ {
+		if rr.Domain(w) != w%3 {
+			t.Errorf("round robin: wave %d → domain %d, want %d", w, rr.Domain(w), w%3)
+		}
+	}
+	if sets.Domains() != 2 || sets.Domain(1) != 0 || sets.Domain(5) != 1 || sets.Domain(2) != -1 {
+		t.Errorf("wave sets decoded to %v %v %v", sets.Domain(1), sets.Domain(5), sets.Domain(2))
+	}
+	if _, err := NewDecoder(12, 2, [][]int{{0}, {0}}); err == nil {
+		t.Error("overlapping wave sets accepted")
+	}
+}

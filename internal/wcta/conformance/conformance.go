@@ -14,7 +14,6 @@ import (
 	"surfbless/internal/geom"
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
-	"surfbless/internal/simcache"
 	"surfbless/internal/stats"
 	"surfbless/internal/traffic"
 	"surfbless/internal/wcta"
@@ -92,8 +91,7 @@ func Deterministic(p traffic.Pattern) bool {
 // Check is one conformance experiment: a fabric, a deterministic
 // adversarial traffic pattern, and a simulation budget.
 type Check struct {
-	Cfg        config.Config
-	SlotWidths []int // SB wave-window widths (nil = 1), ignored elsewhere
+	Cfg config.Config
 
 	Pattern traffic.Pattern
 	Sources []traffic.Source
@@ -101,11 +99,6 @@ type Check struct {
 	Measure int64 // cycles of generated traffic
 	Drain   int64 // cycles to let the adversarial backlog deliver
 	Seed    int64
-
-	// Cache is consulted through sim.RunCached; observed runs bypass it
-	// by design (the tracker must actually fill), so this only matters
-	// if observation is ever made replayable.
-	Cache *simcache.Cache
 
 	// Recorder, when non-nil, flight-records the run; if the check then
 	// finds a bound violation (or the run degrades), the recorder's
@@ -195,7 +188,7 @@ func Run(chk Check) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	an, err := wcta.Analyze(chk.Cfg, chk.SlotWidths, fs)
+	an, err := wcta.Analyze(chk.Cfg, nil, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -205,20 +198,19 @@ func Run(chk Check) (*Report, error) {
 		}
 	}
 
-	tracker := stats.NewFlowTracker()
-	res, err := sim.RunCached(sim.Options{
-		Cfg:        chk.Cfg,
-		Pattern:    chk.Pattern,
-		Sources:    chk.Sources,
-		SlotWidths: chk.SlotWidths,
+	tracker := stats.NewFlowTracker(chk.Cfg.Mesh())
+	res, err := sim.Run(sim.Options{
+		Cfg:     chk.Cfg,
+		Pattern: chk.Pattern,
+		Sources: chk.Sources,
 		// No warm-up: a latency bound has no warm-up exemption, and the
 		// tracker observes every delivered packet regardless of window.
 		Measure:  chk.Measure,
 		Drain:    chk.Drain,
 		Seed:     chk.Seed,
-		Flows:    tracker,
+		Taps:     []probe.Tap{tracker},
 		Recorder: chk.Recorder,
-	}, chk.Cache)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -57,14 +57,9 @@ type epochResult struct {
 func sbBounds(cfg config.Config, slotWidths []int, fs FlowSet) ([]Bound, error) {
 	mesh := cfg.Mesh()
 	sched := wave.New(mesh, cfg.HopDelay())
-	var dec *wave.Decoder
-	if cfg.WaveSets != nil {
-		var err error
-		if dec, err = wave.FromSets(sched.Smax(), cfg.WaveSets); err != nil {
-			return nil, err
-		}
-	} else {
-		dec = wave.RoundRobin(sched.Smax(), cfg.Domains)
+	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	if err != nil {
+		return nil, err
 	}
 	if slotWidths == nil {
 		slotWidths = make([]int, cfg.Domains)

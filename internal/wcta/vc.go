@@ -41,14 +41,9 @@ func vcBounds(cfg config.Config, fs FlowSet, confined bool) []Bound {
 // vcBoundsGated derives bounds for Surf: confined interference plus
 // per-flit wave gating on every non-local output port.
 func vcBoundsGated(cfg config.Config, fs FlowSet) ([]Bound, error) {
-	var dec *wave.Decoder
-	if cfg.WaveSets != nil {
-		var err error
-		if dec, err = wave.FromSets(cfg.Smax(), cfg.WaveSets); err != nil {
-			return nil, err
-		}
-	} else {
-		dec = wave.RoundRobin(cfg.Smax(), cfg.Domains)
+	dec, err := wave.NewDecoder(cfg.Smax(), cfg.Domains, cfg.WaveSets)
+	if err != nil {
+		return nil, err
 	}
 	return vcAnalyze(cfg, fs, true, dec), nil
 }
