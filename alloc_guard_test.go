@@ -27,8 +27,8 @@ type allocHarness struct {
 
 // newAllocHarness builds a warmed 8×8 fabric at moderate load with the
 // packet free list armed, as sim.Run arms it.  A non-nil p is wired as
-// the fabric and collector probe before warm-up, so the event ring,
-// interval series and heatmaps all reach working capacity too.
+// the fabric's event ring before warm-up, so the ring and its taps all
+// reach working capacity too.
 // shards > 1 steps the mesh as that many parallel tiles.
 func newAllocHarness(tb testing.TB, model config.Model, warmup int64, p *probe.Probe, shards int) *allocHarness {
 	tb.Helper()
@@ -139,11 +139,14 @@ func TestStepNoAlloc(t *testing.T) {
 }
 
 // TestStepNoAllocProbed extends the zero-allocation guarantee to fully
-// observed stepping (DESIGN.md §15): an armed probe with a bounded
-// measurement window — so Arm preallocates every interval bucket and
-// ring segment — plus a flight-recorder tap must not add a single
-// allocation to steady-state cycles.  Covers the gated fabrics; the
-// probe code paths are model-independent.
+// observed stepping (DESIGN.md §15): an event ring feeding a Series
+// with a bounded measurement window — so Arm preallocates every ring
+// segment and interval bucket — plus a flight recorder must not add a
+// single allocation to steady-state cycles.  The taps are reached only
+// through the Tap interface, which the hotalloc analyzer does not
+// follow, so this exact guard is what keeps the Series' fold
+// allocation-free.  Covers the gated fabrics; the probe code paths are
+// model-independent.
 func TestStepNoAllocProbed(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -155,8 +158,8 @@ func TestStepNoAllocProbed(t *testing.T) {
 			// MeasureEnd bounds the run so the interval series is fully
 			// preallocated at Arm; it comfortably exceeds the warm-up
 			// attempt budget below (600 × 500 cycles + warm-up).
-			p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: 400_000})
-			p.AttachTap(probe.NewFlightRecorder(0))
+			p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, WarmupEnd: 0, MeasureEnd: 400_000},
+				probe.NewSeries(100), probe.NewFlightRecorder(0))
 			h := newAllocHarness(t, model, 3000, p, 1)
 			streak := 0
 			for attempt := 0; streak < 10; attempt++ {

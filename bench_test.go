@@ -219,10 +219,6 @@ func BenchmarkAblationMeshSweep(b *testing.B) {
 
 // --- Micro-benchmarks of the simulator core ---
 
-func benchFabricCycles(b *testing.B, model config.Model) {
-	benchFabric(b, model, false)
-}
-
 // benchWarmup is the unmeasured lead-in that grows every scratch
 // buffer, link queue and free-list slot to working capacity, so the
 // timed loop measures pure steady-state stepping (DESIGN.md §12).
@@ -236,14 +232,13 @@ var benchSources = []traffic.Source{
 }
 
 // benchFabric drives one fabric for b.N cycles after a warm-up, with
-// the packet free list armed as sim.Run arms it; allocs/op is reported and expected to be 0 — TestStepNoAlloc asserts
-// the same property exactly.  The timed loop runs gen.Tick as well as
-// Step, so ns/op is a whole cycle — generation plus stepping
-// (BenchmarkTick times generation alone).  With probed set it arms an
-// interval probe first, so the *Probed variants measure the
-// observability layer's hot-path overhead against their plain twins
-// (the probe-off path must stay within noise of the seed timings).
-func benchFabric(b *testing.B, model config.Model, probed bool) {
+// the packet free list armed as sim.Run arms it; allocs/op is reported
+// and expected to be 0 — TestStepNoAlloc asserts the same property
+// exactly.  The timed loop runs gen.Tick as well as Step, so ns/op is a
+// whole cycle — generation plus stepping (BenchmarkTick times
+// generation alone).  The observed path's cost is measured by the
+// interleaved Overhead rigs below.
+func benchFabric(b *testing.B, model config.Model) {
 	cfg := config.Default(model)
 	cfg.Domains = 2
 	col := stats.NewCollector(2, 0, 0)
@@ -253,58 +248,33 @@ func benchFabric(b *testing.B, model config.Model, probed bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var p *probe.Probe
-	if probed {
-		p = &probe.Probe{}
-		p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
-		fab.SetProbe(p)
-	}
 	gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
 	gen.SetFreeList(fl)
 	now := int64(0)
 	for ; now < benchWarmup; now++ {
 		gen.Tick(fab, now)
 		fab.Step(now)
-		if probed {
-			p.Tick(now, fab.InFlight())
-		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for end := now + int64(b.N); now < end; now++ {
 		gen.Tick(fab, now)
 		fab.Step(now)
-		if probed {
-			p.Tick(now, fab.InFlight())
-		}
 	}
 	b.ReportMetric(float64(cfg.Nodes()), "routers/cycle")
 }
 
 // BenchmarkStepSB measures simulated SB cycles per second at 0.05 load.
-func BenchmarkStepSB(b *testing.B) { benchFabricCycles(b, config.SB) }
+func BenchmarkStepSB(b *testing.B) { benchFabric(b, config.SB) }
 
 // BenchmarkStepBLESS measures simulated BLESS cycles per second.
-func BenchmarkStepBLESS(b *testing.B) { benchFabricCycles(b, config.BLESS) }
+func BenchmarkStepBLESS(b *testing.B) { benchFabric(b, config.BLESS) }
 
 // BenchmarkStepWH measures simulated WH cycles per second.
-func BenchmarkStepWH(b *testing.B) { benchFabricCycles(b, config.WH) }
+func BenchmarkStepWH(b *testing.B) { benchFabric(b, config.WH) }
 
 // BenchmarkStepSurf measures simulated Surf cycles per second.
-func BenchmarkStepSurf(b *testing.B) { benchFabricCycles(b, config.Surf) }
-
-// BenchmarkStepSBProbed is BenchmarkStepSB with a 100-cycle interval
-// probe armed, collecting time series and heatmaps while stepping.
-func BenchmarkStepSBProbed(b *testing.B) { benchFabric(b, config.SB, true) }
-
-// BenchmarkStepBLESSProbed is BenchmarkStepBLESS with a probe armed.
-func BenchmarkStepBLESSProbed(b *testing.B) { benchFabric(b, config.BLESS, true) }
-
-// BenchmarkStepWHProbed is BenchmarkStepWH with a probe armed.
-func BenchmarkStepWHProbed(b *testing.B) { benchFabric(b, config.WH, true) }
-
-// BenchmarkStepSurfProbed is BenchmarkStepSurf with a probe armed.
-func BenchmarkStepSurfProbed(b *testing.B) { benchFabric(b, config.Surf, true) }
+func BenchmarkStepSurf(b *testing.B) { benchFabric(b, config.Surf) }
 
 // benchFabricGiant drives one fabric on a 32×32 mesh (16× the paper's
 // node count) for b.N cycles after the standard warm-up, optionally
@@ -365,7 +335,8 @@ func BenchmarkStepSurfGiant(b *testing.B) { benchFabricGiant(b, config.Surf, 1) 
 func BenchmarkStepSurfGiantSharded(b *testing.B) { benchFabricGiant(b, config.Surf, 4) }
 
 // benchStepOverhead measures the probe's hot-path cost as a ratio: it
-// builds twin rigs — one probed, one not — and steps them in
+// builds twin rigs — one probed (an event ring feeding a 100-cycle
+// probe.Series), one not — and steps them in
 // alternating short chunks, reporting the median per-pair
 // probed/unprobed wall-time as the "probed/unprobed" metric.  Both
 // sides' chunks include gen.Tick, so the ratio is over whole cycles.
@@ -396,7 +367,8 @@ func benchStepOverhead(b *testing.B, model config.Model) {
 		r := &rig{fab: fab}
 		if probed {
 			r.p = &probe.Probe{}
-			r.p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)})
+			r.p.Arm(probe.Config{Mesh: cfg.Mesh(), Domains: 2, WarmupEnd: 0, MeasureEnd: benchWarmup + int64(b.N)},
+				probe.NewSeries(100))
 			fab.SetProbe(r.p)
 		}
 		r.gen = traffic.New(cfg.Mesh(), traffic.UniformRandom, benchSources, 1)
@@ -504,10 +476,10 @@ func BenchmarkExtensionPatterns(b *testing.B) {
 }
 
 // BenchmarkStepCHIPPER measures simulated CHIPPER cycles per second.
-func BenchmarkStepCHIPPER(b *testing.B) { benchFabricCycles(b, config.CHIPPER) }
+func BenchmarkStepCHIPPER(b *testing.B) { benchFabric(b, config.CHIPPER) }
 
 // BenchmarkStepRUNAHEAD measures simulated Runahead cycles per second.
-func BenchmarkStepRUNAHEAD(b *testing.B) { benchFabricCycles(b, config.RUNAHEAD) }
+func BenchmarkStepRUNAHEAD(b *testing.B) { benchFabric(b, config.RUNAHEAD) }
 
 // tickSink is a network.Fabric that accepts every offer and recycles
 // the packet at once, so BenchmarkTick times generation alone.

@@ -15,11 +15,10 @@
 // Probe-overhead gate: a BenchmarkStep<M>Overhead entry reporting a
 // "probed/unprobed" metric (the interleaved twin-rig benchmark, robust
 // to machine drift) contributes that metric to the report's
-// probe_overhead map; absent one, a BenchmarkStep<M> /
-// BenchmarkStep<M>Probed pair contributes its ns/op ratio.  -gate-probe
-// MAX additionally enforces the observability budget: SB, WH and Surf
-// must all have a measured ratio and every ratio must stay ≤ MAX, or
-// the command exits 1 — this is what `make probe-overhead` runs in CI.
+// probe_overhead map.  -gate-probe MAX additionally enforces the
+// observability budget: SB, WH and Surf must all have a measured ratio
+// and every ratio must stay ≤ MAX, or the command exits 1 — this is
+// what `make probe-overhead` runs in CI.
 package main
 
 import (
@@ -49,8 +48,8 @@ type Report struct {
 	GoVersion  string            `json:"go_version"`
 	Env        map[string]string `json:"env,omitempty"` // goos, goarch, pkg, cpu
 	Benchmarks []Bench           `json:"benchmarks"`
-	// ProbeOverhead maps each fabric with both a plain and a Probed
-	// Step benchmark to probed/unprobed ns-per-op.
+	// ProbeOverhead maps each fabric with a BenchmarkStep<M>Overhead
+	// entry to its interleaved probed/unprobed ratio.
 	ProbeOverhead map[string]float64 `json:"probe_overhead,omitempty"`
 }
 
@@ -106,27 +105,11 @@ func main() {
 	}
 }
 
-// probeOverhead returns probed/unprobed Step ratios keyed by model.
-// A BenchmarkStep<M>Overhead entry's "probed/unprobed" metric (the
-// interleaved twin-rig measurement) wins; a BenchmarkStep<M> /
-// BenchmarkStep<M>Probed ns-per-op pair fills in models without one.
+// probeOverhead returns probed/unprobed Step ratios keyed by model:
+// the "probed/unprobed" metric of each BenchmarkStep<M>Overhead entry
+// (the interleaved twin-rig measurement).
 func probeOverhead(benches []Bench) map[string]float64 {
-	ns := map[string]float64{}
-	for _, b := range benches {
-		ns[b.Name] = b.NsPerOp
-	}
 	ratios := map[string]float64{}
-	for name, probed := range ns {
-		model, ok := strings.CutSuffix(name, "Probed")
-		if !ok {
-			continue
-		}
-		plain, ok := ns[model]
-		if !ok || plain <= 0 {
-			continue
-		}
-		ratios[strings.TrimPrefix(model, "BenchmarkStep")] = probed / plain
-	}
 	for _, b := range benches {
 		model, ok := strings.CutSuffix(b.Name, "Overhead")
 		if !ok {
@@ -151,7 +134,7 @@ func gateProbe(ratios map[string]float64, maxRatio float64, w io.Writer) error {
 	for _, m := range gatedModels {
 		r, ok := ratios[m]
 		if !ok {
-			return fmt.Errorf("gate-probe: no BenchmarkStep%s / BenchmarkStep%sProbed pair in the input", m, m)
+			return fmt.Errorf("gate-probe: no BenchmarkStep%sOverhead probed/unprobed ratio in the input", m)
 		}
 		fmt.Fprintf(w, "benchjson: probe overhead %-5s %.3fx (budget %.2fx)\n", m, r, maxRatio)
 		if r > maxRatio {

@@ -46,40 +46,26 @@ func TestHeaderLine(t *testing.T) {
 func TestProbeOverhead(t *testing.T) {
 	benches := []Bench{
 		{Name: "BenchmarkStepSB", NsPerOp: 5000},
-		{Name: "BenchmarkStepSBProbed", NsPerOp: 5250},
-		{Name: "BenchmarkStepWH", NsPerOp: 4000},
-		{Name: "BenchmarkStepWHProbed", NsPerOp: 4200},
-		{Name: "BenchmarkStepSurf", NsPerOp: 3000},
-		{Name: "BenchmarkStepSurfProbed", NsPerOp: 3600},
-		{Name: "BenchmarkStepBLESS", NsPerOp: 2000}, // no Probed pair
+		{Name: "BenchmarkStepSBOverhead", NsPerOp: 5100,
+			Metrics: map[string]float64{"probed/unprobed": 1.02, "routers/cycle": 64}},
+		{Name: "BenchmarkStepWHOverhead", NsPerOp: 4200,
+			Metrics: map[string]float64{"probed/unprobed": 1.05}},
+		{Name: "BenchmarkStepSurfOverhead", NsPerOp: 3600,
+			Metrics: map[string]float64{"probed/unprobed": 1.2}},
+		{Name: "BenchmarkStepCHIPPEROverhead", NsPerOp: 7000,
+			Metrics: map[string]float64{"routers/cycle": 64}}, // no ratio metric
 		{Name: "BenchmarkSystemCycle", NsPerOp: 999},
 	}
 	ratios := probeOverhead(benches)
-	for model, want := range map[string]float64{"SB": 1.05, "WH": 1.05, "Surf": 1.2} {
-		if got := ratios[model]; got < want-1e-9 || got > want+1e-9 {
+	for model, want := range map[string]float64{"SB": 1.02, "WH": 1.05, "Surf": 1.2} {
+		if got := ratios[model]; got != want {
 			t.Errorf("ratio[%s] = %v, want %v", model, got, want)
 		}
 	}
-	if _, ok := ratios["BLESS"]; ok {
-		t.Error("unpaired BLESS got a ratio")
+	if len(ratios) != 3 {
+		t.Errorf("ratios %v, want exactly SB, WH and Surf", ratios)
 	}
-
-	// An interleaved Overhead benchmark's probed/unprobed metric beats
-	// the ns/op pair ratio for the same model.
-	withOverhead := append(benches,
-		Bench{Name: "BenchmarkStepSBOverhead", NsPerOp: 5100,
-			Metrics: map[string]float64{"probed/unprobed": 1.02, "routers/cycle": 64}},
-		Bench{Name: "BenchmarkStepCHIPPEROverhead", NsPerOp: 7000,
-			Metrics: map[string]float64{"routers/cycle": 64}}, // no ratio metric
-	)
-	mixed := probeOverhead(withOverhead)
-	if got := mixed["SB"]; got != 1.02 {
-		t.Errorf("SB ratio = %v, want the interleaved 1.02 over the 1.05 pair", got)
-	}
-	if got := mixed["WH"]; got < 1.05-1e-9 || got > 1.05+1e-9 {
-		t.Errorf("WH ratio = %v, want the 1.05 pair fallback", got)
-	}
-	if _, ok := mixed["CHIPPER"]; ok {
+	if _, ok := ratios["CHIPPER"]; ok {
 		t.Error("Overhead entry without a probed/unprobed metric got a ratio")
 	}
 
@@ -91,8 +77,9 @@ func TestProbeOverhead(t *testing.T) {
 		t.Errorf("Surf at 1.2x passed a 1.10x gate: %v", err)
 	}
 	delete(ratios, "WH")
-	if err := gateProbe(ratios, 1.25, io.Discard); err == nil {
-		t.Error("missing WH pair passed the gate")
+	err = gateProbe(ratios, 1.25, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkStepWHOverhead") {
+		t.Errorf("missing WH ratio: gate error %v, want one naming BenchmarkStepWHOverhead", err)
 	}
 }
 

@@ -13,8 +13,9 @@
 // back with -from FILE instead of recording).
 //
 // -flight FILE switches to forensic mode: FILE is a flight-recorder
-// dump (probe.FlightDump JSON, produced automatically on watchdog
-// trips, degraded runs and WCTA conformance violations) and replay
+// dump (probe.FlightDump JSON, written by whoever tapped the failed run
+// with a recorder: `sweep -flight-dir` for points that degrade, the
+// experiments' WCTA stage for conformance violations) and replay
 // renders it as a cycle-ordered event timeline — what every router and
 // NI did in the final cycles before the failure.
 package main
@@ -175,7 +176,7 @@ func recordRun(model config.Model, domains int, rate float64, cycles, seed int64
 	cfg := config.Default(model)
 	cfg.Domains = domains
 	var buf strings.Builder
-	tw := trace.New(&buf, cfg.Mesh())
+	tw := trace.New(&buf)
 	sources := make([]traffic.Source, domains)
 	for i := range sources {
 		sources[i] = traffic.Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}

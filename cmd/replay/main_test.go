@@ -18,7 +18,8 @@ import (
 )
 
 // degradedDump produces a real flight dump: a WH run wedged by a
-// killed link until the watchdog trips, with a recorder attached.
+// killed link until the watchdog trips, tapped by a recorder that is
+// dumped from the DegradedError the way cmd/sweep -flight-dir does.
 func degradedDump(t *testing.T) *probe.FlightDump {
 	t.Helper()
 	cfg := config.Default(config.WH)
@@ -40,19 +41,17 @@ func degradedDump(t *testing.T) *probe.FlightDump {
 		Seed:               3,
 		WatchdogNoProgress: 3000,
 		WatchdogMaxAge:     -1,
-		Recorder:           rec,
+		Taps:               []probe.Tap{rec},
 	})
 	var de *sim.DegradedError
 	if !errors.As(err, &de) {
 		t.Fatalf("expected DegradedError, got %v", err)
 	}
-	if de.Flight == nil {
-		t.Fatal("DegradedError carries no flight dump despite an armed recorder")
-	}
-	if len(de.Flight.Events) == 0 {
+	d := rec.Dump(de.Reason, de.Cycle, cfg.Model.String(), cfg.Mesh(), cfg.Domains)
+	if len(d.Events) == 0 {
 		t.Fatal("flight dump holds no events")
 	}
-	return de.Flight
+	return d
 }
 
 // TestFlightDumpRoundTrip is the acceptance path: a degraded run's

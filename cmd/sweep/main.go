@@ -65,9 +65,9 @@
 // suffix so points do not interleave); -spans FILE writes a Chrome
 // trace (Perfetto) JSON per point the same way — load it at
 // https://ui.perfetto.dev to see every packet's hop-by-hop timeline.
-// -probe-dir DIR attaches a probe to every point and writes
+// -probe-dir DIR taps every point with a probe.Series and writes its
 // per-interval time-series JSONL and heatmap CSV files there.
-// -flight-dir DIR arms a flight recorder on every point: a point that
+// -flight-dir DIR taps every point with a flight recorder: a point that
 // degrades (watchdog, recovered invariant) dumps its last cycles of
 // events there for `replay -flight`.  Traced, probed, span-exported or
 // recorded points always simulate — the result cache and the
@@ -445,8 +445,8 @@ type pointFiles struct {
 // attach arms one attempt of the point at rate.  Every file it opens is
 // closed by the returned finish whatever the run's outcome, so a failed
 // or timed-out attempt still leaves a complete trace and a loadable
-// span file; the probe export and the flight dump follow only for a run
-// that produced a row.
+// span file; the series export and the flight dump follow only for a
+// run that produced a row, the dump only when that run degraded.
 func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, error) {
 	// Shards is fingerprint-exempt, so cache and journal keys are
 	// unchanged.
@@ -465,7 +465,7 @@ func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, err
 			return nil, err
 		}
 		fmt.Fprintln(fh, trace.Header())
-		tw := trace.New(fh, o.Cfg.Mesh())
+		tw := trace.New(fh)
 		o.Taps = append(o.Taps, tw)
 		files = append(files, tw)
 	}
@@ -475,19 +475,21 @@ func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, err
 			closeFiles() //nolint:errcheck // the create error is the one to report
 			return nil, err
 		}
-		pf := trace.NewPerfetto(fh, o.Cfg.Mesh())
+		pf := trace.NewPerfetto(fh)
 		o.Taps = append(o.Taps, pf)
 		files = append(files, pf)
 	}
-	var p *probe.Probe
+	var series *probe.Series
 	if f.probeDir != "" {
-		p = &probe.Probe{}
-		o.Probe = p
-		o.ProbeEvery = f.probeEvery
+		series = probe.NewSeries(f.probeEvery)
+		o.Taps = append(o.Taps, series)
 	}
+	var rec *probe.FlightRecorder
 	if f.flightDir != "" {
-		o.Recorder = probe.NewFlightRecorder(0)
+		rec = probe.NewFlightRecorder(0)
+		o.Taps = append(o.Taps, rec)
 	}
+	cfg := o.Cfg
 	return func(runErr error) error {
 		cerr := closeFiles()
 		var de *sim.DegradedError
@@ -497,19 +499,20 @@ func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, err
 		if cerr != nil {
 			return cerr
 		}
-		if de != nil && de.Flight != nil && f.flightDir != "" {
+		if de != nil && rec != nil {
 			path := filepath.Join(f.flightDir, fmt.Sprintf("sweep_%v_r%.3f.flight.json", f.model, rate))
-			if err := exportFile(path, de.Flight.WriteJSON); err != nil {
+			d := rec.Dump(de.Reason, de.Cycle, cfg.Model.String(), cfg.Mesh(), cfg.Domains)
+			if err := probe.WriteFile(path, d.WriteJSON); err != nil {
 				return err
 			}
 			fmt.Fprintf(f.stderr, "sweep: rate %.3f degraded — flight dump: %s\n", rate, path)
 		}
-		if p != nil {
+		if series != nil {
 			base := fmt.Sprintf("%v_r%.3f", f.model, rate)
-			if err := exportFile(filepath.Join(f.probeDir, "sweep_ts_"+base+".jsonl"), p.WriteTimeSeriesJSONL); err != nil {
+			if err := probe.WriteFile(filepath.Join(f.probeDir, "sweep_ts_"+base+".jsonl"), series.WriteTimeSeriesJSONL); err != nil {
 				return err
 			}
-			if err := exportFile(filepath.Join(f.probeDir, "sweep_heat_"+base+".csv"), p.WriteHeatmapCSV); err != nil {
+			if err := probe.WriteFile(filepath.Join(f.probeDir, "sweep_heat_"+base+".csv"), series.WriteHeatmapCSV); err != nil {
 				return err
 			}
 		}
@@ -534,21 +537,4 @@ func (l *lockedWriter) Write(b []byte) (int, error) {
 func suffixed(path string, rate float64) string {
 	ext := filepath.Ext(path)
 	return strings.TrimSuffix(path, ext) + fmt.Sprintf("_r%.3f", rate) + ext
-}
-
-// exportFile streams one probe exporter into path.
-func exportFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("%s: %w", path, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("%s: %w", path, cerr)
-	}
-	return nil
 }

@@ -434,3 +434,43 @@ func TestSweepSpansSurviveTimeout(t *testing.T) {
 		t.Fatalf("timed-out point's span file (%d bytes) is not valid Chrome trace JSON: %v", len(raw), err)
 	}
 }
+
+// A point that degrades under -flight-dir leaves a replayable dump of
+// its final cycles: two frozen routers wedge WH until the watchdog
+// trips, and the point's finish hook dumps the recorder that tapped
+// the run.
+func TestSweepFlightDir(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "plan.json")
+	err := os.WriteFile(plan, []byte(`{"Events":[{"Kind":"router-freeze","Node":27,"At":0},{"Kind":"router-freeze","Node":36,"At":0}]}`), 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flightDir := filepath.Join(dir, "flight")
+	stdout, stderr, code := runSweep(t, []string{
+		"-model", "WH", "-faults", plan, "-from", "0.3", "-to", "0.3",
+		"-cycles", "3000", "-seed", "1", "-no-cache", "-flight-dir", flightDir,
+	})
+	if code != 0 || !strings.Contains(stdout, "degraded") {
+		t.Fatalf("want a degraded row, exit %d; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	path := filepath.Join(flightDir, "sweep_WH_r0.300.flight.json")
+	if !strings.Contains(stderr, "flight dump: "+path) {
+		t.Errorf("stderr does not name the dump %s:\n%s", path, stderr)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	d, err := probe.ReadFlightDump(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Events) == 0 {
+		t.Error("flight dump holds no events")
+	}
+	if !strings.Contains(d.Reason, "fault-wedge") {
+		t.Errorf("dump reason %q does not name the fault wedge", d.Reason)
+	}
+}

@@ -1,15 +1,16 @@
 // Tracing: tap a simulation's event stream with a packet-lifecycle
-// trace writer, a span exporter and a custom latency tap, analyze one
-// packet's journey and sketch the run's time series from an interval
-// probe — useful for understanding how waves, deflections and the
+// trace writer, a span exporter, an interval series and a custom
+// latency tap, analyze one packet's journey and sketch the run's time
+// series — useful for understanding how waves, deflections and the
 // old-first policy interact.  The trace is CSV; pipe it into your
-// favourite tooling.
+// favourite tooling.  Everything stays in memory: the example leaves
+// no file behind.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"surfbless/internal/config"
@@ -23,13 +24,15 @@ import (
 
 // latencies is a custom tap: it rebuilds each domain's total-latency
 // histogram from the ejection events, which carry both the creation
-// and the ejection cycle.
-type latencies []stats.Histogram
+// and the ejection cycle.  Arm sizes it for the run's domains.
+type latencies struct{ hist []stats.Histogram }
 
-func (l latencies) Consume(batch []probe.Event) {
+func (l *latencies) Arm(cfg probe.Config) { l.hist = make([]stats.Histogram, cfg.Domains) }
+
+func (l *latencies) Consume(batch []probe.Event) {
 	for _, e := range batch {
 		if e.Kind == probe.KindEjected {
-			l[e.Domain].Add(e.Cycle - e.Created)
+			l.hist[e.Domain].Add(e.Cycle - e.Created)
 		}
 	}
 }
@@ -41,21 +44,18 @@ func main() {
 	// Every observer taps the run's one event stream.  The trace writer
 	// logs each packet lifecycle event as a CSV line.
 	var buf strings.Builder
-	tw := trace.New(&buf, cfg.Mesh())
+	tw := trace.New(&buf)
 
 	// A Chrome-trace exporter taps the same stream: every hop and
 	// packet life becomes a timeline slice loadable in
 	// https://ui.perfetto.dev (one simulated cycle = 1 µs of trace time).
-	spans, err := os.CreateTemp("", "surfbless_spans_*.json")
-	if err != nil {
-		log.Fatal(err)
-	}
-	pf := trace.NewPerfetto(spans, cfg.Mesh())
-	lat := make(latencies, cfg.Domains)
+	var spans bytes.Buffer
+	pf := trace.NewPerfetto(&spans)
+	lat := &latencies{}
 
-	// The probe folds the same events into 200-cycle intervals instead
+	// A series folds the same events into 200-cycle intervals instead
 	// of logging them line by line, plus spatial heatmaps.
-	p := &probe.Probe{}
+	series := probe.NewSeries(200)
 	sources := make([]traffic.Source, cfg.Domains)
 	for i := range sources {
 		sources[i] = traffic.Source{Rate: 0.02, Class: packet.Ctrl, VNet: -1}
@@ -63,8 +63,7 @@ func main() {
 	res, err := sim.Run(sim.Options{
 		Cfg: cfg, Pattern: traffic.UniformRandom, Sources: sources, Seed: 7,
 		Measure: 2000, Drain: 1 << 20,
-		Probe: p, ProbeEvery: 200,
-		Taps: []probe.Tap{tw, pf, lat},
+		Taps: []probe.Tap{tw, pf, series, lat},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +76,7 @@ func main() {
 	}
 
 	fmt.Printf("traced %d events over %d cycles\n\n", tw.Events(), res.Cycles)
-	fmt.Printf("chrome trace: %d spans in %s (load at https://ui.perfetto.dev)\n\n", pf.Events(), spans.Name())
+	fmt.Printf("chrome trace: %d spans, %d bytes (save them to a file and load it at https://ui.perfetto.dev)\n\n", pf.Events(), spans.Len())
 	fmt.Println(trace.Header())
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	for _, l := range lines[:10] {
@@ -103,12 +102,12 @@ func main() {
 
 	// Per-domain tail latency from the latency tap's histograms.
 	fmt.Println()
-	for d := range lat {
-		fmt.Printf("domain %d latency: %v\n", d, &lat[d])
+	for d := range lat.hist {
+		fmt.Printf("domain %d latency: %v\n", d, &lat.hist[d])
 	}
 
-	// The probe's sparkline digest: injections, ejections, latency and
+	// The series' sparkline digest: injections, ejections, latency and
 	// occupancy per 200-cycle interval, one block per domain.
 	fmt.Println()
-	fmt.Println(p.Summary())
+	fmt.Println(series.Summary())
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -15,8 +14,8 @@ import (
 )
 
 // Fig5Probe re-runs the §5.1.1 confined-interference experiment with a
-// probe attached, producing the time-resolved view behind Fig. 5: for
-// BLESS and SB at every interference rate it writes
+// probe.Series tapping every run, producing the time-resolved view
+// behind Fig. 5: for BLESS and SB at every interference rate it writes
 //
 //	fig5_ts_<model>_r<rate>.jsonl    per-interval, per-domain time series
 //	fig5_heat_<model>_r<rate>.csv    per-router / per-link heatmap
@@ -33,7 +32,7 @@ import (
 // directly in https://ui.perfetto.dev; per-packet tracks show every
 // hop, with deflections flagged in the slice names.
 //
-// Probed runs are never served from the result cache (the probe needs
+// Tapped runs are never served from the result cache (the series needs
 // the real simulation), so expect this to cost two full sweeps.
 func Fig5Probe(sc Scale, every int64, dir string) error {
 	if err := sc.Validate(); err != nil {
@@ -48,7 +47,7 @@ func Fig5Probe(sc Scale, every int64, dir string) error {
 		for _, rate := range Fig5Rates {
 			cfg := config.Default(model)
 			cfg.Domains = 2
-			p := &probe.Probe{}
+			series := probe.NewSeries(every)
 			opts := sim.Options{
 				Cfg:     cfg,
 				Pattern: traffic.UniformRandom,
@@ -57,9 +56,8 @@ func Fig5Probe(sc Scale, every int64, dir string) error {
 					{Rate: rate, Class: packet.Ctrl, VNet: -1},
 				},
 				Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-				Seed:       sc.Seed,
-				Probe:      p,
-				ProbeEvery: every,
+				Seed: sc.Seed,
+				Taps: []probe.Tap{series},
 			}
 			base := fmt.Sprintf("%v_r%.2f", model, rate)
 			var pf *trace.Perfetto
@@ -68,8 +66,8 @@ func Fig5Probe(sc Scale, every int64, dir string) error {
 				if err != nil {
 					return err
 				}
-				pf = trace.NewPerfetto(f, cfg.Mesh())
-				opts.Taps = []probe.Tap{pf}
+				pf = trace.NewPerfetto(f)
+				opts.Taps = append(opts.Taps, pf)
 			}
 			_, err := runSim(opts)
 			if pf != nil {
@@ -80,31 +78,13 @@ func Fig5Probe(sc Scale, every int64, dir string) error {
 			if err != nil {
 				return fmt.Errorf("fig5 probe %v interference %.2f: %w", model, rate, err)
 			}
-			if err := writeFile(filepath.Join(dir, "fig5_ts_"+base+".jsonl"), p.WriteTimeSeriesJSONL); err != nil {
+			if err := probe.WriteFile(filepath.Join(dir, "fig5_ts_"+base+".jsonl"), series.WriteTimeSeriesJSONL); err != nil {
 				return err
 			}
-			if err := writeFile(filepath.Join(dir, "fig5_heat_"+base+".csv"), p.WriteHeatmapCSV); err != nil {
+			if err := probe.WriteFile(filepath.Join(dir, "fig5_heat_"+base+".csv"), series.WriteHeatmapCSV); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// writeFile streams one exporter into path, propagating the first
-// error from either the exporter or the file.
-func writeFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("%s: %w", path, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("%s: %w", path, cerr)
 	}
 	return nil
 }

@@ -57,9 +57,9 @@ func SetProgress(g *probe.Progress) { progressPtr.Store(g) }
 var flightDirPtr atomic.Pointer[string]
 
 // SetFlightDir installs the directory where drivers write flight
-// recorder dumps when a run fails (WCTA conformance violations,
-// degraded runs).  Empty disables dumping; cmd/experiments points it
-// at its -out directory.
+// recorder dumps when a run fails (WCTA conformance violations).
+// Empty disables dumping; cmd/experiments points it at its -out
+// directory.
 func SetFlightDir(dir string) { flightDirPtr.Store(&dir) }
 
 // flightDir returns the installed dump directory, or "".
@@ -82,15 +82,7 @@ func writeFlightDump(d *probe.FlightDump, base string) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, base+".flight.json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := d.WriteJSON(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
+	if err := probe.WriteFile(path, d.WriteJSON); err != nil {
 		return "", err
 	}
 	return path, nil

@@ -6,7 +6,7 @@ import "fmt"
 // and a fixed set of scalar fields instead of calling into the
 // accumulation logic, so appending an event costs a handful of stores
 // regardless of kind; the meaning of each field is resolved once per
-// batch at drain time (see Probe.fold).
+// batch at drain time, by the taps (see Series.fold).
 type Kind uint8
 
 // Ring event kinds.
@@ -108,12 +108,17 @@ type Event struct {
 	Deflections uint16 `json:"deflections"`
 }
 
-// Tap observes drained event batches.  The probe hands each flushed
-// ring segment to every attached tap in attachment order; batches
-// arrive in append order within a segment and cycle order is
-// non-decreasing inside one batch.  The slice is only valid for the
-// duration of the call — a tap that retains events must copy them
-// (the flight recorder does).
+// Tap observes one run's event stream.  Probe.Arm arms every tap with
+// the run's Config before the first event — a tap sizes and resets
+// itself there, and may be used only after it — then hands each
+// flushed ring segment to the taps in order.  A router segment's batch
+// holds only that router's KindLinkBusy and KindDeflect events; the
+// driver segment's batch holds every other kind.  Events arrive in
+// append order within a segment and cycle order is non-decreasing
+// inside one batch.  The slice is only valid for the duration of the
+// call — a tap that retains events must copy them (the flight recorder
+// does).
 type Tap interface {
+	Arm(cfg Config)
 	Consume(batch []Event)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"surfbless/internal/geom"
@@ -29,22 +30,22 @@ type SeriesPoint struct {
 
 // WriteTimeSeriesJSONL streams the recorded series as one JSON object
 // per line, one line per (interval, domain) in time order.
-func (pr *Probe) WriteTimeSeriesJSONL(w io.Writer) error {
+func (s *Series) WriteTimeSeriesJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, iv := range pr.Intervals() {
-		for d, s := range iv.Domains {
+	for _, iv := range s.Intervals() {
+		for d, ds := range iv.Domains {
 			if err := enc.Encode(SeriesPoint{
 				Start:       iv.Start,
 				End:         iv.End,
 				Domain:      d,
-				Created:     s.Created,
-				Refused:     s.Refused,
-				Injected:    s.Injected,
-				Ejected:     s.Ejected,
-				Deflections: s.Deflections,
-				LatencySum:  s.LatencySum,
-				MeanLatency: s.MeanLatency(),
-				InFlight:    s.InFlight,
+				Created:     ds.Created,
+				Refused:     ds.Refused,
+				Injected:    ds.Injected,
+				Ejected:     ds.Ejected,
+				Deflections: ds.Deflections,
+				LatencySum:  ds.LatencySum,
+				MeanLatency: ds.MeanLatency(),
+				InFlight:    ds.InFlight,
 				NetInFlight: iv.NetInFlight,
 			}); err != nil {
 				return err
@@ -59,8 +60,8 @@ const HeatmapHeader = "node,x,y,flits,deflections,ejections,link_n,link_e,link_s
 
 // WriteHeatmapCSV writes one row per router: traversal/deflection/
 // ejection totals plus per-out-link flit counts and utilizations.
-func (pr *Probe) WriteHeatmapCSV(w io.Writer) error {
-	h := pr.Heatmap()
+func (s *Series) WriteHeatmapCSV(w io.Writer) error {
+	h := s.Heatmap()
 	if h.RouterFlits == nil {
 		return fmt.Errorf("probe: heatmap export before Arm")
 	}
@@ -86,14 +87,14 @@ func (pr *Probe) WriteHeatmapCSV(w io.Writer) error {
 // Summary renders a per-domain sparkline digest of the run — one line
 // per domain and metric (injections, ejections, mean latency, in-flight
 // occupancy over the intervals) — for quick terminal inspection.
-func (pr *Probe) Summary() string {
-	ivs := pr.Intervals()
+func (s *Series) Summary() string {
+	ivs := s.Intervals()
 	if len(ivs) == 0 {
 		return "probe: no data recorded\n"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "probe: %d intervals of %d cycles, %d domains\n",
-		len(ivs), pr.cfg.Every, pr.cfg.Domains)
+		len(ivs), s.every, s.cfg.Domains)
 	series := func(f func(DomainSlice) float64, d int) []float64 {
 		vals := make([]float64, len(ivs))
 		for i, iv := range ivs {
@@ -101,7 +102,7 @@ func (pr *Probe) Summary() string {
 		}
 		return vals
 	}
-	for d := 0; d < pr.cfg.Domains; d++ {
+	for d := 0; d < s.cfg.Domains; d++ {
 		fmt.Fprintf(&b, "  domain %d injected %s\n", d,
 			textplot.Spark(series(func(s DomainSlice) float64 { return float64(s.Injected) }, d)))
 		fmt.Fprintf(&b, "  domain %d ejected  %s\n", d,
@@ -112,4 +113,23 @@ func (pr *Probe) Summary() string {
 			textplot.Spark(series(func(s DomainSlice) float64 { return float64(s.InFlight) }, d)))
 	}
 	return b.String()
+}
+
+// WriteFile creates path and streams one exporter into it — a series,
+// heatmap or flight-dump writer — returning the first error of either
+// the exporter or the file, prefixed with the path.
+func WriteFile(path string, write func(w io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	cerr := f.Close()
+	if werr != nil {
+		return fmt.Errorf("%s: %w", path, werr)
+	}
+	if cerr != nil {
+		return fmt.Errorf("%s: %w", path, cerr)
+	}
+	return nil
 }

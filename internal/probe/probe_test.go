@@ -32,37 +32,47 @@ func ejected(pr *probe.Probe, p *packet.Packet) {
 	pr.Lifecycle(probe.KindEjected, p, p.EjectedAt, 3, p.Hops, p.Deflections)
 }
 
+// series arms a ring for a run shaped cfg with one Series of the given
+// width as its tap.  Read the series after pr.Flush, as sim.Run does at
+// the end of a run.
+func series(cfg probe.Config, every int64) (*probe.Probe, *probe.Series) {
+	s := probe.NewSeries(every)
+	pr := &probe.Probe{}
+	pr.Arm(cfg, s)
+	return pr, s
+}
+
+// mesh2x2 is the shape most tests arm: a 2×2 mesh, no window bounds.
+func mesh2x2(domains int) probe.Config {
+	return probe.Config{Mesh: geom.NewMesh(2, 2), Domains: domains}
+}
+
 // TestNilAndDisarmedSafe: every event method must be a no-op on a nil
 // receiver and on a zero-value (disarmed) probe — the routers' hot
 // paths rely on it.
 func TestNilAndDisarmedSafe(t *testing.T) {
 	p := pkt(1, 0, 10, 11, 20)
-	for name, pr := range map[string]*probe.Probe{"nil": nil, "disarmed": {}} {
+	for _, pr := range []*probe.Probe{nil, {}} {
 		created(pr, p)
 		pr.Refused(0, 5)
 		injected(pr, p)
 		ejected(pr, p)
 		pr.Traverse(0, geom.East, p, 1, true, 12)
 		pr.Tick(12, 3)
-		if pr.Armed() {
-			t.Errorf("%s probe reports armed", name)
-		}
-		if got := pr.Intervals(); got != nil {
-			t.Errorf("%s probe returned %d intervals", name, len(got))
-		}
+		pr.Flush()
 	}
 }
 
 // TestTrailingIntervalTruncated: a run whose length is not a multiple
-// of Every must report a final bucket ending one past the last
+// of the width must report a final bucket ending one past the last
 // observed cycle, not at the full bucket boundary.
 func TestTrailingIntervalTruncated(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 100})
+	pr, s := series(mesh2x2(1), 100)
 	for now := int64(0); now < 250; now++ {
 		pr.Tick(now, 0)
 	}
-	ivs := pr.Intervals()
+	pr.Flush()
+	ivs := s.Intervals()
 	if len(ivs) != 3 {
 		t.Fatalf("got %d intervals, want 3", len(ivs))
 	}
@@ -72,11 +82,12 @@ func TestTrailingIntervalTruncated(t *testing.T) {
 		}
 	}
 	// A run ending exactly on a bucket boundary keeps the full width.
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 100})
+	pr.Arm(mesh2x2(1), s)
 	for now := int64(0); now < 200; now++ {
 		pr.Tick(now, 0)
 	}
-	ivs = pr.Intervals()
+	pr.Flush()
+	ivs = s.Intervals()
 	if len(ivs) != 2 || ivs[1].End != 200 {
 		t.Fatalf("aligned run: got %d intervals, last End %d, want 2 ending at 200", len(ivs), ivs[len(ivs)-1].End)
 	}
@@ -86,8 +97,7 @@ func TestTrailingIntervalTruncated(t *testing.T) {
 // window or at MeasureEnd are excluded; the boundary cycles WarmupEnd
 // and MeasureEnd-1 are included.
 func TestWarmupBoundary(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 50, WarmupEnd: 100, MeasureEnd: 200})
+	pr, s := series(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, WarmupEnd: 100, MeasureEnd: 200}, 50)
 	for i, c := range []struct {
 		created int64
 		counted bool
@@ -102,13 +112,15 @@ func TestWarmupBoundary(t *testing.T) {
 		injected(pr, p)
 		ejected(pr, p)
 	}
-	tot := pr.Totals()[0]
+	pr.Flush()
+	tot := s.Totals()[0]
 	if tot.Created != 2 || tot.Injected != 2 || tot.Ejected != 2 {
 		t.Errorf("totals = %+v, want 2 created/injected/ejected", tot)
 	}
 	// Out-of-window packets still move occupancy: 4 created, 4 ejected.
 	pr.Tick(210, 0)
-	ivs := pr.Intervals()
+	pr.Flush()
+	ivs := s.Intervals()
 	if got := ivs[len(ivs)-1].Domains[0].InFlight; got != 0 {
 		t.Errorf("final occupancy = %d, want 0", got)
 	}
@@ -117,13 +129,13 @@ func TestWarmupBoundary(t *testing.T) {
 // TestDrainEjectionBucketed: an in-window packet ejecting after
 // MeasureEnd still lands in the series, bucketed at its ejection cycle.
 func TestDrainEjectionBucketed(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 100, WarmupEnd: 0, MeasureEnd: 200})
+	pr, s := series(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, WarmupEnd: 0, MeasureEnd: 200}, 100)
 	p := pkt(1, 0, 150, 151, 260)
 	created(pr, p)
 	injected(pr, p)
 	ejected(pr, p)
-	ivs := pr.Intervals()
+	pr.Flush()
+	ivs := s.Intervals()
 	if len(ivs) != 3 {
 		t.Fatalf("got %d intervals, want 3 (ejection at 260)", len(ivs))
 	}
@@ -139,8 +151,7 @@ func TestDrainEjectionBucketed(t *testing.T) {
 // shapes on a hand-driven run.
 func TestHeatmapAndExports(t *testing.T) {
 	mesh := geom.NewMesh(2, 2)
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: mesh, Domains: 2, Every: 100, WarmupEnd: 0, MeasureEnd: 100})
+	pr, s := series(probe.Config{Mesh: mesh, Domains: 2, WarmupEnd: 0, MeasureEnd: 100}, 100)
 	p := pkt(1, 1, 10, 11, 40)
 	created(pr, p)
 	injected(pr, p)
@@ -148,8 +159,9 @@ func TestHeatmapAndExports(t *testing.T) {
 	pr.Traverse(1, geom.South, p, 1, true, 30)
 	ejected(pr, p)
 	pr.Tick(40, 0)
+	pr.Flush()
 
-	h := pr.Heatmap()
+	h := s.Heatmap()
 	if h.Cycles != 100 {
 		t.Errorf("heatmap cycles = %d, want 100", h.Cycles)
 	}
@@ -167,7 +179,7 @@ func TestHeatmapAndExports(t *testing.T) {
 	}
 
 	var ts strings.Builder
-	if err := pr.WriteTimeSeriesJSONL(&ts); err != nil {
+	if err := s.WriteTimeSeriesJSONL(&ts); err != nil {
 		t.Fatal(err)
 	}
 	// One line per (interval, domain): 1 interval × 2 domains.
@@ -179,7 +191,7 @@ func TestHeatmapAndExports(t *testing.T) {
 	}
 
 	var hm strings.Builder
-	if err := pr.WriteHeatmapCSV(&hm); err != nil {
+	if err := s.WriteHeatmapCSV(&hm); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(hm.String()), "\n")
@@ -190,41 +202,46 @@ func TestHeatmapAndExports(t *testing.T) {
 		t.Errorf("heatmap header = %q", lines[0])
 	}
 
-	if s := pr.Summary(); !strings.Contains(s, "domain 1") {
-		t.Errorf("summary missing domain block:\n%s", s)
+	if sum := s.Summary(); !strings.Contains(sum, "domain 1") {
+		t.Errorf("summary missing domain block:\n%s", sum)
 	}
 }
 
 // TestExportBeforeArm: the heatmap exporter refuses to write garbage
-// from an unarmed probe.
+// from an unarmed series.
 func TestExportBeforeArm(t *testing.T) {
-	pr := &probe.Probe{}
-	if err := pr.WriteHeatmapCSV(&strings.Builder{}); err == nil {
+	if err := probe.NewSeries(0).WriteHeatmapCSV(&strings.Builder{}); err == nil {
 		t.Fatal("expected error exporting before Arm")
 	}
 }
 
-// TestRearmResets: Arm must discard all data from a previous run.
+// TestRearmResets: arming a series again must discard all data from a
+// previous run.
 func TestRearmResets(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 10})
+	pr, s := series(mesh2x2(1), 10)
 	p := pkt(1, 0, 5, 6, 9)
 	created(pr, p)
 	ejected(pr, p)
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 10})
-	if got := pr.Intervals(); got != nil {
-		t.Errorf("re-armed probe kept %d intervals", len(got))
+	pr.Flush()
+	pr.Arm(mesh2x2(1), s)
+	if got := s.Intervals(); got != nil {
+		t.Errorf("re-armed series kept %d intervals", len(got))
 	}
-	if tot := pr.Totals()[0]; tot.Ejected != 0 {
-		t.Errorf("re-armed probe kept totals %+v", tot)
+	if tot := s.Totals()[0]; tot.Ejected != 0 {
+		t.Errorf("re-armed series kept totals %+v", tot)
 	}
 }
 
-// TestDefaultEvery: arming with Every ≤ 0 falls back to DefaultEvery.
+// TestDefaultEvery: a series built with a width ≤ 0 buckets every
+// DefaultEvery cycles.
 func TestDefaultEvery(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1})
-	if pr.Every() != probe.DefaultEvery {
-		t.Errorf("Every = %d, want %d", pr.Every(), probe.DefaultEvery)
+	pr, s := series(mesh2x2(1), 0)
+	for now := int64(0); now < probe.DefaultEvery+1; now++ {
+		pr.Tick(now, 0)
+	}
+	pr.Flush()
+	ivs := s.Intervals()
+	if len(ivs) != 2 || ivs[0].End != probe.DefaultEvery {
+		t.Errorf("intervals %+v, want two with the first ending at %d", ivs, probe.DefaultEvery)
 	}
 }

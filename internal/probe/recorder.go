@@ -18,11 +18,11 @@ const DefaultFlightWindow = 512
 // at construction no matter how hot the fabric runs.
 const flightCap = 1 << 15
 
-// FlightRecorder is a bounded forensic buffer: attached to a probe as
-// a Tap, it retains the last Window cycles of drained events (up to a
-// fixed event capacity) so that a watchdog trip, a DegradedError, or a
-// WCTA conformance violation can be dumped and replayed after the
-// fact.  Like the probe it is a single-goroutine state machine.
+// FlightRecorder is a bounded forensic buffer: as a run's Tap it
+// retains the last Window cycles of drained events (up to a fixed
+// event capacity) so that the caller can dump a watchdog trip, a
+// DegradedError or a WCTA conformance violation and replay it after
+// the fact.  Like the probe it is a single-goroutine state machine.
 //
 //hook:nil-disabled
 type FlightRecorder struct {
@@ -49,9 +49,9 @@ func NewFlightRecorder(windowCycles int64) *FlightRecorder {
 // Window returns the recorder's retention window in cycles.
 func (r *FlightRecorder) Window() int64 { return r.window }
 
-// Reset discards all recorded events; sim.Run calls it when arming so
-// a recorder can be reused across runs.
-func (r *FlightRecorder) Reset() {
+// Arm implements Tap: it discards all recorded events, so a recorder
+// can be reused across runs.
+func (r *FlightRecorder) Arm(Config) {
 	r.head = 0
 	r.n = 0
 	r.maxCycle = -1
@@ -79,8 +79,8 @@ func (r *FlightRecorder) Consume(batch []Event) {
 
 // Snapshot returns the retained events inside the trailing window,
 // deterministically ordered by (cycle, node, kind, packet, dir).
-// Call Probe.Flush first (sim.Run does) so the ring segments'
-// freshest events have reached the recorder.
+// Call Probe.Flush first (sim.Run does when the run ends) so the ring
+// segments' freshest events have reached the recorder.
 func (r *FlightRecorder) Snapshot() []Event {
 	if r == nil || r.n == 0 {
 		return nil
@@ -120,7 +120,8 @@ func (r *FlightRecorder) Snapshot() []Event {
 const FlightDumpVersion = 1
 
 // FlightDump is the serialized form of a flight-recorder snapshot: the
-// forensic record sim.Run attaches to a DegradedError and the WCTA
+// forensic record a caller that tapped a run with a recorder writes
+// when the run degrades (cmd/sweep -flight-dir), and the WCTA
 // conformance harness attaches to a violated Report.  cmd/replay
 // -flight renders it as a timeline.
 type FlightDump struct {

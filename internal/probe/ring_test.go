@@ -1,6 +1,7 @@
 package probe_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -21,16 +22,16 @@ func TestEventStaysSmall(t *testing.T) {
 // segment holds must flush mid-interval and lose nothing — exactness
 // never depends on segment capacity.
 func TestRingOverflowFlushes(t *testing.T) {
-	pr := &probe.Probe{}
-	// A 1×1 mesh gets the max per-router segment (1024 events);
-	// overflow it several times over from a single node.
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(1, 1), Domains: 1, Every: 100})
+	// A 1×1 mesh gets the largest router segment; overflow it many
+	// times over from a single node without a drain.
+	pr, s := series(probe.Config{Mesh: geom.NewMesh(1, 1), Domains: 1}, 100)
 	const hops = 5000
 	p := pkt(1, 0, 0, 0, 0)
 	for i := 0; i < hops; i++ {
 		pr.Traverse(0, geom.East, p, 2, i%10 == 0, int64(i%50))
 	}
-	h := pr.Heatmap()
+	pr.Flush()
+	h := s.Heatmap()
 	if h.RouterFlits[0] != 2*hops {
 		t.Errorf("router flits = %d, want %d", h.RouterFlits[0], 2*hops)
 	}
@@ -42,26 +43,40 @@ func TestRingOverflowFlushes(t *testing.T) {
 	}
 }
 
-// batchTap records every batch it is handed (copying, per the Tap
-// contract).
+// batchTap records the Config it is armed with and every batch it is
+// handed (copying, per the Tap contract).
 type batchTap struct {
+	cfg     probe.Config
+	arms    int
 	batches int
+	sizes   []int // length of each router-segment batch
 	events  []probe.Event
+}
+
+func (bt *batchTap) Arm(cfg probe.Config) {
+	bt.cfg = cfg
+	bt.arms++
 }
 
 func (bt *batchTap) Consume(batch []probe.Event) {
 	bt.batches++
+	if k := batch[0].Kind; k == probe.KindLinkBusy || k == probe.KindDeflect {
+		bt.sizes = append(bt.sizes, len(batch))
+	}
 	bt.events = append(bt.events, batch...)
 }
 
-// TestTapSeesEveryEvent: an attached tap receives the full event
-// stream across interval drains and the final flush, and re-arming
-// detaches it.
+// TestTapSeesEveryEvent: a tap is armed with the run's Config, then
+// receives the full event stream across drains and the final flush,
+// and re-arming the ring without it detaches it.
 func TestTapSeesEveryEvent(t *testing.T) {
+	cfg := probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, WarmupEnd: 5, MeasureEnd: 90}
 	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 50})
 	bt := &batchTap{}
-	pr.AttachTap(bt)
+	pr.Arm(cfg, bt)
+	if bt.arms != 1 || bt.cfg != cfg {
+		t.Fatalf("tap armed %d times with %+v, want once with %+v", bt.arms, bt.cfg, cfg)
+	}
 
 	p := pkt(7, 0, 10, 11, 90)
 	created(pr, p)
@@ -80,7 +95,7 @@ func TestTapSeesEveryEvent(t *testing.T) {
 		t.Fatalf("tap saw %d events, want %d", len(bt.events), want)
 	}
 	if bt.batches < 2 {
-		t.Errorf("tap saw %d batches; interval draining should produce several", bt.batches)
+		t.Errorf("tap saw %d batches; periodic draining should produce several", bt.batches)
 	}
 	kinds := map[probe.Kind]int{}
 	for _, e := range bt.events {
@@ -92,19 +107,43 @@ func TestTapSeesEveryEvent(t *testing.T) {
 		}
 	}
 
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 50})
+	pr.Arm(cfg)
 	pr.Tick(0, 0)
 	pr.Flush()
-	if len(bt.events) != 4+120 {
-		t.Errorf("re-arm did not detach the tap (saw %d events)", len(bt.events))
+	if len(bt.events) != 4+120 || bt.arms != 1 {
+		t.Errorf("re-arm did not detach the tap (saw %d events, %d arms)", len(bt.events), bt.arms)
+	}
+}
+
+// TestRouterSegmentHoldsADrain: a router appends at most one traversal
+// per out-link per cycle, and its segment holds all of them between
+// two drains — the first drain covers cycles 0–32, each later one 32
+// cycles — so a tap gets each router's events in exactly one batch per
+// drain, never split by an early flush.
+func TestRouterSegmentHoldsADrain(t *testing.T) {
+	for _, side := range []int{2, 8} {
+		pr := &probe.Probe{}
+		bt := &batchTap{}
+		pr.Arm(probe.Config{Mesh: geom.NewMesh(side, side), Domains: 1}, bt)
+		p := pkt(1, 0, 0, 0, 0)
+		for now := int64(0); now < 200; now++ {
+			for _, d := range geom.LinkDirs {
+				pr.Traverse(0, d, p, 1, false, now)
+			}
+			pr.Tick(now, 0)
+		}
+		pr.Flush()
+		want := []int{132, 128, 128, 128, 128, 128, 28}
+		if !slices.Equal(bt.sizes, want) {
+			t.Errorf("%dx%d: router batches of %v events, want %v", side, side, bt.sizes, want)
+		}
 	}
 }
 
 // TestDroppedAndRetransmitCounters: the new fault-path events land in
 // the series (windowed like package stats) and drops end occupancy.
 func TestDroppedAndRetransmitCounters(t *testing.T) {
-	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 2, Every: 100, WarmupEnd: 50})
+	pr, s := series(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 2, WarmupEnd: 50}, 100)
 	in := pkt(1, 0, 60, 61, 0)  // in-window
 	out := pkt(2, 1, 10, 11, 0) // created pre-warm-up
 	created(pr, in)
@@ -114,8 +153,9 @@ func TestDroppedAndRetransmitCounters(t *testing.T) {
 	pr.Lifecycle(probe.KindDropped, in, 150, -1, 0, 0)
 	pr.Lifecycle(probe.KindDropped, out, 160, -1, 0, 0)
 	pr.Tick(200, 0)
+	pr.Flush()
 
-	tot := pr.Totals()
+	tot := s.Totals()
 	if tot[0].Dropped != 1 || tot[0].Retransmits != 1 {
 		t.Errorf("domain 0: dropped=%d retransmits=%d, want 1/1", tot[0].Dropped, tot[0].Retransmits)
 	}
@@ -126,7 +166,7 @@ func TestDroppedAndRetransmitCounters(t *testing.T) {
 		t.Errorf("domain 1: dropped=%d retransmits=%d, want 0/1", tot[1].Dropped, tot[1].Retransmits)
 	}
 	// Both drops end occupancy regardless of window.
-	ivs := pr.Intervals()
+	ivs := s.Intervals()
 	last := ivs[len(ivs)-1]
 	for d, s := range last.Domains {
 		if s.InFlight != 0 {
@@ -136,12 +176,12 @@ func TestDroppedAndRetransmitCounters(t *testing.T) {
 }
 
 // TestFlightRecorderWindow: the recorder retains only the trailing
-// window, snapshots deterministically, and Reset empties it.
+// window, snapshots deterministically, and arming it for the next run
+// empties it.
 func TestFlightRecorderWindow(t *testing.T) {
 	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1, Every: 10})
 	rec := probe.NewFlightRecorder(32)
-	pr.AttachTap(rec)
+	pr.Arm(mesh2x2(1), rec)
 	for now := int64(0); now < 100; now++ {
 		pr.Tick(now, int(now))
 	}
@@ -166,9 +206,9 @@ func TestFlightRecorderWindow(t *testing.T) {
 		}
 	}
 
-	rec.Reset()
+	pr.Arm(mesh2x2(1), rec)
 	if got := rec.Snapshot(); got != nil {
-		t.Errorf("post-Reset snapshot holds %d events", len(got))
+		t.Errorf("re-armed recorder's snapshot holds %d events", len(got))
 	}
 }
 
@@ -229,9 +269,8 @@ func TestKindString(t *testing.T) {
 // at the fields' 16-bit range.
 func TestLifecycleCarriesCounts(t *testing.T) {
 	pr := &probe.Probe{}
-	pr.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1})
 	bt := &batchTap{}
-	pr.AttachTap(bt)
+	pr.Arm(mesh2x2(1), bt)
 	p := pkt(5, 0, 1, 2, 90)
 	p.Hops, p.Deflections = 40, 30
 	pr.Lifecycle(probe.KindInjected, p, 2, -1, 0, 0)

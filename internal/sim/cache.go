@@ -23,9 +23,9 @@ func Fingerprint(o Options) (simcache.Key, error) {
 }
 
 // RunCached is Run behind a content-addressed cache (simcache.Cached).
-// Observed runs (a probe, recorder or tap attached) always simulate for
-// real: a cache hit would return the right Result but leave the
-// observers with nothing to observe.
+// Observed runs (any tap attached) always simulate for real: a cache
+// hit would return the right Result but leave the taps with nothing to
+// observe.
 func RunCached(o Options, c *simcache.Cache) (Result, error) {
 	if o.Observed() {
 		return Run(o)

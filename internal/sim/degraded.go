@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"surfbless/internal/probe"
-)
+import "fmt"
 
 // InvariantViolation is a router invariant panic caught at the sim
 // boundary.  Fault plans can push fabrics into states the fault-free
@@ -84,12 +80,6 @@ type DegradedError struct {
 	Cycle   int64        // cycle at which degradation was detected
 	Partial Result       // statistics up to Cycle (energy, latency, counts)
 	Cause   error        // underlying *InvariantViolation, if any
-	// Flight is the forensic record of the run's final cycles, present
-	// when Options.Recorder armed a flight recorder.  Write it with
-	// probe.FlightDump.WriteJSON and inspect it with `replay -flight`.
-	// Its Reason carries the classified kind prefix, so dumps can be
-	// triaged without the originating error.
-	Flight *probe.FlightDump
 }
 
 func (e *DegradedError) Error() string {

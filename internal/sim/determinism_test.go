@@ -202,6 +202,8 @@ func TestShardMatchesSerialGiant(t *testing.T) {
 // order.
 type lifecycleTap []probe.Event
 
+func (l *lifecycleTap) Arm(probe.Config) { *l = (*l)[:0] }
+
 func (l *lifecycleTap) Consume(batch []probe.Event) {
 	for _, e := range batch {
 		if e.Kind <= probe.KindRetransmit {
@@ -254,7 +256,7 @@ func TestShardedEventsMatchSerial(t *testing.T) {
 func traceCSV(t *testing.T, o Options) string {
 	t.Helper()
 	var sb strings.Builder
-	w := trace.New(&sb, o.Cfg.Mesh())
+	w := trace.New(&sb)
 	o.Taps = []probe.Tap{w}
 	if _, err := Run(o); err != nil {
 		t.Fatalf("%v: %v", o.Cfg.Model, err)
@@ -297,6 +299,64 @@ func TestTraceGolden(t *testing.T) {
 			key := model.String() + "/" + in.name
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(traceCSV(t, in.o)))); got != traceGolden[key] {
 				t.Errorf("%s: trace digest %s, want %s", key, got, traceGolden[key])
+			}
+		}
+	}
+}
+
+// observerGolden pins the SHA-256 of the three outputs of a run tapped
+// by a 100-cycle probe.Series and a trace.Perfetto, for every model on
+// the determinism options and a fault plan: the series JSONL, the
+// heatmap CSV and the closed Chrome-trace JSON.  The digests were
+// recorded when the series and heatmaps were folded inside the probe
+// ring itself, so they prove that moving them into a tap, and sizing
+// router segments to one drain, left every byte unchanged.
+var observerGolden = map[string][3]string{
+	"WH/det":          {"6074996c4e23640a303bd16905814eb72b14e9f7943bb0947d8b3544ac54be30", "68df08b9f5ac130e320bbcba5c16d689150be60dca7750d03bc122396c5f5e95", "03825fa6d90f3d7cadd3db30e97a8ed49e7541f62a4d0e75eae8a0090fb04c45"},
+	"WH/faulty":       {"d4fa7b8d469629eb08706ed828763185bb12dd8095bda7bbf971eff875fc90f7", "0b8b1811277fbe3642c4758b4dbe32e377ba52c9e6cc528bf1023bbc3bd59180", "aefb70d785ff6bf3506e3c570e31f05d24fe093e8896ce0317e07dae6d2a55a8"},
+	"BLESS/det":       {"371acb8ef56eae571afb880cd9be2ecd39c3e0343dcaf9804cd79636b6c4aecf", "8476ae9c206555e701f36f368b0fdcb49e091a00f328dffaaad30a79baf09ff8", "2c6f7149c50a9c135733b19d4f4e905c8c55912b6ccf1bf24dc1b6dc94d95309"},
+	"BLESS/faulty":    {"fa848d52052cd165a687874143199b4278f00524fa62fcab0caed4b2034844bb", "8ad6b1bb11b34c883ea29e75af737848bfef24674019af00c549804770a5e0b0", "8f5a5d2b9bb9528273d9f5fd7ed901b134216eaa9d45a04a649b97a733b2ebda"},
+	"Surf/det":        {"dee62d42a8174ca58def800b095af2690bdd012c558fedb57c21fbc1ac5f8996", "68df08b9f5ac130e320bbcba5c16d689150be60dca7750d03bc122396c5f5e95", "c8a812f0c583c365eca0b1c7216617a5b9a3087e6e13fa09ad0e28a6ecca8c7c"},
+	"Surf/faulty":     {"a8d5af9467ee1eb3ea383a00d11a1f8f8f417e59a38cf022b34f6dd16e171de0", "0b8b1811277fbe3642c4758b4dbe32e377ba52c9e6cc528bf1023bbc3bd59180", "38f428fc0445c18425e4fe4f1f84c946313b8f007fdd9482ac2751a3f811f8c1"},
+	"SB/det":          {"c6f63f6ba41289b6705c627317c7abb0fd37d68195843fd5c6629605d0c26f14", "bdda1953583e4ef964b3845d2db32f203ac50fcece1edb82f70df46b1061e679", "605169ef5b961becfa69be1cc690caf9bd6497fc2d313ae93b2a9ff7a8cac174"},
+	"SB/faulty":       {"8c79b49ba6405238c01df3058f731c82168e0be4a5f884f5caf424c1541c82c2", "64b65c06f4f9a7fb650d13560b3828082f23b2e58858082d753c1ccac60562aa", "3a56ef3ee9452a4e7bd282b8528e34362b5ee5919686d76b2757591343689cd7"},
+	"CHIPPER/det":     {"b6f1d3942d123e2180e9189a0ac67a600931d218cec3a78670b33f9686dbc6cd", "a1d4f05f86204f0b53495afa0499c3e9b24e5e5a96b7b47bad854ef07e0c9019", "6ae39ef21e0c0dbfc0194fa34c53057b3be3835ae50f3390dc96fd55d05756af"},
+	"CHIPPER/faulty":  {"abb008cc20f1bdfeec79eb65492b8347f5b1684645cd1b16ea6fd68c72a88b39", "d2fae55c2c2a7918dce1f36e4904cf56f598d8d942d7935a6a9baeef253d6685", "b20411409de67d0230b82c45c87363916c36107776d1c2110d774eb03c9acc46"},
+	"RUNAHEAD/det":    {"6b5ded867b438987a6cb67d71b686d009fb42652efe2c11dc186ecb130765183", "c97521e286908066637b47d9a9541e8f841a712908e8a5f45b95c4d5b30a50aa", "877c723901210bbfef13f5dec3cb00d2495c2f5f56890fee107d4da47ae6fed8"},
+	"RUNAHEAD/faulty": {"6d52a02b64f451b3036e4467aa6c60273bef8b0d6432e9dec57b319b9cf45ed9", "fe021fc4d1087420a997543395121994d56ddf968e057e923d2677fcf47f739f", "23107abc88a46ed308d14e99cd3095002967343f2413a4951d880cccdf82a9b4"},
+}
+
+func TestObserverGolden(t *testing.T) {
+	for _, model := range allModels {
+		for _, in := range []struct {
+			name string
+			o    Options
+		}{
+			{"det", determinismOptions(model, 7)},
+			{"faulty", faultyOptions(model, 1)},
+		} {
+			key := model.String() + "/" + in.name
+			series := probe.NewSeries(100)
+			var ts, heat, spans strings.Builder
+			pf := trace.NewPerfetto(&spans)
+			o := in.o
+			o.Taps = []probe.Tap{series, pf}
+			if _, err := Run(o); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			if err := pf.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := series.WriteTimeSeriesJSONL(&ts); err != nil {
+				t.Fatal(err)
+			}
+			if err := series.WriteHeatmapCSV(&heat); err != nil {
+				t.Fatal(err)
+			}
+			for i, out := range []string{ts.String(), heat.String(), spans.String()} {
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != observerGolden[key][i] {
+					t.Errorf("%s: %s digest %s, want %s", key, []string{"series", "heatmap", "spans"}[i], got, observerGolden[key][i])
+				}
 			}
 		}
 	}

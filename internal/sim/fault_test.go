@@ -336,7 +336,7 @@ func TestRunLoopRecoversFabricPanic(t *testing.T) {
 	col := stats.NewCollector(1, 0, 1000)
 	gen := traffic.New(o.Cfg.Mesh(), o.Pattern, o.Sources, 1)
 	now := int64(0)
-	err := runLoop(o, &panicFabric{at: 250}, gen, col, &now)
+	err := runLoop(o, &panicFabric{at: 250}, gen, col, nil, &now)
 	var iv *InvariantViolation
 	if !errors.As(err, &iv) {
 		t.Fatalf("expected InvariantViolation, got %v", err)

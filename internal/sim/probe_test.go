@@ -13,15 +13,15 @@ import (
 	"surfbless/internal/traffic"
 )
 
-// probedRun executes one SB run with a probe attached and a drain
-// budget generous enough to empty the network, so probe totals must
-// reconcile with the collector exactly.  shards > 1 steps the mesh on
-// the sharded path.
-func probedRun(t *testing.T, sources []traffic.Source, every int64, shards int) (Result, *probe.Probe) {
+// probedRun executes one SB run tapped by a probe.Series and a drain
+// budget generous enough to empty the network, so the series' totals
+// must reconcile with the collector exactly.  shards > 1 steps the mesh
+// on the sharded path.
+func probedRun(t *testing.T, sources []traffic.Source, every int64, shards int) (Result, *probe.Series) {
 	t.Helper()
 	cfg := config.Default(config.SB)
 	cfg.Domains = len(sources)
-	p := &probe.Probe{}
+	s := probe.NewSeries(every)
 	res, err := Run(Options{
 		Cfg:        cfg,
 		Pattern:    traffic.UniformRandom,
@@ -31,8 +31,7 @@ func probedRun(t *testing.T, sources []traffic.Source, every int64, shards int) 
 		Drain:      50000,
 		Seed:       7,
 		AuditEvery: 500,
-		Probe:      p,
-		ProbeEvery: every,
+		Taps:       []probe.Tap{s},
 		Shards:     shards,
 	})
 	if err != nil {
@@ -41,12 +40,12 @@ func probedRun(t *testing.T, sources []traffic.Source, every int64, shards int) 
 	if res.LeftInFlight != 0 {
 		t.Fatalf("network did not drain: %d left in flight", res.LeftInFlight)
 	}
-	return res, p
+	return res, s
 }
 
 // TestProbeReconciliation is the exactness contract: on a drained 8×8
-// SB run, the probe's per-domain time-series totals and its heatmap
-// sums must equal the collector's aggregate stats to the packet — on
+// SB run, a Series' per-domain time-series totals and its heatmap sums
+// must equal the collector's aggregate stats to the packet — on
 // the serial path and, identically, on the sharded path (router
 // segments are tile-local and drained at the per-cycle barrier, so
 // their contents interleave deterministically across tiles).
@@ -60,14 +59,14 @@ func TestProbeReconciliation(t *testing.T) {
 		t.Errorf("sharding changed the probed result:\n%+v\n%+v", res, resSh)
 	}
 	if !reflect.DeepEqual(p.Totals(), pSh.Totals()) {
-		t.Errorf("sharding changed probe totals:\nserial %+v\nsharded %+v", p.Totals(), pSh.Totals())
+		t.Errorf("sharding changed series totals:\nserial %+v\nsharded %+v", p.Totals(), pSh.Totals())
 	}
 	if !reflect.DeepEqual(p.Heatmap(), pSh.Heatmap()) {
-		t.Error("sharding changed the probe heatmap")
+		t.Error("sharding changed the series heatmap")
 	}
 }
 
-func reconcileProbe(t *testing.T, res Result, p *probe.Probe) {
+func reconcileProbe(t *testing.T, res Result, p *probe.Series) {
 	t.Helper()
 	tot := p.Totals()
 	for d := range res.Domains {
@@ -121,15 +120,15 @@ func TestFlightRecorderShardedDeterministic(t *testing.T) {
 		cfg.Domains = 2
 		rec := probe.NewFlightRecorder(256)
 		_, err := Run(Options{
-			Cfg:      cfg,
-			Pattern:  traffic.UniformRandom,
-			Sources:  ctrlSources(2, 0.05),
-			Warmup:   100,
-			Measure:  1000,
-			Drain:    20000,
-			Seed:     7,
-			Recorder: rec,
-			Shards:   4,
+			Cfg:     cfg,
+			Pattern: traffic.UniformRandom,
+			Sources: ctrlSources(2, 0.05),
+			Warmup:  100,
+			Measure: 1000,
+			Drain:   20000,
+			Seed:    7,
+			Taps:    []probe.Tap{rec},
+			Shards:  4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -152,14 +151,14 @@ func TestFlightRecorderShardedDeterministic(t *testing.T) {
 func TestProbeIntervalWidths(t *testing.T) {
 	cfg := config.Default(config.SB)
 	cfg.Domains = 1
-	p := &probe.Probe{}
+	p := probe.NewSeries(500)
 	res, err := Run(Options{
 		Cfg:     cfg,
 		Pattern: traffic.UniformRandom,
 		Sources: ctrlSources(1, 0.05),
 		Warmup:  0, Measure: 1250, Drain: 20000,
-		Seed:  3,
-		Probe: p, ProbeEvery: 500,
+		Seed: 3,
+		Taps: []probe.Tap{p},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,9 +220,9 @@ func TestProbeQuietDomainFlat(t *testing.T) {
 	}
 }
 
-// TestRunCachedBypassesForObservers: a probed or tapped run must hit
-// the simulator even when the cache already holds the point — a cache
-// hit would leave the observer empty.
+// TestRunCachedBypassesForObservers: a tapped run must hit the
+// simulator even when the cache already holds the point — a cache hit
+// would leave the tap empty.
 func TestRunCachedBypassesForObservers(t *testing.T) {
 	c, err := simcache.New(simcache.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -242,18 +241,17 @@ func TestRunCachedBypassesForObservers(t *testing.T) {
 	if _, err := RunCached(o, c); err != nil {
 		t.Fatal(err)
 	}
-	p := &probe.Probe{}
-	o.Probe = p
-	o.ProbeEvery = 100
+	p := probe.NewSeries(100)
+	o.Taps = []probe.Tap{p}
 	res, err := RunCached(o, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tot := p.Totals(); len(tot) == 0 || tot[0].Ejected == 0 {
-		t.Fatalf("probed RunCached returned an empty probe (totals %+v) — served from cache?", tot)
+		t.Fatalf("tapped RunCached left the series empty (totals %+v) — served from cache?", tot)
 	}
 	if tot := p.Totals(); tot[0].Ejected != res.Domains[0].Ejected {
-		t.Errorf("probe ejections %d != result %d", tot[0].Ejected, res.Domains[0].Ejected)
+		t.Errorf("series ejections %d != result %d", tot[0].Ejected, res.Domains[0].Ejected)
 	}
 }
 
@@ -262,7 +260,7 @@ func TestRunCachedBypassesForObservers(t *testing.T) {
 // warm-up exemption — while the result's aggregates stay windowed.
 func TestFlowTrackerIgnoresWindow(t *testing.T) {
 	o := determinismOptions(config.SB, 3)
-	tr := stats.NewFlowTracker(o.Cfg.Mesh())
+	tr := &stats.FlowTracker{}
 	var evs lifecycleTap
 	o.Taps = []probe.Tap{tr, &evs}
 	res, err := Run(o)

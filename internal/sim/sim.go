@@ -60,39 +60,23 @@ type Options struct {
 	// Coefficients overrides the energy model (nil = Default45nm).
 	Coefficients *power.Coefficients
 
-	// Probe, when non-nil, is armed for this run (interval ProbeEvery,
-	// window [Warmup, Warmup+Measure)) and receives the run's event
-	// stream: the fabric kernel's packet lifecycle events and the
-	// routers' hot-path traversals, folded into time series, heatmaps
-	// and occupancy.  Observation never changes results, so the field
-	// is excluded from the cache fingerprint; RunCached still bypasses
-	// the cache for observed runs because a cache hit would leave the
-	// observers empty.
-	Probe *probe.Probe `json:"-"`
-	// ProbeEvery is the probe's time-series bucket width in cycles
-	// (≤0 = probe.DefaultEvery).  Ignored without a Probe.
-	ProbeEvery int64 `json:"-"`
-
-	// Taps are attached to the run's probe after arming (Arm detaches
-	// taps, so pre-attaching to Probe would be lost): each drained ring
-	// batch fans out to them in order — the lifecycle trace
-	// (trace.Writer), per-flow latency maxima (stats.FlowTracker), span
-	// exporters (trace.Perfetto), custom aggregators.  Taps see every
-	// event, warm-up and drain included, with each packet's hop and
-	// deflection counts as of the event; events are plain values, so
-	// recycling never disturbs them.  When Probe is nil, Run arms a
-	// private probe to feed them.  Observation-only and
-	// fingerprint-exempt.
+	// Taps observe the run.  When there are any, Run arms an event ring
+	// (probe.Probe) with the run's shape — mesh, domain count and
+	// measurement window [Warmup, Warmup+Measure) — arms every tap with
+	// it, and hands each drained batch to the taps in order: the
+	// lifecycle trace (trace.Writer), time series and heatmaps
+	// (probe.Series), per-flow latency maxima (stats.FlowTracker), span
+	// exporters (trace.Perfetto), the flight recorder
+	// (probe.FlightRecorder), custom aggregators.  Taps see every event,
+	// warm-up and drain included, with each packet's hop and deflection
+	// counts as of the event; events are plain values, so recycling
+	// never disturbs them.  Run flushes the ring whatever the outcome,
+	// so a caller that taps a flight recorder can dump it with a
+	// DegradedError's Reason and Cycle.  Observation never changes
+	// results, so the field is excluded from the cache fingerprint;
+	// RunCached still bypasses the cache for observed runs because a
+	// cache hit would leave the taps empty.
 	Taps []probe.Tap `json:"-"`
-
-	// Recorder, when non-nil, is attached as a flight recorder: it
-	// retains the run's trailing event window and, when the run degrades
-	// (watchdog trip or recovered invariant panic), its snapshot is
-	// attached to the DegradedError as a replayable forensic dump.
-	// Requires an event source: when Probe is nil, Run arms a private
-	// probe just to feed the recorder.  Observation-only and
-	// fingerprint-exempt like Probe.
-	Recorder *probe.FlightRecorder `json:"-"`
 
 	// Ctx, when non-nil, lets the caller cancel a run mid-flight: the
 	// cycle loop polls it on the watchdog's cadence (every 1024th
@@ -104,7 +88,7 @@ type Options struct {
 	// — so harnesses that record the point anyway never divide by the
 	// full measure window.  Cancellation is an execution-control
 	// concern, not a simulation parameter, so the field is
-	// fingerprint-exempt like the observers.
+	// fingerprint-exempt like Taps.
 	Ctx context.Context `json:"-"`
 
 	// Recycle is read nowhere: Run always recycles delivered packets
@@ -125,11 +109,10 @@ type Options struct {
 	Shards int `json:"-"`
 }
 
-// Observed reports whether the run carries an observer that requires a
-// real simulation (a probe, a flight recorder or a tap): cached
-// results cannot replay the events such observers consume.
+// Observed reports whether the run carries taps, which require a real
+// simulation: cached results cannot replay the events they consume.
 func (o Options) Observed() bool {
-	return o.Probe != nil || o.Recorder != nil || len(o.Taps) > 0
+	return len(o.Taps) > 0
 }
 
 // Result is one run's outcome.
@@ -214,26 +197,15 @@ func Run(o Options) (Result, error) {
 		co = *o.Coefficients
 	}
 	col := stats.NewCollector(o.Cfg.Domains, o.Warmup, o.Warmup+o.Measure)
-	if (o.Recorder != nil || len(o.Taps) > 0) && o.Probe == nil {
-		// Recorders and taps need an event source; arm a private probe
-		// so callers can observe without also wanting time series.
-		o.Probe = &probe.Probe{}
-	}
-	if o.Probe != nil {
-		o.Probe.Arm(probe.Config{
+	var ring *probe.Probe
+	if o.Observed() {
+		ring = &probe.Probe{}
+		ring.Arm(probe.Config{
 			Mesh:       o.Cfg.Mesh(),
 			Domains:    o.Cfg.Domains,
-			Every:      o.ProbeEvery,
 			WarmupEnd:  o.Warmup,
 			MeasureEnd: o.Warmup + o.Measure,
-		})
-		if o.Recorder != nil {
-			o.Recorder.Reset()
-			o.Probe.AttachTap(o.Recorder)
-		}
-		for _, tap := range o.Taps {
-			o.Probe.AttachTap(tap)
-		}
+		}, o.Taps...)
 	}
 	meter := power.NewMeter(o.Cfg, co)
 	// Delivered packets return to the generator for reuse, so
@@ -244,8 +216,8 @@ func Run(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if o.Probe != nil {
-		fab.SetProbe(o.Probe)
+	if ring != nil {
+		fab.SetProbe(ring)
 	}
 	fab.SetFaults(fault.NewInjector(o.Cfg.Faults, o.Cfg.Width, o.Cfg.Height))
 	if o.Shards > 1 {
@@ -258,12 +230,10 @@ func Run(o Options) (Result, error) {
 	gen.SetFreeList(fl)
 
 	now := int64(0)
-	loopErr := runLoop(o, fab, gen, col, &now)
+	loopErr := runLoop(o, fab, gen, col, ring, &now)
 	// Push the ring's trailing events through to the taps so a flight
 	// snapshot (and any span exporter) sees right up to the last cycle.
-	if o.Probe != nil {
-		o.Probe.Flush()
-	}
+	ring.Flush()
 
 	snapshot := func() Result {
 		res := Result{
@@ -293,21 +263,13 @@ func Run(o Options) (Result, error) {
 		// Degradation paths carry partial statistics so sweep harnesses
 		// can record the point and continue; everything else (audit
 		// failures, collector misuse) stays a plain error.
-		flight := func(reason string, cycle int64) *probe.FlightDump {
-			if o.Recorder == nil {
-				return nil
-			}
-			return o.Recorder.Dump(reason, cycle, o.Cfg.Model.String(), o.Cfg.Mesh(), o.Cfg.Domains)
-		}
 		switch e := loopErr.(type) {
 		case *DegradedError:
 			e.Partial = snapshot()
-			e.Flight = flight(e.Reason, e.Cycle)
 			return e.Partial, e
 		case *InvariantViolation:
 			de := &DegradedError{Reason: "invariant: recovered fabric panic", Kind: KindInvariant, Cycle: e.Cycle, Cause: e}
 			de.Partial = snapshot()
-			de.Flight = flight(de.Reason, de.Cycle)
 			return de.Partial, de
 		case *CanceledError:
 			// A canceled run reports the window it actually covered, just
@@ -341,7 +303,7 @@ func Run(o Options) (Result, error) {
 // carrying the cycle it happened in, which Run converts into a
 // DegradedError with partial statistics.
 func runLoop(o Options, fab network.Fabric, gen *traffic.Generator,
-	col *stats.Collector, now *int64) (err error) {
+	col *stats.Collector, ring *probe.Probe, now *int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &InvariantViolation{Cycle: *now, Msg: fmt.Sprint(r)}
@@ -358,8 +320,8 @@ func runLoop(o Options, fab network.Fabric, gen *traffic.Generator,
 	}
 	step := func() error {
 		fab.Step(*now)
-		if o.Probe != nil {
-			o.Probe.Tick(*now, fab.InFlight())
+		if ring != nil {
+			ring.Tick(*now, fab.InFlight())
 		}
 		if ctxDone != nil && *now&watchdogCheckMask == 0 {
 			select {

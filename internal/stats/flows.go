@@ -27,22 +27,24 @@ type FlowStats struct {
 	MaxTotalLatency   int64 // worst creation→ejection latency seen
 }
 
-// FlowTracker records per-flow maxima as a probe tap: attach it to a
-// run (sim.Options.Taps) and it folds every delivered packet into its
-// flow.  An ejection event carries the creation cycle but not the
-// injection cycle, so the tracker keys each packet's first injection
-// by packet ID and forgets it at ejection or drop; that map holds at
-// most the packets in flight.  The flow map holds values, not
-// pointers, so steady-state observation allocates only on map growth.
+// FlowTracker records per-flow maxima as a probe tap: give a zero
+// value to a run (sim.Options.Taps), which arms it, and it folds every
+// delivered packet into its flow.  An ejection event carries the
+// creation cycle but not the injection cycle, so the tracker keys each
+// packet's first injection by packet ID and forgets it at ejection or
+// drop; that map holds at most the packets in flight.  The flow map
+// holds values, not pointers, so steady-state observation allocates
+// only on map growth.
 type FlowTracker struct {
 	mesh     geom.Mesh
 	injected map[uint64]int64 // packet ID → first injection cycle
 	flows    map[FlowKey]FlowStats
 }
 
-// NewFlowTracker returns an empty tracker for a run on mesh.
-func NewFlowTracker(mesh geom.Mesh) *FlowTracker {
-	return &FlowTracker{mesh: mesh, injected: make(map[uint64]int64), flows: make(map[FlowKey]FlowStats)}
+// Arm implements probe.Tap: it empties the tracker for a run on
+// cfg.Mesh.
+func (t *FlowTracker) Arm(cfg probe.Config) {
+	*t = FlowTracker{mesh: cfg.Mesh, injected: make(map[uint64]int64), flows: make(map[FlowKey]FlowStats)}
 }
 
 // Consume implements probe.Tap.  The kernel reports a packet's

@@ -9,6 +9,14 @@ import (
 
 var flowMesh = geom.NewMesh(4, 4)
 
+// newTracker arms a zero-value tracker for a run on flowMesh, as a run
+// arms its taps.
+func newTracker() *FlowTracker {
+	tr := &FlowTracker{}
+	tr.Arm(probe.Config{Mesh: flowMesh, Domains: 2})
+	return tr
+}
+
 // lifeEvent builds one lifecycle event of packet id as the kernel
 // reports it to the probe.
 func lifeEvent(kind probe.Kind, id uint64, src, dst geom.Coord, domain int, created, cycle int64) probe.Event {
@@ -31,7 +39,7 @@ func deliver(tr *FlowTracker, id uint64, src, dst geom.Coord, domain int, create
 }
 
 func TestFlowTrackerFoldsMaxima(t *testing.T) {
-	tr := NewFlowTracker(flowMesh)
+	tr := newTracker()
 	src, dst := geom.Coord{X: 0, Y: 0}, geom.Coord{X: 3, Y: 3}
 	deliver(tr, 1, src, dst, 0, 0, 5, 35)   // net 30, total 35
 	deliver(tr, 2, src, dst, 0, 10, 12, 70) // net 58, total 60
@@ -55,7 +63,7 @@ func TestFlowTrackerFoldsMaxima(t *testing.T) {
 // Same endpoints in different domains are different flows — the
 // analytical bounds are per-domain.
 func TestFlowTrackerSeparatesDomains(t *testing.T) {
-	tr := NewFlowTracker(flowMesh)
+	tr := newTracker()
 	src, dst := geom.Coord{X: 1, Y: 0}, geom.Coord{X: 0, Y: 1}
 	deliver(tr, 1, src, dst, 0, 0, 0, 10)
 	deliver(tr, 2, src, dst, 1, 0, 0, 99)
@@ -71,14 +79,14 @@ func TestFlowTrackerSeparatesDomains(t *testing.T) {
 }
 
 func TestFlowTrackerUnknownFlowIsZero(t *testing.T) {
-	tr := NewFlowTracker(flowMesh)
+	tr := newTracker()
 	if fs := tr.Flow(FlowKey{Domain: 3}); fs != (FlowStats{}) {
 		t.Errorf("unknown flow = %+v, want zero value", fs)
 	}
 }
 
 func TestFlowTrackerKeysOrdered(t *testing.T) {
-	tr := NewFlowTracker(flowMesh)
+	tr := newTracker()
 	mk := func(sx, sy, dx, dy, dom int) {
 		deliver(tr, 0, geom.Coord{X: sx, Y: sy}, geom.Coord{X: dx, Y: dy}, dom, 0, 0, 1)
 	}
@@ -108,7 +116,7 @@ func TestFlowTrackerKeysOrdered(t *testing.T) {
 // retransmission, and the tracker forgets every packet that ejects or
 // drops.
 func TestFlowTrackerSpansBatches(t *testing.T) {
-	tr := NewFlowTracker(flowMesh)
+	tr := newTracker()
 	src, dst := geom.Coord{X: 0, Y: 0}, geom.Coord{X: 2, Y: 1}
 	tr.Consume([]probe.Event{
 		lifeEvent(probe.KindInjected, 1, src, dst, 0, 3, 4),

@@ -3,7 +3,6 @@ package sweepsvc
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -659,21 +658,4 @@ func (c *Coordinator) CSV(jobID string) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// LeaseSnapshot returns the live leases sorted by ID — introspection
-// for /progress-style endpoints and tests.
-func (c *Coordinator) LeaseSnapshot() []Lease {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Lease, 0, len(c.leases))
-	for _, l := range c.leases {
-		j := c.jobs[l.jobID]
-		out = append(out, Lease{
-			ID: l.id, Job: l.jobID, Point: l.point, Rate: j.points[l.point].rate,
-			TTLMS: time.Until(l.expires).Milliseconds(),
-		})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
 }

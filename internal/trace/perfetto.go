@@ -24,9 +24,10 @@ import (
 	"surfbless/internal/probe"
 )
 
-// Perfetto streams probe events into Chrome trace JSON.  Attach it to
-// an armed probe with AttachTap, then Close it after the run to emit
-// the closing bracket.  Like the probe it is single-goroutine.
+// Perfetto streams probe events into Chrome trace JSON.  It is a probe
+// tap: give it to a run (sim.Options.Taps), then Close it after the
+// run to emit the closing bracket.  Like the probe it is
+// single-goroutine.
 type Perfetto struct {
 	bw     *bufio.Writer
 	out    io.Writer
@@ -36,13 +37,16 @@ type Perfetto struct {
 	cerr   error
 }
 
-// NewPerfetto returns an exporter writing Chrome trace JSON to w for a
-// run on mesh.
-func NewPerfetto(w io.Writer, mesh geom.Mesh) *Perfetto {
-	p := &Perfetto{bw: bufio.NewWriter(w), out: w, mesh: mesh}
+// NewPerfetto returns an exporter writing Chrome trace JSON to w.
+func NewPerfetto(w io.Writer) *Perfetto {
+	p := &Perfetto{bw: bufio.NewWriter(w), out: w}
 	fmt.Fprint(p.bw, `{"displayTimeUnit":"ms","traceEvents":[`)
 	return p
 }
+
+// Arm implements probe.Tap: slices name routers by their coordinates
+// in cfg.Mesh.
+func (p *Perfetto) Arm(cfg probe.Config) { p.mesh = cfg.Mesh }
 
 // Events returns the number of trace events emitted so far.
 func (p *Perfetto) Events() int64 { return p.n }

@@ -39,7 +39,7 @@ func TestPerfettoRealRun(t *testing.T) {
 		sources[i] = traffic.Source{Rate: 0.02, Class: packet.Ctrl, VNet: -1}
 	}
 	var sb strings.Builder
-	pf := NewPerfetto(&sb, cfg.Mesh())
+	pf := NewPerfetto(&sb)
 	res, err := sim.Run(sim.Options{
 		Cfg: cfg, Pattern: traffic.Transpose, Sources: sources,
 		Warmup: 0, Measure: 400, Drain: 2000, Seed: 1,
@@ -95,7 +95,7 @@ func TestPerfettoRealRun(t *testing.T) {
 // a loadable (empty) trace.
 func TestPerfettoEmpty(t *testing.T) {
 	var sb strings.Builder
-	pf := NewPerfetto(&sb, config.Default(config.SB).Mesh())
+	pf := NewPerfetto(&sb)
 	if err := pf.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // Writer is a probe tap that writes the packet lifecycle events as a
 // line-oriented trace, for debugging schedules and for offline
 // analysis (each line is also valid CSV); Perfetto renders the whole
-// stream as Chrome trace JSON.
+// stream as Chrome trace JSON.  Both take only their output when
+// built: the run that they tap arms them with its mesh.
 //
 // Format, one event per line:
 //
@@ -22,8 +23,9 @@ import (
 	"surfbless/internal/probe"
 )
 
-// Writer streams packet lifecycle events.  Attach it to a run's probe
-// as a tap (sim.Options.Taps); it skips router and tick events.
+// Writer streams packet lifecycle events.  It is a probe tap: give it
+// to a run (sim.Options.Taps), which arms it with the run's mesh; it
+// skips router and tick events.
 type Writer struct {
 	bw     *bufio.Writer
 	out    io.Writer
@@ -33,10 +35,13 @@ type Writer struct {
 	cerr   error
 }
 
-// New returns a Writer for a run on mesh, emitting to w.
-func New(w io.Writer, mesh geom.Mesh) *Writer {
-	return &Writer{bw: bufio.NewWriter(w), out: w, mesh: mesh}
+// New returns a Writer emitting to w.
+func New(w io.Writer) *Writer {
+	return &Writer{bw: bufio.NewWriter(w), out: w}
 }
+
+// Arm implements probe.Tap: routes print as coordinates of cfg.Mesh.
+func (t *Writer) Arm(cfg probe.Config) { t.mesh = cfg.Mesh }
 
 // Consume implements probe.Tap.
 func (t *Writer) Consume(batch []probe.Event) {

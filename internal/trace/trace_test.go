@@ -16,7 +16,8 @@ import (
 func TestLineFormat(t *testing.T) {
 	var sb strings.Builder
 	mesh := geom.NewMesh(4, 5)
-	w := New(&sb, mesh)
+	w := New(&sb)
+	w.Arm(probe.Config{Mesh: mesh, Domains: 2})
 	w.Consume([]probe.Event{
 		{Cycle: 41, Created: 10, ID: 7, Node: 9, Src: -1, Dst: -1, Flits: 1, Domain: 1, Kind: probe.KindLinkBusy},
 		{Cycle: 42, Created: 10, ID: 7, Node: int32(mesh.ID(geom.Coord{X: 3, Y: 4})),
@@ -53,7 +54,7 @@ func TestTraceRealRun(t *testing.T) {
 	var sb strings.Builder
 	cfg := config.Default(config.BLESS)
 	cfg.Domains = 1
-	w := New(&sb, cfg.Mesh())
+	w := New(&sb)
 	res, err := sim.Run(sim.Options{
 		Cfg: cfg, Pattern: traffic.UniformRandom, Seed: 3,
 		Sources: []traffic.Source{{Rate: 0.1, Class: packet.Ctrl, VNet: -1}},
@@ -90,7 +91,8 @@ var errClose = errors.New("disk full")
 
 func TestCloseFlushesAndClosesUnderlying(t *testing.T) {
 	var rec closeRecorder
-	w := New(&rec, geom.NewMesh(2, 2))
+	w := New(&rec)
+	w.Arm(probe.Config{Mesh: geom.NewMesh(2, 2), Domains: 1})
 	w.Consume([]probe.Event{{Cycle: 9, Created: 5, ID: 1, Node: 1, Src: 0, Dst: 1, Kind: probe.KindEjected}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -105,13 +107,13 @@ func TestCloseFlushesAndClosesUnderlying(t *testing.T) {
 
 func TestClosePropagatesError(t *testing.T) {
 	rec := closeRecorder{err: errClose}
-	w := New(&rec, geom.NewMesh(2, 2))
+	w := New(&rec)
 	if err := w.Close(); err != errClose {
 		t.Errorf("Close error = %v, want %v", err, errClose)
 	}
 	// A plain non-Closer writer: Close degrades to Flush.
 	var sb strings.Builder
-	if err := New(&sb, geom.NewMesh(2, 2)).Close(); err != nil {
+	if err := New(&sb).Close(); err != nil {
 		t.Errorf("Close on non-Closer = %v", err)
 	}
 }
@@ -122,7 +124,7 @@ func TestClosePropagatesError(t *testing.T) {
 // error unchanged.
 func TestCloseIdempotent(t *testing.T) {
 	var rec closeRecorder
-	w := New(&rec, geom.NewMesh(2, 2))
+	w := New(&rec)
 	for i := 0; i < 3; i++ {
 		if err := w.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
@@ -134,7 +136,7 @@ func TestCloseIdempotent(t *testing.T) {
 
 	// The sticky error path: every Close reports the same failure.
 	rec2 := closeRecorder{err: errClose}
-	w2 := New(&rec2, geom.NewMesh(2, 2))
+	w2 := New(&rec2)
 	if err := w2.Close(); err != errClose {
 		t.Fatalf("first Close = %v, want %v", err, errClose)
 	}

@@ -54,10 +54,9 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	recCfg.Domains = 2
 	recCol := stats.NewCollector(2, 0, 0)
 	var buf strings.Builder
-	tw := trace.New(&buf, recCfg.Mesh())
+	tw := trace.New(&buf)
 	events := &probe.Probe{}
-	events.Arm(probe.Config{Mesh: recCfg.Mesh(), Domains: 2})
-	events.AttachTap(tw)
+	events.Arm(probe.Config{Mesh: recCfg.Mesh(), Domains: 2}, tw)
 	recMeter := power.NewMeter(recCfg, power.Default45nm())
 	recFab, err := bless.New(recCfg, nil, recCol, recMeter)
 	if err != nil {

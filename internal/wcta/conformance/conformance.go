@@ -100,10 +100,10 @@ type Check struct {
 	Drain   int64 // cycles to let the adversarial backlog deliver
 	Seed    int64
 
-	// Recorder, when non-nil, flight-records the run; if the check then
-	// finds a bound violation (or the run degrades), the recorder's
-	// snapshot lands in Report.Flight so the offending final cycles can
-	// be inspected with `replay -flight`.
+	// Recorder, when non-nil, taps the run beside the flow tracker; if
+	// the check then fails (Report.Err), the recorder's snapshot lands
+	// in Report.Flight so the offending final cycles can be inspected
+	// with `replay -flight`.
 	Recorder *probe.FlightRecorder
 }
 
@@ -198,18 +198,21 @@ func Run(chk Check) (*Report, error) {
 		}
 	}
 
-	tracker := stats.NewFlowTracker(chk.Cfg.Mesh())
+	tracker := &stats.FlowTracker{}
+	taps := []probe.Tap{tracker}
+	if chk.Recorder != nil {
+		taps = append(taps, chk.Recorder)
+	}
 	res, err := sim.Run(sim.Options{
 		Cfg:     chk.Cfg,
 		Pattern: chk.Pattern,
 		Sources: chk.Sources,
 		// No warm-up: a latency bound has no warm-up exemption, and the
 		// tracker observes every delivered packet regardless of window.
-		Measure:  chk.Measure,
-		Drain:    chk.Drain,
-		Seed:     chk.Seed,
-		Taps:     []probe.Tap{tracker},
-		Recorder: chk.Recorder,
+		Measure: chk.Measure,
+		Drain:   chk.Drain,
+		Seed:    chk.Seed,
+		Taps:    taps,
 	})
 	if err != nil {
 		return nil, err
