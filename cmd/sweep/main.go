@@ -25,9 +25,10 @@
 // -remote fleet picks its own execution knobs.
 //
 // -remote ADDR submits the sweep to a sweepd coordinator (see
-// cmd/sweepd) instead of simulating locally, polls until the worker
-// fleet finishes it, and prints the coordinator-assembled CSV — which
-// is byte-identical to what the same flags produce locally.
+// cmd/sweepd) instead of simulating locally, streams each row as the
+// worker fleet finishes it — the coordinator answers a rows request
+// when the job's done count changes — and prints the same CSV the same
+// flags produce locally, byte for byte.
 //
 // Points are cached content-addressed under -cache-dir (default
 // results/.simcache), shared with cmd/experiments; -no-cache forces
@@ -350,25 +351,27 @@ func openCheckpoint(path string, resume bool, spec sweepsvc.Spec, stderr io.Writ
 	return c, job, replay, nil
 }
 
-// remoteRPCAttempts bounds each remote poll's retries through a
+// remoteRPCAttempts bounds each remote rows request's retries through a
 // coordinator outage — the same budget the workers run with, so the
 // client survives any bounce the fleet survives.
 const remoteRPCAttempts = 8
 
-// remotePollHook, when non-nil, runs after every poll (status and rows
-// fetched) and before freshly completed rows are printed — the seam
-// the regression test uses to bounce the coordinator mid-stream.
+// remotePollHook, when non-nil, runs after every rows fetch and before
+// freshly completed rows are printed — the seam the regression test
+// uses to bounce the coordinator mid-stream.
 var remotePollHook func(done, total int)
 
 // runRemote submits the spec to a sweepd coordinator and streams the
 // CSV as points complete: the header first, then each row as soon as
 // every earlier rate is also done, so stdout is byte-identical to a
-// local sweep.  Polls ride through transient coordinator outages (a
-// crash-restart mid-sweep loses no journaled work, so giving up would
-// abandon a live job).  Printed rows are deduplicated by point
-// fingerprint, not row index: a bounce with a torn WAL tail can revert
-// a completed point to pending and re-complete it later, so indexes
-// may go backwards between polls while fingerprints stay stable.
+// local sweep.  Each rows request names the last answer's done count
+// and is answered when that count changes, one request per change.
+// Requests ride through transient coordinator outages (a crash-restart
+// mid-sweep loses no journaled work, so giving up would abandon a live
+// job).  Printed rows are deduplicated by point fingerprint, not row
+// index: a bounce with a torn WAL tail can revert a completed point to
+// pending and re-complete it later, so indexes may go backwards
+// between answers while fingerprints stay stable.
 func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress bool, stdout, stderr io.Writer) int {
 	client := sweepsvc.NewClient(addr)
 	ctx := context.Background()
@@ -380,25 +383,21 @@ func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress 
 	fmt.Fprintf(stderr, "remote: job %s (%d points) on %s\n", job, points, addr)
 	fmt.Fprintln(stdout, sweepsvc.CSVHeader)
 	printed := make(map[string]bool, points)
-	next := 0 // rows[:next] have been streamed; rate order never regresses
-	lastDone := -1
+	next := 0  // rows[:next] have been streamed; rate order never regresses
+	seen := -1 // the done count of the last answer; -1 asks for one at once
 	for {
-		st, err := client.StatusWithRetry(ctx, policy, remoteRPCAttempts, job)
+		rows, err := client.RowsWithRetry(ctx, policy, remoteRPCAttempts, job, seen)
 		if err != nil {
 			fmt.Fprintln(stderr, "sweep:", err)
 			return 1
 		}
-		if progress && st.Done != lastDone {
-			fmt.Fprintf(stderr, "remote: %d/%d done (%d leased, %d failed)\n", st.Done, st.Total, st.Leased, st.Failed)
-			lastDone = st.Done
+		done, failed := sweepsvc.CountDone(rows)
+		if progress && done != seen {
+			fmt.Fprintf(stderr, "remote: %d/%d done (%d failed)\n", done, len(rows), failed)
 		}
-		rows, err := client.RowsWithRetry(ctx, policy, remoteRPCAttempts, job)
-		if err != nil {
-			fmt.Fprintln(stderr, "sweep:", err)
-			return 1
-		}
+		seen = done
 		if remotePollHook != nil {
-			remotePollHook(st.Done, st.Total)
+			remotePollHook(done, len(rows))
 		}
 		// Stream the contiguous done prefix.  The cursor keeps rate
 		// order; the fingerprint set keeps idempotence when a bounce
@@ -416,14 +415,13 @@ func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress 
 			printed[key] = true
 			fmt.Fprintln(stdout, r.Row)
 		}
-		if st.Complete && next >= len(rows) {
-			if st.Failed > 0 {
-				fmt.Fprintf(stderr, "sweep: %d point(s) failed\n", st.Failed)
+		if done == len(rows) {
+			if failed > 0 {
+				fmt.Fprintf(stderr, "sweep: %d point(s) failed\n", failed)
 				return 1
 			}
 			return 0
 		}
-		time.Sleep(200 * time.Millisecond)
 	}
 }
 

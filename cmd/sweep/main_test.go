@@ -214,7 +214,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	w, err := sweepsvc.NewWorker(sweepsvc.WorkerOptions{
 		Name: "w1", Client: sweepsvc.NewClient(srv.Addr()),
 		Runner: &sweepsvc.Runner{Policy: pol},
-		Slots:  2, Poll: 5 * time.Millisecond, Backoff: pol,
+		Slots:  2, Backoff: pol,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 }
 
-// A coordinator crash-restart between a status poll and row printing
+// A coordinator crash-restart between a rows fetch and row printing
 // must not double-print, drop or reorder rows: the streaming loop only
 // advances its rate-order cursor and dedups printed rows by point
 // fingerprint, which is stable across WAL replays (row indexes are
@@ -282,8 +282,8 @@ func TestRemoteSweepBouncePollPrint(t *testing.T) {
 		defer func() { poll++ }()
 		switch poll {
 		case 0:
-			// First poll saw an all-pending snapshot; finish two points so
-			// the next poll streams them.
+			// The first fetch saw an all-pending snapshot; finish two
+			// points so the next fetch streams them.
 			complete(2)
 		case 1:
 			// The streaming loop has fetched rows showing two done points

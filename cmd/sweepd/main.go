@@ -10,10 +10,11 @@
 //	       [-cache-dir results/.simcache] [-no-cache]
 //	       [-lease-ttl 10s]
 //
-// Endpoints: POST/GET /api/jobs, GET /api/jobs/{id}[/csv], POST
-// /api/lease|renew|release|complete, /healthz, and /metrics exposing
-// the lease/requeue/completion/singleflight counters in Prometheus
-// text format.
+// Endpoints: POST/GET /api/jobs, GET /api/jobs/{id}[/rows|/csv], POST
+// /api/lease|renew|complete, /healthz, and /metrics exposing the
+// lease/requeue/completion/singleflight counters in Prometheus text
+// format.  An idle worker's lease ask, and a rows request whose job
+// has not moved, wait at the coordinator for up to a second.
 //
 // Submit with `sweep -remote ADDR <usual sweep flags>`, or directly:
 //

@@ -1,12 +1,13 @@
-// Command sweepworker is one member of the sweep-service fleet: it
-// pulls lease-based work units from a cmd/sweepd coordinator, runs
-// each point's simulation (with per-job timeouts and seeded-backoff
-// retries), and reports typed ok/degraded/failed rows back.
+// Command sweepworker is one member of the sweep-service fleet: each
+// of its slots asks a cmd/sweepd coordinator for one lease-based work
+// unit, runs the point's simulation (with per-job timeouts and
+// seeded-backoff retries), reports the typed ok/degraded/failed row
+// back and asks again.  An ask that finds no work waits at the
+// coordinator until work may have appeared.
 //
 // Usage:
 //
-//	sweepworker -coordinator 127.0.0.1:8080 [-name host-pid]
-//	            [-slots N] [-prefetch N]
+//	sweepworker -coordinator 127.0.0.1:8080 [-name host-pid] [-slots N]
 //	            [-cache-dir results/.simcache] [-no-cache]
 //	            [-seed 0]
 //
@@ -15,9 +16,10 @@
 //   - Leases are renewed at a third of their TTL; if this process is
 //     SIGKILL'd, the coordinator requeues its leases after the TTL and
 //     nothing is lost.
-//   - SIGTERM/SIGINT drains gracefully: in-flight points finish and
-//     report, queued leases are released immediately, then the process
-//     exits 0.  A second signal exits hard.
+//   - SIGTERM/SIGINT drains gracefully: the slots stop asking, finish
+//     and report the points they hold, then the process exits 0.  A
+//     slot never holds a lease it has not started, so there is nothing
+//     to hand back.  A second signal exits hard.
 //   - Coordinator outages (a bounce mid-sweep) look like slow RPCs:
 //     acquisitions and completion reports retry with seeded
 //     exponential backoff + jitter.
@@ -50,7 +52,6 @@ func run(args []string, stderr io.Writer) int {
 	coordAddr := fs.String("coordinator", "127.0.0.1:8080", "sweepd address (host:port)")
 	name := fs.String("name", "", "worker name reported to the coordinator (default host-pid)")
 	slots := fs.Int("slots", runtime.NumCPU(), "points simulated concurrently")
-	prefetch := fs.Int("prefetch", 0, "extra leases held queued so slots never idle")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", ".simcache"), "shared result-store directory")
 	noCache := fs.Bool("no-cache", false, "run without the shared result store")
 	seed := fs.Int64("seed", 0, "backoff jitter seed (default derived from pid)")
@@ -94,15 +95,14 @@ func run(args []string, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "sweepworker: rate %.3f attempt %d failed (%v), backing off\n", rate, attempt, err)
 			},
 		},
-		Slots:    *slots,
-		Prefetch: *prefetch,
-		Backoff:  policy,
+		Slots:   *slots,
+		Backoff: policy,
 		Hooks: &sweepsvc.WorkerHooks{
 			PointFinished: func(l sweepsvc.Lease, exec sweepsvc.Execution) {
 				fmt.Fprintf(stderr, "sweepworker: %s point %d (rate %.3f): %s\n", l.Job, l.Point, l.Rate, exec.Status)
 			},
-			Drained: func(released int) {
-				fmt.Fprintf(stderr, "sweepworker: drained (released %d queued lease(s))\n", released)
+			Drained: func() {
+				fmt.Fprintln(stderr, "sweepworker: drained")
 			},
 		},
 	})
@@ -116,7 +116,7 @@ func run(args []string, stderr io.Writer) int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
-		fmt.Fprintf(stderr, "sweepworker: %v — draining (finish in-flight, release the rest); signal again to exit hard\n", s)
+		fmt.Fprintf(stderr, "sweepworker: %v — draining (finish in-flight points); signal again to exit hard\n", s)
 		w.Drain()
 		<-sig
 		fmt.Fprintln(stderr, "sweepworker: second signal — exiting hard")

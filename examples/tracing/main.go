@@ -24,10 +24,14 @@ import (
 
 // latencies is a custom tap: it rebuilds each domain's total-latency
 // histogram from the ejection events, which carry both the creation
-// and the ejection cycle.  Arm sizes it for the run's domains.
+// and the ejection cycle.  Arm sizes it for the run's domains and
+// reports that it reads no router events.
 type latencies struct{ hist []stats.Histogram }
 
-func (l *latencies) Arm(cfg probe.Config) { l.hist = make([]stats.Histogram, cfg.Domains) }
+func (l *latencies) Arm(cfg probe.Config) bool {
+	l.hist = make([]stats.Histogram, cfg.Domains)
+	return false
+}
 
 func (l *latencies) Consume(batch []probe.Event) {
 	for _, e := range batch {

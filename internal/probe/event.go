@@ -118,7 +118,11 @@ type Event struct {
 // inside one batch.  The slice is only valid for the duration of the
 // call — a tap that retains events must copy them (the flight recorder
 // does).
+//
+// Arm reports whether the tap reads router events.  When no tap of a
+// run does, the ring keeps no router segments and records no link
+// traversals; when one does, every tap is handed the router batches.
 type Tap interface {
-	Arm(cfg Config)
+	Arm(cfg Config) (routerEvents bool)
 	Consume(batch []Event)
 }

@@ -86,6 +86,9 @@ type segment struct {
 type Probe struct {
 	mesh  geom.Mesh
 	armed bool
+	// routers is set when some tap reads router events: only then does
+	// the ring keep router segments and Traverse record.
+	routers bool
 
 	// segs[node] holds router events, segs[len-1] the driver
 	// lifecycle/tick stream.
@@ -94,12 +97,19 @@ type Probe struct {
 	nextDrain int64
 }
 
-// Arm resets the ring for one run, subscribes taps to its drained
-// batches (in order) and arms each of them with cfg.  Re-arming
-// discards undrained events and replaces the taps.
+// Arm resets the ring for one run, arms each tap with cfg and
+// subscribes the taps to its drained batches (in order).  The ring
+// keeps router segments only when some tap reads router events.
+// Re-arming discards undrained events and replaces the taps.
 func (pr *Probe) Arm(cfg Config, taps ...Tap) {
-	nodes := cfg.Mesh.Nodes()
-	segCap := min(max(ringBudget/nodes, minSegCap), maxSegCap)
+	nodes := 0 // router segments, kept only for a tap that reads them
+	for _, t := range taps {
+		if t.Arm(cfg) {
+			nodes = cfg.Mesh.Nodes()
+		}
+	}
+	pr.routers = nodes > 0
+	segCap := min(max(ringBudget/max(nodes, 1), minSegCap), maxSegCap)
 	pr.mesh = cfg.Mesh
 	pr.armed = true
 	pr.segs = make([]segment, nodes+1)
@@ -117,9 +127,6 @@ func (pr *Probe) Arm(cfg Config, taps ...Tap) {
 	pr.segs[nodes].buf = make([]Event, driverSegCap)
 	pr.taps = taps
 	pr.nextDrain = drainStride
-	for _, t := range taps {
-		t.Arm(cfg)
-	}
 }
 
 // flush hands one segment's batch to every tap and empties it.
@@ -205,9 +212,10 @@ func (pr *Probe) Refused(domain int, now int64) {
 // Packet-granular fabrics call it once per forward with flits =
 // p.Size; flit-granular (VC) fabrics once per link flit with flits = 1.
 // It appends one event to the node's ring segment and nothing more —
-// the accounting happens at drain time.
+// the accounting happens at drain time — and records nothing when no
+// tap reads router events.
 func (pr *Probe) Traverse(node int, dir geom.Dir, p *packet.Packet, flits int, deflected bool, now int64) {
-	if pr == nil || !pr.armed {
+	if pr == nil || !pr.routers {
 		return
 	}
 	s := &pr.segs[node]

@@ -50,11 +50,12 @@ func NewFlightRecorder(windowCycles int64) *FlightRecorder {
 func (r *FlightRecorder) Window() int64 { return r.window }
 
 // Arm implements Tap: it discards all recorded events, so a recorder
-// can be reused across runs.
-func (r *FlightRecorder) Arm(Config) {
+// can be reused across runs.  It records router events too.
+func (r *FlightRecorder) Arm(Config) bool {
 	r.head = 0
 	r.n = 0
 	r.maxCycle = -1
+	return true
 }
 
 // Consume implements Tap: it copies the batch into the ring,

@@ -44,18 +44,21 @@ func TestRingOverflowFlushes(t *testing.T) {
 }
 
 // batchTap records the Config it is armed with and every batch it is
-// handed (copying, per the Tap contract).
+// handed (copying, per the Tap contract).  It reads router events
+// unless lifecycleOnly is set.
 type batchTap struct {
-	cfg     probe.Config
-	arms    int
-	batches int
-	sizes   []int // length of each router-segment batch
-	events  []probe.Event
+	lifecycleOnly bool
+	cfg           probe.Config
+	arms          int
+	batches       int
+	sizes         []int // length of each router-segment batch
+	events        []probe.Event
 }
 
-func (bt *batchTap) Arm(cfg probe.Config) {
+func (bt *batchTap) Arm(cfg probe.Config) bool {
 	bt.cfg = cfg
 	bt.arms++
+	return !bt.lifecycleOnly
 }
 
 func (bt *batchTap) Consume(batch []probe.Event) {
@@ -136,6 +139,47 @@ func TestRouterSegmentHoldsADrain(t *testing.T) {
 		want := []int{132, 128, 128, 128, 128, 128, 28}
 		if !slices.Equal(bt.sizes, want) {
 			t.Errorf("%dx%d: router batches of %v events, want %v", side, side, bt.sizes, want)
+		}
+	}
+}
+
+// TestLifecycleOnlyTapsGetNoRouterBatch: a ring whose taps all read
+// lifecycle events only records no link traversals and hands them no
+// router batch, while the lifecycle stream arrives whole; one tap that
+// reads router events brings the router batches back for every tap.
+func TestLifecycleOnlyTapsGetNoRouterBatch(t *testing.T) {
+	drive := func(taps ...probe.Tap) {
+		pr := &probe.Probe{}
+		pr.Arm(probe.Config{Mesh: geom.NewMesh(4, 4), Domains: 1}, taps...)
+		p := pkt(1, 0, 0, 0, 0)
+		created(pr, p)
+		injected(pr, p)
+		for now := int64(0); now < 100; now++ {
+			for node := 0; node < 16; node++ {
+				pr.Traverse(node, geom.East, p, 1, now%3 == 0, now)
+			}
+			pr.Tick(now, 1)
+		}
+		ejected(pr, p)
+		pr.Flush()
+	}
+	a, b := &batchTap{lifecycleOnly: true}, &batchTap{lifecycleOnly: true}
+	drive(a, b)
+	for _, bt := range []*batchTap{a, b} {
+		if len(bt.sizes) != 0 {
+			t.Errorf("lifecycle-only tap got %d router batches, want none", len(bt.sizes))
+		}
+		// created + injected + ejected + 100 ticks.
+		if len(bt.events) != 3+100 {
+			t.Errorf("lifecycle-only tap saw %d events, want %d", len(bt.events), 3+100)
+		}
+	}
+
+	c, d := &batchTap{lifecycleOnly: true}, &batchTap{}
+	drive(c, d)
+	for _, bt := range []*batchTap{c, d} {
+		if len(bt.events) != 3+100+16*100 {
+			t.Errorf("with a router reader, a tap saw %d events, want %d", len(bt.events), 3+100+16*100)
 		}
 	}
 }

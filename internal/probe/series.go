@@ -98,8 +98,9 @@ func NewSeries(every int64) *Series {
 // Arm implements Tap: it discards any previous run's data and sizes
 // the series for cfg.  The bounded part of the run is preallocated so
 // that steady-state observed stepping stays allocation-free; buckets
-// past MeasureEnd (and unbounded runs) grow amortized.
-func (s *Series) Arm(cfg Config) {
+// past MeasureEnd (and unbounded runs) grow amortized.  The heatmaps
+// read router events.
+func (s *Series) Arm(cfg Config) bool {
 	nodes := cfg.Mesh.Nodes()
 	s.cfg = cfg
 	nb := 64
@@ -116,6 +117,7 @@ func (s *Series) Arm(cfg Config) {
 	s.routerDeflections = make([]int64, nodes)
 	s.routerEjections = make([]int64, nodes)
 	s.linkFlits = make([][geom.NumLinkDirs]int64, nodes)
+	return true
 }
 
 // Consume implements Tap: a router segment's batch (link traversals)

@@ -199,10 +199,13 @@ func TestShardMatchesSerialGiant(t *testing.T) {
 
 // lifecycleTap keeps a copy of every packet lifecycle event it is
 // handed (the kinds KindCreated through KindRetransmit), in stream
-// order.
+// order.  It reads no router events.
 type lifecycleTap []probe.Event
 
-func (l *lifecycleTap) Arm(probe.Config) { *l = (*l)[:0] }
+func (l *lifecycleTap) Arm(probe.Config) bool {
+	*l = (*l)[:0]
+	return false
+}
 
 func (l *lifecycleTap) Consume(batch []probe.Event) {
 	for _, e := range batch {

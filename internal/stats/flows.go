@@ -42,9 +42,10 @@ type FlowTracker struct {
 }
 
 // Arm implements probe.Tap: it empties the tracker for a run on
-// cfg.Mesh.
-func (t *FlowTracker) Arm(cfg probe.Config) {
+// cfg.Mesh.  The tracker reads lifecycle events only.
+func (t *FlowTracker) Arm(cfg probe.Config) bool {
 	*t = FlowTracker{mesh: cfg.Mesh, injected: make(map[uint64]int64), flows: make(map[FlowKey]FlowStats)}
+	return false
 }
 
 // Consume implements probe.Tap.  The kernel reports a packet's

@@ -1,5 +1,5 @@
 // Package backoff is the seeded exponential-backoff-with-jitter policy
-// shared by every retry loop in the sweep service: worker lease polls,
+// shared by every retry loop in the sweep service: worker lease asks,
 // completion reports racing a coordinator bounce, and cmd/sweep's
 // per-point retries.  Delays are a pure function of (policy, attempt),
 // so a seeded run retries on a reproducible schedule — the same

@@ -128,8 +128,7 @@ func (h *chaosHarness) startWorker(name string) *chaosWorker {
 		Name:   name,
 		Client: h.client(),
 		Runner: &Runner{Policy: pol},
-		Slots:  1, Prefetch: 2,
-		Poll: 10 * time.Millisecond, Backoff: pol, RPCAttempts: 4,
+		Slots:  1, Backoff: pol, RPCAttempts: 4,
 	})
 	if err != nil {
 		h.t.Fatalf("NewWorker: %v", err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"surfbless/internal/sweepsvc/backoff"
@@ -133,22 +134,30 @@ func (c *Client) CSV(ctx context.Context, job string) (string, error) {
 }
 
 // Rows fetches a job's per-point output state in rate order — readable
-// while the job is still running, for incremental row printing.
-func (c *Client) Rows(ctx context.Context, job string) ([]PointRow, error) {
+// while the job is still running, for incremental row printing.  With
+// done ≥ 0 the coordinator answers once the job's done count differs
+// from done, or after about a second; done < 0 answers at once.
+func (c *Client) Rows(ctx context.Context, job string, done int) ([]PointRow, error) {
+	path := "/api/jobs/" + job + "/rows"
+	if done >= 0 {
+		path += "?done=" + strconv.Itoa(done)
+	}
 	var rows []PointRow
-	err := c.call(ctx, http.MethodGet, "/api/jobs/"+job+"/rows", nil, &rows)
+	err := c.call(ctx, http.MethodGet, path, nil, &rows)
 	return rows, err
 }
 
 // RowsWithRetry is Rows through withRetry.
-func (c *Client) RowsWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) ([]PointRow, error) {
-	return withRetry(ctx, p, attempts, func() ([]PointRow, error) { return c.Rows(ctx, job) })
+func (c *Client) RowsWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string, done int) ([]PointRow, error) {
+	return withRetry(ctx, p, attempts, func() ([]PointRow, error) { return c.Rows(ctx, job, done) })
 }
 
-// Acquire pulls up to max leases for worker.
-func (c *Client) Acquire(ctx context.Context, worker string, max int) ([]Lease, error) {
+// Acquire asks for up to max leases for worker.  With wait set, an ask
+// that finds no work waits at the coordinator, for about a second at
+// most, until work may have appeared.
+func (c *Client) Acquire(ctx context.Context, worker string, wait bool, max int) ([]Lease, error) {
 	var resp LeaseResponse
-	if err := c.call(ctx, http.MethodPost, "/api/lease", LeaseRequest{Worker: worker, Max: max}, &resp); err != nil {
+	if err := c.call(ctx, http.MethodPost, "/api/lease", LeaseRequest{Worker: worker, Max: max, Wait: wait}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Leases, nil
@@ -162,11 +171,6 @@ func (c *Client) Renew(ctx context.Context, worker string, leases []string) ([]s
 		return nil, err
 	}
 	return resp.Lost, nil
-}
-
-// Release returns unstarted leases to the pending pool.
-func (c *Client) Release(ctx context.Context, worker string, leases []string) error {
-	return c.call(ctx, http.MethodPost, "/api/release", ReleaseRequest{Worker: worker, Leases: leases}, nil)
 }
 
 // Complete reports one finished point.  It returns whether the report
@@ -184,9 +188,4 @@ func (c *Client) Complete(ctx context.Context, comp Completion) (bool, error) {
 // coordinator still accepts the first report for the point.
 func (c *Client) CompleteWithRetry(ctx context.Context, p backoff.Policy, attempts int, comp Completion) (bool, error) {
 	return withRetry(ctx, p, attempts, func() (bool, error) { return c.Complete(ctx, comp) })
-}
-
-// StatusWithRetry is Status through withRetry.
-func (c *Client) StatusWithRetry(ctx context.Context, p backoff.Policy, attempts int, job string) (JobStatus, error) {
-	return withRetry(ctx, p, attempts, func() (JobStatus, error) { return c.Status(ctx, job) })
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,8 +52,7 @@ func TestClientRetryStopsOnlyOnNotFound(t *testing.T) {
 		{"coordinator 503", "127.0.0.1:8080", "j12", http.StatusServiceUnavailable, attempts},
 	} {
 		calls := map[string]func(c *Client) error{
-			"status": func(c *Client) error { _, err := c.StatusWithRetry(ctx, pol, attempts, tc.job); return err },
-			"rows":   func(c *Client) error { _, err := c.RowsWithRetry(ctx, pol, attempts, tc.job); return err },
+			"rows": func(c *Client) error { _, err := c.RowsWithRetry(ctx, pol, attempts, tc.job, -1); return err },
 			"complete": func(c *Client) error {
 				_, err := c.CompleteWithRetry(ctx, pol, attempts, Completion{Job: tc.job})
 				return err
@@ -68,6 +68,31 @@ func TestClientRetryStopsOnlyOnNotFound(t *testing.T) {
 			if got := rt.trips.Load(); got != tc.wantTrips {
 				t.Errorf("%s, %s: %d round trip(s), want %d", tc.name, name, got, tc.wantTrips)
 			}
+		}
+	}
+}
+
+// A CSV request tells an unknown job (404, which stops the retry
+// helpers) from one that is still running (409).
+func TestClientCSVUnknownJobIsNotFound(t *testing.T) {
+	_, srv := startService(t, filepath.Join(t.TempDir(), "wal"), nil, nil)
+	client := NewClient(srv.Addr())
+	ctx := context.Background()
+	job, _, err := client.Submit(ctx, testSpec())
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for _, tc := range []struct {
+		job  string
+		code int
+	}{
+		{"j404", http.StatusNotFound},
+		{job, http.StatusConflict},
+	} {
+		_, err := client.CSV(ctx, tc.job)
+		var se *statusError
+		if !errors.As(err, &se) || se.code != tc.code {
+			t.Errorf("CSV(%s) = %v, want a %d status error", tc.job, err, tc.code)
 		}
 	}
 }

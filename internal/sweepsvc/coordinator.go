@@ -2,6 +2,7 @@ package sweepsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -127,7 +128,7 @@ type Completion struct {
 // in rate order; the fingerprint — not the row index — is the dedup
 // key a streaming client must use, because a coordinator bounce with a
 // torn WAL tail can revert a completed point to pending and re-complete
-// it later, shifting which indexes are done between two polls.
+// it later, shifting which indexes are done between two answers.
 type PointRow struct {
 	Point       int     `json:"point"`
 	Rate        float64 `json:"rate"`
@@ -135,6 +136,20 @@ type PointRow struct {
 	Done        bool    `json:"done"`
 	Failed      bool    `json:"failed,omitempty"`
 	Row         string  `json:"row,omitempty"` // valid once Done
+}
+
+// CountDone returns how many of rows are done, and how many of those
+// failed.
+func CountDone(rows []PointRow) (done, failed int) {
+	for _, r := range rows {
+		if r.Done {
+			done++
+			if r.Failed {
+				failed++
+			}
+		}
+	}
+	return done, failed
 }
 
 // JobStatus is the wire form of a job's progress.
@@ -162,9 +177,9 @@ type coordCounters struct {
 // Coordinator owns the sweep service's authoritative state: jobs,
 // points, leases and the singleflight table, all journaled through the
 // WAL.  Every exported method is safe for concurrent use; leases are
-// expired lazily at the top of each mutating call (plus whatever
-// cadence the server's ticker adds), so correctness never depends on a
-// background goroutine.
+// expired lazily at the top of each mutating call, which lease asks,
+// heartbeats and completions keep making, so there is no background
+// goroutine.
 type Coordinator struct {
 	mu     sync.Mutex
 	opts   CoordinatorOptions
@@ -187,6 +202,9 @@ type Coordinator struct {
 	counters coordCounters
 	hooks    *Hooks
 	closed   bool
+	// change is closed and replaced whenever work may have appeared or a
+	// job moved: a job admitted, a point requeued or completed, Close.
+	change chan struct{}
 }
 
 // OpenCoordinator opens (or resumes) a coordinator over its WAL.
@@ -215,6 +233,7 @@ func OpenCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 		inflight: make(map[simcache.Key]string),
 		epoch:    o.Clock().UnixNano(),
 		hooks:    o.Hooks,
+		change:   make(chan struct{}),
 	}
 	if m := o.Metrics; m != nil {
 		c.counters = coordCounters{
@@ -268,14 +287,35 @@ func OpenCoordinator(o CoordinatorOptions) (*Coordinator, error) {
 // Skipped returns the WAL lines dropped at open (torn tail).
 func (c *Coordinator) Skipped() int { return c.wal.Skipped() }
 
-// Close releases the WAL.  In-memory state stays readable but further
-// mutations fail.
+// Close releases the WAL and wakes every waiter.  In-memory state
+// stays readable but further mutations fail.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
+	c.changedLocked()
 	return c.wal.Close()
 }
+
+// nextChange returns a channel that closes at the coordinator's next
+// change: a job admitted, a point requeued or completed, or Close.  A
+// waiter takes it before it checks for work, so a change that lands
+// between the check and the wait still wakes it.
+func (c *Coordinator) nextChange() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.change
+}
+
+// changedLocked fires the change signal.
+func (c *Coordinator) changedLocked() {
+	close(c.change)
+	c.change = make(chan struct{})
+}
+
+// errUnknownJob marks a job ID the coordinator never admitted; the
+// server answers it with 404.
+var errUnknownJob = errors.New("sweepsvc: unknown job")
 
 // nextIDLocked mints a sequential ID with the given prefix, skipping
 // over IDs already taken by WAL replay.
@@ -323,6 +363,7 @@ func (c *Coordinator) SubmitJob(spec Spec) (string, int, error) {
 		return "", 0, err
 	}
 	j := c.admitLocked(id, spec)
+	c.changedLocked()
 	return id, len(j.points), nil
 }
 
@@ -334,17 +375,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 		if now.Before(l.expires) {
 			continue
 		}
-		delete(c.leases, id)
-		j := c.jobs[l.jobID]
-		p := j.points[l.point]
-		if p.state == pointLeased && p.leaseID == id {
-			p.state = pointPending
-			p.leaseID = ""
-			if p.keyOK && c.inflight[p.key] == id {
-				delete(c.inflight, p.key)
-			}
-			c.counters.requeued.Inc()
-		}
+		c.requeueLocked(id, l)
 		c.counters.expired.Inc()
 		if c.hooks != nil && c.hooks.LeaseExpired != nil {
 			c.hooks.LeaseExpired(l.jobID, l.point, l.worker)
@@ -352,12 +383,21 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// ExpireLeases runs one expiry sweep immediately — the server's ticker
-// calls it so leases lapse even while no worker is talking to us.
-func (c *Coordinator) ExpireLeases() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(c.opts.Clock())
+// requeueLocked drops lease id and, while its point still acknowledges
+// it, returns the point to pending.
+func (c *Coordinator) requeueLocked(id string, l *lease) {
+	delete(c.leases, id)
+	p := c.jobs[l.jobID].points[l.point]
+	if p.state != pointLeased || p.leaseID != id {
+		return
+	}
+	p.state = pointPending
+	p.leaseID = ""
+	if p.keyOK && c.inflight[p.key] == id {
+		delete(c.inflight, p.key)
+	}
+	c.counters.requeued.Inc()
+	c.changedLocked()
 }
 
 // AcquireLeases grants up to max work units to worker.  Pending points
@@ -428,12 +468,12 @@ func (c *Coordinator) AcquireLeases(worker string, max int) ([]Lease, error) {
 // should stop counting on those.
 //
 // A renewal arriving in the same tick as expiry — the worker's
-// heartbeat lands at exactly TTL, whether the lapse is noticed lazily
-// here or by the server's ticker — resolves deterministically in
+// heartbeat lands at exactly TTL — resolves deterministically in
 // expiry's favor: the sweep runs before the renewal is considered, so
 // the renewal comes back lost instead of resurrecting a lease whose
 // point may already be re-leased to another worker.  Two workers can
-// therefore never hold the same lease.
+// therefore never hold the same lease.  A renewal with no IDs is a
+// bare expiry sweep.
 func (c *Coordinator) RenewLeases(worker string, ids []string) (lost []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -468,26 +508,15 @@ func (c *Coordinator) RenewLeases(worker string, ids []string) (lost []string) {
 	return lost
 }
 
-// ReleaseLeases returns unstarted leases to the pending pool — the
-// graceful half of a worker drain.
-func (c *Coordinator) ReleaseLeases(worker string, ids []string) {
+// ReleaseLeases returns granted leases to the pending pool at once —
+// the server does so when the worker that asked for them left before
+// the answer.
+func (c *Coordinator) ReleaseLeases(worker string, leases []Lease) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range ids {
-		l, ok := c.leases[id]
-		if !ok || l.worker != worker {
-			continue
-		}
-		delete(c.leases, id)
-		j := c.jobs[l.jobID]
-		p := j.points[l.point]
-		if p.state == pointLeased && p.leaseID == id {
-			p.state = pointPending
-			p.leaseID = ""
-			if p.keyOK && c.inflight[p.key] == id {
-				delete(c.inflight, p.key)
-			}
-			c.counters.requeued.Inc()
+	for _, g := range leases {
+		if l, ok := c.leases[g.ID]; ok && l.worker == worker {
+			c.requeueLocked(g.ID, l)
 		}
 	}
 }
@@ -508,7 +537,7 @@ func (c *Coordinator) CompletePoint(comp Completion) (accepted bool, err error) 
 	c.expireLocked(c.opts.Clock())
 	j := c.jobs[comp.Job]
 	if j == nil {
-		return false, fmt.Errorf("sweepsvc: unknown job %q", comp.Job)
+		return false, fmt.Errorf("%w %q", errUnknownJob, comp.Job)
 	}
 	if comp.Point < 0 || comp.Point >= len(j.points) {
 		return false, fmt.Errorf("sweepsvc: job %s has no point %d", comp.Job, comp.Point)
@@ -557,6 +586,7 @@ func (c *Coordinator) completePointLocked(j *job, idx int, comp Completion) erro
 	if comp.Failed {
 		j.failed++
 	}
+	c.changedLocked()
 	c.counters.completed.Inc()
 	if c.hooks != nil && c.hooks.PointCompleted != nil {
 		c.hooks.PointCompleted(j.id, idx, false)
@@ -590,7 +620,7 @@ func (c *Coordinator) Status(jobID string) (JobStatus, error) {
 	defer c.mu.Unlock()
 	j := c.jobs[jobID]
 	if j == nil {
-		return JobStatus{}, fmt.Errorf("sweepsvc: unknown job %q", jobID)
+		return JobStatus{}, fmt.Errorf("%w %q", errUnknownJob, jobID)
 	}
 	leased := 0
 	for _, p := range j.points {
@@ -612,7 +642,7 @@ func (c *Coordinator) Rows(jobID string) ([]PointRow, error) {
 	defer c.mu.Unlock()
 	j := c.jobs[jobID]
 	if j == nil {
-		return nil, fmt.Errorf("sweepsvc: unknown job %q", jobID)
+		return nil, fmt.Errorf("%w %q", errUnknownJob, jobID)
 	}
 	out := make([]PointRow, len(j.points))
 	for i, p := range j.points {
@@ -645,7 +675,7 @@ func (c *Coordinator) CSV(jobID string) (string, error) {
 	defer c.mu.Unlock()
 	j := c.jobs[jobID]
 	if j == nil {
-		return "", fmt.Errorf("sweepsvc: unknown job %q", jobID)
+		return "", fmt.Errorf("%w %q", errUnknownJob, jobID)
 	}
 	if !j.complete() {
 		return "", fmt.Errorf("sweepsvc: job %s is %d/%d complete", jobID, j.done, len(j.points))

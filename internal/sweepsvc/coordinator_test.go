@@ -298,55 +298,45 @@ func TestCoordinatorSingleflightSkipsFailures(t *testing.T) {
 }
 
 // At exactly TTL a heartbeat renewal and lease expiry collide.  The
-// tie must resolve deterministically in expiry's favor — whether the
-// lapse is noticed lazily by the renewal's own sweep or by the
-// server's ticker in the same tick — because a renewal that resurrects
-// a just-expired lease could overlap the new lease its point was
-// requeued into: two workers, one work unit.
+// tie must resolve deterministically in expiry's favor, because a
+// renewal that resurrects a just-expired lease could overlap the new
+// lease its point was requeued into: two workers, one work unit.
 func TestCoordinatorRenewExpireAtExactTTL(t *testing.T) {
-	for _, tickerFirst := range []bool{false, true} {
-		name := "lazy-expiry-first"
-		if tickerFirst {
-			name = "ticker-sweep-first"
+	t.Run("lazy-expiry-first", func(t *testing.T) {
+		clk := &fakeClock{now: time.Unix(1000, 0)}
+		c := openTestCoordinator(t, filepath.Join(t.TempDir(), "wal"), clk)
+		if _, _, err := c.SubmitJob(testSpec()); err != nil {
+			t.Fatalf("SubmitJob: %v", err)
 		}
-		t.Run(name, func(t *testing.T) {
-			clk := &fakeClock{now: time.Unix(1000, 0)}
-			c := openTestCoordinator(t, filepath.Join(t.TempDir(), "wal"), clk)
-			if _, _, err := c.SubmitJob(testSpec()); err != nil {
-				t.Fatalf("SubmitJob: %v", err)
-			}
-			leases, err := c.AcquireLeases("w1", 1)
-			if err != nil || len(leases) != 1 {
-				t.Fatalf("AcquireLeases = %v, %v; want 1 lease", leases, err)
-			}
-			l := leases[0]
-			clk.Advance(10 * time.Second) // exactly the lease TTL
-			if tickerFirst {
-				c.ExpireLeases()
-			}
-			if lost := c.RenewLeases("w1", []string{l.ID}); len(lost) != 1 || lost[0] != l.ID {
-				t.Fatalf("renewal at exactly TTL lost %v, want [%s] (expiry wins ties)", lost, l.ID)
-			}
-			// The point is pending again and goes to a second worker.
-			release, err := c.AcquireLeases("w2", 1)
-			if err != nil || len(release) != 1 || release[0].Point != l.Point {
-				t.Fatalf("expired point not re-leased: %v, %v", release, err)
-			}
-			// The original worker keeps heartbeating its dead ID: it must
-			// stay lost, and w2's live lease must be untouched by it.
-			if lost := c.RenewLeases("w1", []string{l.ID}); len(lost) != 1 {
-				t.Errorf("dead lease resurrected: lost %v, want it reported lost", lost)
-			}
-			if lost := c.RenewLeases("w2", []string{release[0].ID}); len(lost) != 0 {
-				t.Errorf("w2's live lease reported lost: %v", lost)
-			}
-		})
-	}
+		leases, err := c.AcquireLeases("w1", 1)
+		if err != nil || len(leases) != 1 {
+			t.Fatalf("AcquireLeases = %v, %v; want 1 lease", leases, err)
+		}
+		l := leases[0]
+		clk.Advance(10 * time.Second) // exactly the lease TTL
+		if lost := c.RenewLeases("w1", []string{l.ID}); len(lost) != 1 || lost[0] != l.ID {
+			t.Fatalf("renewal at exactly TTL lost %v, want [%s] (expiry wins ties)", lost, l.ID)
+		}
+		// The point is pending again and goes to a second worker.
+		release, err := c.AcquireLeases("w2", 1)
+		if err != nil || len(release) != 1 || release[0].Point != l.Point {
+			t.Fatalf("expired point not re-leased: %v, %v", release, err)
+		}
+		// The original worker keeps heartbeating its dead ID: it must
+		// stay lost, and w2's live lease must be untouched by it.
+		if lost := c.RenewLeases("w1", []string{l.ID}); len(lost) != 1 {
+			t.Errorf("dead lease resurrected: lost %v, want it reported lost", lost)
+		}
+		if lost := c.RenewLeases("w2", []string{release[0].ID}); len(lost) != 0 {
+			t.Errorf("w2's live lease reported lost: %v", lost)
+		}
+	})
 }
 
-// A renewal strictly inside the TTL keeps the lease: a ticker sweep
-// arriving at the original expiry instant must see the extended
-// deadline, not requeue the point under its old one.
+// A renewal strictly inside the TTL keeps the lease: an expiry sweep
+// arriving at the original expiry instant — here another worker's
+// heartbeat with no leases — must see the extended deadline, not
+// requeue the point under its old one.
 func TestCoordinatorRenewJustInsideTTL(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
 	c := openTestCoordinator(t, filepath.Join(t.TempDir(), "wal"), clk)
@@ -363,7 +353,7 @@ func TestCoordinatorRenewJustInsideTTL(t *testing.T) {
 		t.Fatalf("renewal inside TTL lost %v, want none", lost)
 	}
 	clk.Advance(time.Nanosecond) // the lease's pre-renewal expiry instant
-	c.ExpireLeases()
+	c.RenewLeases("w2", nil)
 	if lost := c.RenewLeases("w1", []string{l.ID}); len(lost) != 0 {
 		t.Fatalf("renewed lease expired at its old deadline: lost %v", lost)
 	}

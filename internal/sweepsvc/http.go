@@ -2,9 +2,11 @@ package sweepsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -22,10 +24,13 @@ type (
 		Job    string `json:"job"`
 		Points int    `json:"points"`
 	}
-	// LeaseRequest is the body of POST /api/lease.
+	// LeaseRequest is the body of POST /api/lease.  Wait holds an ask
+	// that finds no work at the coordinator until work may have
+	// appeared, for up to a second.
 	LeaseRequest struct {
 		Worker string `json:"worker"`
 		Max    int    `json:"max"`
+		Wait   bool   `json:"wait,omitempty"`
 	}
 	// LeaseResponse carries the granted work units (possibly empty).
 	LeaseResponse struct {
@@ -41,12 +46,6 @@ type (
 	RenewResponse struct {
 		Lost []string `json:"lost,omitempty"`
 	}
-	// ReleaseRequest is the body of POST /api/release — the graceful
-	// half of a worker drain.
-	ReleaseRequest struct {
-		Worker string   `json:"worker"`
-		Leases []string `json:"leases"`
-	}
 	// CompleteResponse reports whether the completion was the point's
 	// first (false = idempotent duplicate, dropped).
 	CompleteResponse struct {
@@ -54,46 +53,46 @@ type (
 	}
 )
 
-// Server exposes a Coordinator over HTTP and sweeps expired leases on a
-// timer so abandoned work requeues even while no client is talking.
+// waitBound is how long the server holds a waiting request before it
+// answers with what it has — well under the client's 10 s timeout.
+const waitBound = time.Second
+
+// Server exposes a Coordinator over HTTP.
 type Server struct {
-	coord  *Coordinator
-	srv    *http.Server
-	addr   string
-	done   chan struct{}
-	stopGC chan struct{}
+	coord *Coordinator
+	srv   *http.Server
+	addr  string
+	done  chan struct{}
 }
 
 // NewServer binds addr (host:port; 127.0.0.1:0 for an ephemeral port)
 // and starts serving the coordinator's API:
 //
-//	POST /api/jobs          submit a sweep spec        → SubmitResponse
-//	GET  /api/jobs          list job IDs               → []string
-//	GET  /api/jobs/{id}     job progress               → JobStatus
-//	GET  /api/jobs/{id}/csv completed job's CSV        → text/csv
-//	POST /api/lease         acquire work units         → LeaseResponse
-//	POST /api/renew         heartbeat leases           → RenewResponse
-//	POST /api/release       return unstarted leases    → 204
-//	POST /api/complete      report a finished point    → CompleteResponse
-//	GET  /healthz           liveness                   → "ok"
-//	GET  /metrics           Prometheus text (when metrics were wired)
+//	POST /api/jobs              submit a sweep spec        → SubmitResponse
+//	GET  /api/jobs              list job IDs               → []string
+//	GET  /api/jobs/{id}         job progress               → JobStatus
+//	GET  /api/jobs/{id}/rows    per-point rows             → []PointRow
+//	GET  /api/jobs/{id}/csv     completed job's CSV        → text/csv
+//	POST /api/lease             acquire work units         → LeaseResponse
+//	POST /api/renew             heartbeat leases           → RenewResponse
+//	POST /api/complete          report a finished point    → CompleteResponse
+//	GET  /healthz               liveness                   → "ok"
+//	GET  /metrics               Prometheus text (when metrics were wired)
+//
+// Two requests may wait, up to waitBound, for the coordinator to
+// change: a lease ask with Wait set that finds no work, and a rows
+// request whose ?done=N names the done count its client last saw.
 func NewServer(addr string, c *Coordinator, m *probe.Metrics) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("sweepsvc: listen: %w", err)
 	}
-	s := &Server{
-		coord:  c,
-		addr:   ln.Addr().String(),
-		done:   make(chan struct{}),
-		stopGC: make(chan struct{}),
-	}
+	s := &Server{coord: c, addr: ln.Addr().String(), done: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/jobs", s.handleJobs)
 	mux.HandleFunc("/api/jobs/", s.handleJob)
 	mux.HandleFunc("/api/lease", s.handleLease)
 	mux.HandleFunc("/api/renew", s.handleRenew)
-	mux.HandleFunc("/api/release", s.handleRelease)
 	mux.HandleFunc("/api/complete", s.handleComplete)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -106,36 +105,42 @@ func NewServer(addr string, c *Coordinator, m *probe.Metrics) (*Server, error) {
 		defer close(s.done)
 		s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	}()
-	// Expiry ticker at a quarter of the TTL: fine enough that a dead
-	// worker's points requeue promptly, coarse enough to stay invisible
-	// in profiles.  Lazy expiry inside the coordinator remains the
-	// correctness backstop.
-	go func() {
-		t := time.NewTicker(c.opts.LeaseTTL / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.ExpireLeases()
-			case <-s.stopGC:
-				return
-			}
-		}
-	}()
 	return s, nil
 }
 
 // Addr returns the server's bound address (host:port).
 func (s *Server) Addr() string { return s.addr }
 
-// Close stops the listener and the expiry ticker.  The coordinator
-// (and its WAL) stays open — the caller owns it, which is what lets a
-// driver bounce the HTTP layer without touching the journal.
+// Close stops the listener and drops every connection, which ends
+// the requests waiting on it.  The coordinator (and its WAL) stays
+// open — the caller owns it, which is what lets a driver bounce the
+// HTTP layer without touching the journal.
 func (s *Server) Close() error {
-	close(s.stopGC)
 	err := s.srv.Close()
 	<-s.done
 	return err
+}
+
+// await holds request r until ready reports true, the request's client
+// leaves, or waitBound lapses, checking again at every coordinator
+// change.  It takes the change signal before each check, so no change
+// slips between a check and the wait.
+func (s *Server) await(r *http.Request, ready func() bool) {
+	bound := time.NewTimer(waitBound)
+	defer bound.Stop()
+	for {
+		changed := s.coord.nextChange()
+		if ready() {
+			return
+		}
+		select {
+		case <-changed:
+		case <-bound.C:
+			return
+		case <-r.Context().Done():
+			return
+		}
+	}
 }
 
 // decode parses a JSON request body into v, answering 400 on failure.
@@ -180,7 +185,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	rest := strings.TrimPrefix(r.URL.Path, "/api/jobs/")
 	if id, ok := strings.CutSuffix(rest, "/rows"); ok {
-		rows, err := s.coord.Rows(id)
+		// ?done=N waits until the job's done count differs from N;
+		// without a count the answer comes at once.
+		seen, err := strconv.Atoi(r.URL.Query().Get("done"))
+		if err != nil {
+			seen = -1
+		}
+		var rows []PointRow
+		s.await(r, func() bool {
+			rows, err = s.coord.Rows(id)
+			done, _ := CountDone(rows)
+			return err != nil || seen < 0 || done != seen
+		})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
@@ -191,7 +207,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if id, ok := strings.CutSuffix(rest, "/csv"); ok {
 		csv, err := s.coord.CSV(id)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
+			code := http.StatusConflict // known but unfinished
+			if errors.Is(err, errUnknownJob) {
+				code = http.StatusNotFound
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		w.Header().Set("Content-Type", "text/csv")
@@ -211,9 +231,19 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	leases, err := s.coord.AcquireLeases(req.Worker, req.Max)
+	var leases []Lease
+	var err error
+	s.await(r, func() bool {
+		leases, err = s.coord.AcquireLeases(req.Worker, req.Max)
+		return err != nil || len(leases) > 0 || !req.Wait
+	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
+	if r.Context().Err() != nil {
+		// The asker left before the answer: nobody will run these.
+		s.coord.ReleaseLeases(req.Worker, leases)
 		return
 	}
 	reply(w, LeaseResponse{Leases: leases})
@@ -225,15 +255,6 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply(w, RenewResponse{Lost: s.coord.RenewLeases(req.Worker, req.Leases)})
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req ReleaseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	s.coord.ReleaseLeases(req.Worker, req.Leases)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {

@@ -61,7 +61,7 @@ func TestServiceEndToEndMatchesSerial(t *testing.T) {
 			Name:   "w" + string(rune('1'+i)),
 			Client: client,
 			Runner: &Runner{Policy: quickPolicy(int64(i))},
-			Slots:  2, Poll: 10 * time.Millisecond, Backoff: quickPolicy(int64(10 + i)),
+			Slots:  2, Backoff: quickPolicy(int64(10 + i)),
 		})
 		if err != nil {
 			t.Fatalf("NewWorker: %v", err)
@@ -108,32 +108,31 @@ func TestServiceEndToEndMatchesSerial(t *testing.T) {
 	}
 }
 
-// A SIGTERM drain must finish the in-flight point (its row lands at
-// the coordinator) and release the queued leases so another worker can
-// take them over immediately, without waiting out the TTL.
+// A SIGTERM drain must finish the point its slot holds (the row lands
+// at the coordinator) and leave every other point pending, so another
+// worker can take them at once, without waiting out the TTL.  The
+// drain starts from the hook that fires when the one slot takes its
+// first lease, so no timing decides what the worker holds.
 func TestWorkerDrainFinishesInFlightAndReleasesRest(t *testing.T) {
 	dir := t.TempDir()
 	coord, srv := startService(t, filepath.Join(dir, "wal"), nil, nil)
 	client := NewClient(srv.Addr())
 	ctx := context.Background()
 
-	spec := testSpec()
-	spec.Cycles = 2000 // slow enough that points are still running at drain time
-	job, _, err := client.Submit(ctx, spec)
+	job, points, err := client.Submit(ctx, testSpec())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	started := make(chan struct{}, 8)
-	var released int
-	drained := make(chan struct{})
-	w, err := NewWorker(WorkerOptions{
+	var w *Worker
+	acquired, drained := 0, 0
+	w, err = NewWorker(WorkerOptions{
 		Name: "drainee", Client: client,
 		Runner: &Runner{Policy: quickPolicy(1)},
-		Slots:  1, Prefetch: 2, Poll: 5 * time.Millisecond, Backoff: quickPolicy(2),
+		Slots:  1, Backoff: quickPolicy(2),
 		Hooks: &WorkerHooks{
-			LeaseAcquired: func(Lease) { started <- struct{}{} },
-			Drained:       func(n int) { released = n; close(drained) },
+			LeaseAcquired: func(Lease) { acquired++; w.Drain() },
+			Drained:       func() { drained++ },
 		},
 	})
 	if err != nil {
@@ -141,17 +140,6 @@ func TestWorkerDrainFinishesInFlightAndReleasesRest(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx) }()
-
-	// Wait until the worker holds the whole sweep (1 in flight + 2
-	// queued), then drain.
-	for i := 0; i < 3; i++ {
-		select {
-		case <-started:
-		case <-time.After(10 * time.Second):
-			t.Fatal("worker never acquired its leases")
-		}
-	}
-	w.Drain()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -160,9 +148,8 @@ func TestWorkerDrainFinishesInFlightAndReleasesRest(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("drain did not complete")
 	}
-	<-drained
-	if released != 2 {
-		t.Errorf("released %d queued leases at drain, want 2", released)
+	if acquired != 1 || drained != 1 {
+		t.Errorf("worker took %d lease(s) and drained %d time(s), want 1 and 1", acquired, drained)
 	}
 	st, _ := coord.Status(job)
 	if st.Done != 1 {
@@ -171,10 +158,10 @@ func TestWorkerDrainFinishesInFlightAndReleasesRest(t *testing.T) {
 	if st.Leased != 0 {
 		t.Errorf("%d leases still held after drain, want 0", st.Leased)
 	}
-	// The released points must be grantable right now (no TTL wait).
+	// The other points must be grantable right now (no TTL wait).
 	leases, _ := coord.AcquireLeases("successor", 10)
-	if len(leases) != 2 {
-		t.Errorf("successor got %d leases immediately after drain, want 2", len(leases))
+	if len(leases) != points-1 {
+		t.Errorf("successor got %d leases immediately after drain, want %d", len(leases), points-1)
 	}
 }
 
@@ -198,7 +185,7 @@ func TestServiceStoreSatisfiesRepeatJob(t *testing.T) {
 	w, err := NewWorker(WorkerOptions{
 		Name: "w1", Client: client,
 		Runner: &Runner{Cache: store, Policy: quickPolicy(1)},
-		Slots:  2, Poll: 5 * time.Millisecond, Backoff: quickPolicy(2),
+		Slots:  2, Backoff: quickPolicy(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,14 @@ import (
 //
 //hook:nil-disabled
 type WorkerHooks struct {
-	// LeaseAcquired fires for every lease pulled from the coordinator.
+	// LeaseAcquired fires for every lease a slot takes from the
+	// coordinator, before the slot runs it.
 	LeaseAcquired func(l Lease)
 	// PointFinished fires after a point's execution, before its
 	// completion report.
 	PointFinished func(l Lease, exec Execution)
-	// Drained fires when a graceful drain finishes, with the number of
-	// unstarted leases that were released.
-	Drained func(released int)
+	// Drained fires when a graceful drain finishes.
+	Drained func()
 }
 
 // WorkerOptions configures a worker.
@@ -34,12 +34,6 @@ type WorkerOptions struct {
 	Runner *Runner
 	// Slots is the number of points simulated concurrently (0 = 1).
 	Slots int
-	// Prefetch is how many leases beyond Slots to hold queued so slots
-	// never idle between points (0 = none).
-	Prefetch int
-	// Poll is the idle sleep when the coordinator has no work (0 =
-	// 200 ms).
-	Poll time.Duration
 	// Backoff paces retries of coordinator RPCs (acquire, complete)
 	// through transient outages such as a coordinator bounce.
 	Backoff backoff.Policy
@@ -49,23 +43,27 @@ type WorkerOptions struct {
 	Hooks *WorkerHooks
 }
 
-// Worker pulls leases from a coordinator, simulates them, and reports
-// completions.  Two ways to stop:
+// Worker runs Slots loops, each of which asks the coordinator for one
+// lease, simulates it, reports it and asks again.  An ask that follows
+// an empty answer waits at the coordinator until work may have
+// appeared, so an idle slot neither sleeps nor spins.  A slot never
+// holds a lease it has not started.  Two ways to stop:
 //
-//   - Drain (SIGTERM): stop acquiring, finish the points already being
-//     simulated, release the queued-but-unstarted leases, then Run
-//     returns nil.  No work is lost and nothing needs requeueing.
+//   - Drain (SIGTERM): stop asking, finish and report the lease each
+//     slot holds, then Run returns nil.  No work is lost and nothing
+//     needs requeueing.
 //   - Context cancellation (SIGKILL stand-in): everything stops where
 //     it is, in-flight simulations included (the context is plumbed
 //     through sim.Run).  The coordinator's lease TTL requeues whatever
 //     this worker held.
 type Worker struct {
-	o         WorkerOptions
-	drain     chan struct{}
-	drainOnce sync.Once
+	o WorkerOptions
+	// draining is cancelled by Drain; every ask runs under it.
+	draining context.Context
+	drain    context.CancelFunc
 
 	mu   sync.Mutex
-	held map[string]Lease // acquired and not yet completed or released
+	held map[string]Lease // acquired and not yet completed
 }
 
 // NewWorker validates the options and returns an idle worker; call Run
@@ -80,34 +78,17 @@ func NewWorker(o WorkerOptions) (*Worker, error) {
 	if o.Slots < 1 {
 		o.Slots = 1
 	}
-	if o.Poll <= 0 {
-		o.Poll = 200 * time.Millisecond
-	}
 	if o.RPCAttempts < 1 {
 		o.RPCAttempts = 8
 	}
-	return &Worker{o: o, drain: make(chan struct{}), held: make(map[string]Lease)}, nil
+	w := &Worker{o: o, held: make(map[string]Lease)}
+	w.draining, w.drain = context.WithCancel(context.Background())
+	return w, nil
 }
 
-// Drain begins a graceful shutdown (idempotent): in-flight points
-// finish and report, queued leases go back to the coordinator.
-func (w *Worker) Drain() { w.drainOnce.Do(func() { close(w.drain) }) }
-
-// draining reports whether Drain was called.
-func (w *Worker) draining() bool {
-	select {
-	case <-w.drain:
-		return true
-	default:
-		return false
-	}
-}
-
-func (w *Worker) track(l Lease) {
-	w.mu.Lock()
-	w.held[l.ID] = l
-	w.mu.Unlock()
-}
+// Drain begins a graceful shutdown (idempotent): slots stop asking,
+// and each finishes and reports the lease it holds.
+func (w *Worker) Drain() { w.drain() }
 
 func (w *Worker) untrack(id string) {
 	w.mu.Lock()
@@ -115,120 +96,83 @@ func (w *Worker) untrack(id string) {
 	w.mu.Unlock()
 }
 
-func (w *Worker) heldIDs() []string {
+// heldIDs returns the IDs of the held leases and the TTL they were
+// granted with.
+func (w *Worker) heldIDs() (ids []string, ttl time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	ids := make([]string, 0, len(w.held))
-	for id := range w.held {
+	for id, l := range w.held {
 		ids = append(ids, id)
+		ttl = time.Duration(l.TTLMS) * time.Millisecond
 	}
-	return ids
+	return ids, ttl
 }
 
-// Run is the worker's main loop; it blocks until the context dies
-// (returns ctx.Err()) or a drain completes (returns nil).
+// Run starts the heartbeat and the slots and blocks until the context
+// dies (returns ctx.Err()) or a drain completes (returns nil).
 func (w *Worker) Run(ctx context.Context) error {
-	queue := make(chan Lease, w.o.Slots+w.o.Prefetch)
+	// Asks end at a drain or with ctx; the leases in hand run on ctx.
+	asks, stopAsks := context.WithCancel(ctx)
+	defer stopAsks()
+	defer context.AfterFunc(w.draining, stopAsks)()
+
+	// Heartbeat at a third of the lease TTL: three missed beats forfeit
+	// a lease, one never does.
+	hbCtx, hbCancel := context.WithCancel(ctx)
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		w.heartbeat(hbCtx)
+	}()
+
 	var slots sync.WaitGroup
 	for i := 0; i < w.o.Slots; i++ {
 		slots.Add(1)
 		go func() {
 			defer slots.Done()
-			for l := range queue {
-				w.runLease(ctx, l)
-			}
+			w.slot(ctx, asks)
 		}()
-	}
-
-	// Heartbeat at a third of the lease TTL: three missed beats forfeit
-	// a lease, one never does.
-	hbCtx, hbCancel := context.WithCancel(ctx)
-	var hb sync.WaitGroup
-	hb.Add(1)
-	go func() {
-		defer hb.Done()
-		w.heartbeat(hbCtx)
-	}()
-
-	err := w.dispatch(ctx, queue)
-
-	// Dispatch is over (drain or dead context).  Pull the leases that
-	// never reached a slot back out of the queue and release them, then
-	// let the slots finish their in-flight points.
-	released := 0
-	var releaseIDs []string
-drainQueue:
-	for {
-		select {
-		case l := <-queue:
-			releaseIDs = append(releaseIDs, l.ID)
-			w.untrack(l.ID)
-			released++
-		default:
-			break drainQueue
-		}
-	}
-	close(queue)
-	if len(releaseIDs) > 0 && ctx.Err() == nil {
-		rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		w.o.Client.Release(rctx, w.o.Name, releaseIDs) //nolint:errcheck // TTL expiry is the backstop
-		cancel()
 	}
 	slots.Wait()
 	hbCancel()
-	hb.Wait()
-	if w.o.Hooks != nil && w.o.Hooks.Drained != nil && err == nil {
-		w.o.Hooks.Drained(released)
+	<-hbDone
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	return err
+	if w.o.Hooks != nil && w.o.Hooks.Drained != nil {
+		w.o.Hooks.Drained()
+	}
+	return nil
 }
 
-// dispatch keeps the queue fed until drain or context death.
-func (w *Worker) dispatch(ctx context.Context, queue chan<- Lease) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-w.drain:
-			return nil
-		default:
+// slot asks for one lease at a time and runs it until asks end.  Only
+// an ask that follows an empty answer waits at the coordinator: a
+// slot's first ask, and its first after a point, are answered at once.
+// Asks retry with seeded backoff, so a coordinator bounce mid-sweep
+// looks like a slow RPC, not a worker crash; once an outage has used
+// up the attempts, the slot simply asks again.
+func (w *Worker) slot(ctx, asks context.Context) {
+	wait := false
+	for asks.Err() == nil {
+		var leases []Lease
+		backoff.Retry(asks, w.o.Backoff, w.o.RPCAttempts, func(int) (err error) { //nolint:errcheck // asked again below
+			leases, err = w.o.Client.Acquire(asks, w.o.Name, wait, 1)
+			return err
+		})
+		if len(leases) == 0 {
+			wait = true
+			continue
 		}
+		l := leases[0]
 		w.mu.Lock()
-		want := w.o.Slots + w.o.Prefetch - len(w.held)
+		w.held[l.ID] = l
 		w.mu.Unlock()
-		if want <= 0 {
-			if !w.sleep(ctx, w.o.Poll/4) {
-				continue // drain or death; loop re-checks
-			}
-			continue
+		if w.o.Hooks != nil && w.o.Hooks.LeaseAcquired != nil {
+			w.o.Hooks.LeaseAcquired(l)
 		}
-		leases, err := w.acquire(ctx, want)
-		if err != nil || len(leases) == 0 {
-			// Coordinator unreachable (acquire already backed off) or no
-			// pending work right now: idle-poll.
-			w.sleep(ctx, w.o.Poll)
-			continue
-		}
-		for _, l := range leases {
-			w.track(l)
-			if w.o.Hooks != nil && w.o.Hooks.LeaseAcquired != nil {
-				w.o.Hooks.LeaseAcquired(l)
-			}
-			queue <- l
-		}
+		w.runLease(ctx, l)
+		wait = false
 	}
-}
-
-// acquire pulls leases with retry + seeded backoff so a coordinator
-// bounce mid-sweep looks like a slow RPC, not a worker crash.
-func (w *Worker) acquire(ctx context.Context, max int) ([]Lease, error) {
-	var leases []Lease
-	_, err := backoff.Retry(ctx, w.o.Backoff, w.o.RPCAttempts, func(int) error {
-		var aerr error
-		leases, aerr = w.o.Client.Acquire(ctx, w.o.Name, max)
-		return aerr
-	})
-	return leases, err
 }
 
 // runLease executes one leased point and reports it.
@@ -256,28 +200,20 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 // held set; any simulation already running for them continues and its
 // completion is absorbed idempotently.
 func (w *Worker) heartbeat(ctx context.Context) {
-	w.mu.Lock()
 	ttl := DefaultLeaseTTL
-	w.mu.Unlock()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-time.After(ttl / 3):
 		}
-		ids := w.heldIDs()
+		ids, leaseTTL := w.heldIDs()
 		if len(ids) == 0 {
 			continue
 		}
-		// Refresh the cadence from the newest lease before renewing.
-		w.mu.Lock()
-		for _, l := range w.held {
-			if l.TTLMS > 0 {
-				ttl = time.Duration(l.TTLMS) * time.Millisecond
-			}
-			break
+		if leaseTTL > 0 {
+			ttl = leaseTTL // the cadence follows the coordinator's TTL
 		}
-		w.mu.Unlock()
 		lost, err := w.o.Client.Renew(ctx, w.o.Name, ids)
 		if err != nil {
 			continue // transient; the next beat retries
@@ -285,23 +221,5 @@ func (w *Worker) heartbeat(ctx context.Context) {
 		for _, id := range lost {
 			w.untrack(id)
 		}
-	}
-}
-
-// sleep waits for d, cut short by drain or context death; it reports
-// whether the full duration elapsed.
-func (w *Worker) sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-w.drain:
-		return false
-	case <-ctx.Done():
-		return false
 	}
 }

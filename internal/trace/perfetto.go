@@ -45,8 +45,12 @@ func NewPerfetto(w io.Writer) *Perfetto {
 }
 
 // Arm implements probe.Tap: slices name routers by their coordinates
-// in cfg.Mesh.
-func (p *Perfetto) Arm(cfg probe.Config) { p.mesh = cfg.Mesh }
+// in cfg.Mesh.  Link traversals become hop slices, so it reads router
+// events.
+func (p *Perfetto) Arm(cfg probe.Config) bool {
+	p.mesh = cfg.Mesh
+	return true
+}
 
 // Events returns the number of trace events emitted so far.
 func (p *Perfetto) Events() int64 { return p.n }

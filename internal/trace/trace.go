@@ -41,7 +41,11 @@ func New(w io.Writer) *Writer {
 }
 
 // Arm implements probe.Tap: routes print as coordinates of cfg.Mesh.
-func (t *Writer) Arm(cfg probe.Config) { t.mesh = cfg.Mesh }
+// The writer reads no router events.
+func (t *Writer) Arm(cfg probe.Config) bool {
+	t.mesh = cfg.Mesh
+	return false
+}
 
 // Consume implements probe.Tap.
 func (t *Writer) Consume(batch []probe.Event) {
