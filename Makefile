@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-baseline staticcheck govulncheck build examples test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache
+.PHONY: ci fmt vet lint lint-baseline staticcheck govulncheck build examples test race race-faults chaos fuzz fuzz-fault bench bench-smoke bench-shard probe-overhead wcta-conformance perfbench-check experiments clean-cache loc
 
 ci: fmt vet lint lint-baseline build examples race race-faults chaos bench-smoke bench-shard probe-overhead fuzz-fault wcta-conformance perfbench-check staticcheck govulncheck
 
@@ -153,3 +153,11 @@ experiments:
 
 clean-cache:
 	rm -rf results/.simcache
+
+# Non-test Go lines outside perfbench/ and testdata/, the size every
+# change states (ROADMAP.md).  It lists files with find rather than git
+# ls-files, so new files count before they are staged; hidden
+# directories (.git, .bench_build) are skipped.
+loc:
+	@find . -path './.*' -prune -o -path ./perfbench -prune -o -name testdata -prune -o \
+		-name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l

@@ -69,7 +69,7 @@ func ParseModel(name string) (Model, error) {
 }
 
 // Bufferless reports whether the model has no in-network VCs (only
-// injection-side buffering), i.e. BLESS, SB or CHIPPER.
+// injection-side buffering), i.e. BLESS, SB, CHIPPER or RUNAHEAD.
 func (m Model) Bufferless() bool {
 	return m == BLESS || m == SB || m == CHIPPER || m == RUNAHEAD
 }

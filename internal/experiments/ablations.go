@@ -104,6 +104,7 @@ func AblationRouting(sc Scale) ([]RoutingRow, error) {
 		{"no YX fallback", surfbless.Policy{DisableYX: true}},
 		{"fixed-order deflection", surfbless.Policy{DisableRandom: true}},
 	}
+	addTotal(len(variants))
 	var rows []RoutingRow
 	for _, v := range variants {
 		cfg := fig6Config(config.SB, domains)
@@ -133,6 +134,7 @@ func AblationRouting(sc Scale) ([]RoutingRow, error) {
 			Deflections: tot.AvgDeflections(),
 			Throughput:  float64(tot.Ejected) / float64(cfg.Nodes()) / float64(sc.Measure),
 		})
+		pointDone()
 	}
 	return rows, nil
 }

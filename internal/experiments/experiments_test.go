@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"surfbless/internal/config"
+	"surfbless/internal/probe"
 )
 
 // The experiment tests run at the Tiny scale and assert the SHAPES the
@@ -200,6 +201,21 @@ func TestAblationRouting(t *testing.T) {
 	}
 	if RoutingTable(rows).Rows() != 3 {
 		t.Error("routing table malformed")
+	}
+}
+
+// The routing ablation runs its own simulations outside runSim, so it
+// declares and counts its three points itself: /progress must not read
+// 100% while they run.
+func TestAblationRoutingCountsProgress(t *testing.T) {
+	g := probe.NewProgress()
+	SetProgress(g)
+	defer SetProgress(nil)
+	if _, err := AblationRouting(Tiny()); err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Snapshot(); s.Done != 3 || s.Total != 3 {
+		t.Errorf("progress done %d of %d, want 3 of 3", s.Done, s.Total)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package network defines the contract every router model's mesh
 // ("fabric") implements, so that traffic generators, the synthetic
-// simulator and the full-system simulator drive WH, BLESS, Surf and SB
-// interchangeably.
+// simulator and the full-system simulator drive all six models (WH,
+// Surf, BLESS, SB, CHIPPER and RUNAHEAD) interchangeably.
 package network
 
 import "surfbless/internal/packet"

@@ -221,7 +221,7 @@ func TestAuditDetectsDrift(t *testing.T) {
 	if err := h.f.Audit(); err != nil {
 		t.Errorf("clean state flagged: %v", err)
 	}
-	h.f.nodes[3].ni.Offer(h.pkt(geom.Coord{X: 1, Y: 1}, geom.Coord{X: 0, Y: 0})) // corrupt: never counted
+	h.f.NIs[3].Offer(h.pkt(geom.Coord{X: 1, Y: 1}, geom.Coord{X: 0, Y: 0})) // corrupt: never counted
 	if err := h.f.Audit(); err == nil {
 		t.Error("corrupted in-flight count not detected")
 	}

@@ -24,11 +24,11 @@
 // argument weakens from a guarantee to "with probability 1", which the
 // stress tests exercise.
 //
-// The fabric is a router.Kernel: it supplies per-node collect and
-// resolve functions and their two tile roots, and the kernel steps them
-// serially or sharded across node tiles with bit-identical results
-// (SetShards; DESIGN.md §17).  The golden epoch is a pure function of
-// the cycle, so tiles need no shared arbitration state.
+// The fabric is a router.Plane: the plane receives, sends and audits,
+// and the fabric supplies its arbitration as a resolve root, which the
+// kernel steps serially or sharded across node tiles with bit-identical
+// results (SetShards; DESIGN.md §17).  The golden epoch is a pure
+// function of the cycle, so tiles need no shared arbitration state.
 package chipper
 
 import (
@@ -36,7 +36,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
-	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
@@ -58,21 +57,7 @@ const (
 // packets that still find no output enter the kernel's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	router.Kernel
-	nodes []*node
-}
-
-type node struct {
-	c   geom.Coord
-	ni  *router.NI
-	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
-	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
-
-	// Per-cycle scratch reused across cycles (DESIGN.md §12): the four
-	// input slots collect fills and resolve consumes, and the per-link
-	// receive buffer.
-	slots [geom.NumLinkDirs]*packet.Packet
-	rbuf  []*packet.Packet
+	router.Plane
 }
 
 // New builds a CHIPPER mesh for cfg.
@@ -84,24 +69,8 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, fmt.Errorf("chipper: config model is %v", cfg.Model)
 	}
 	f := &Fabric{}
-	var err error
-	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.collectTile, f.resolveTile); err != nil {
+	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
-	}
-	f.nodes = make([]*node, f.Mesh.Nodes())
-	for id := range f.nodes {
-		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
-	}
-	p := cfg.HopDelay()
-	for _, n := range f.nodes {
-		for _, d := range geom.LinkDirs {
-			if !f.Mesh.HasNeighbor(n.c, d) {
-				continue
-			}
-			l := link.New[*packet.Packet](p)
-			n.out[d] = l
-			f.nodes[f.Mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
-		}
 	}
 	return f, nil
 }
@@ -111,42 +80,15 @@ func golden(p *packet.Packet, now int64) bool {
 	return p.ID%goldenMod == uint64((now/goldenEpoch)%goldenMod)
 }
 
-// Inject offers p to node's NI (single-flit packets only, like BLESS).
-func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
-	if p.Size != 1 {
-		panic(fmt.Sprintf("chipper: cannot transfer multi-flit packet %v", p))
-	}
-	return f.Offer(nodeID, p, now)
-}
-
-// collectTile drains one tile's inbound link lines.
-//
-//shard:phase(receive)
-func (f *Fabric) collectTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
-	for _, n := range f.nodes[lo:hi] {
-		n.collect(f.Now)
-	}
-}
-
 // resolveTile runs one tile's ejection, injection and permutation.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
 	for id := lo; id < hi; id++ {
-		f.resolveNode(id, f.nodes[id], f.Now, fx)
+		f.resolveNode(id, f.Nodes[id], f.Now, fx)
 	}
-}
-
-// outUsable reports whether node id's output d exists and is not
-// currently killed by a fault.
-func (f *Fabric) outUsable(id int, n *node, d geom.Dir, now int64) bool {
-	if n.out[d] == nil {
-		return false
-	}
-	return f.Faults == nil || !f.Faults.LinkDown(id, d, now)
 }
 
 // prio orders two packets inside an arbiter block: golden class first,
@@ -159,43 +101,23 @@ func prio(a, b *packet.Packet, now int64) bool {
 	return router.Hash64(a.ID, uint64(now)) >= router.Hash64(b.ID, uint64(now))
 }
 
-// collect is the cycle's receive phase for one router: arrivals drain
-// into the four input slots (at most one packet per link per cycle).
-func (n *node) collect(now int64) {
-	n.slots = [geom.NumLinkDirs]*packet.Packet{}
-	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil || n.in[d].Idle() {
-			continue
-		}
-		n.rbuf = n.in[d].RecvInto(now, n.rbuf[:0])
-		for _, p := range n.rbuf {
-			n.slots[d] = p
-		}
-	}
-}
-
 // resolveNode is the cycle's routing phase for one router: ejection,
 // injection, the permutation network and the border fix-up over the
-// slots collect filled.
-func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
-	slots := &n.slots
-
-	// A frozen router's pipeline is dead: the links above were still
-	// drained (they demand collection), but every arrival is lost at
-	// the input and recovered via source retransmission.
+// node's arrivals, laid out by input port as the network's four slots.
+func (f *Fabric) resolveNode(id int, n *router.Node, now int64, fx *router.FX) {
 	if f.Faults != nil && f.Faults.Frozen(id, now) {
-		for _, p := range slots {
-			if p != nil {
-				f.DropOrRetry(p, now)
-			}
-		}
+		f.DropArrivals(n, now)
 		return
+	}
+	var slots [geom.NumLinkDirs]*packet.Packet
+	for i, p := range n.Arrivals {
+		slots[n.From[i]] = p
 	}
 
 	// Eject one packet per cycle, golden class first.
 	ej := -1
 	for d, p := range slots {
-		if p == nil || p.Dst != n.c {
+		if p == nil || p.Dst != n.C {
 			continue
 		}
 		if ej < 0 || prio(p, slots[ej], now) {
@@ -211,10 +133,10 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
 
 	// Inject into one empty slot (injection is lowest priority by
 	// construction: it only uses a slot no in-flight packet holds).
-	f.tryInject(id, n, slots, now, fx)
+	f.tryInject(id, n, &slots, now, fx)
 
 	// Two-stage permutation deflection network.
-	outs := permute(n.c, slots, now)
+	outs := permute(n.C, &slots, now)
 
 	// Border fix-up: reassign packets steered at missing ports, golden
 	// class first so its delivery guarantee survives the mesh edge.
@@ -224,7 +146,7 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
 		if p == nil {
 			continue
 		}
-		f.forward(id, n, p, geom.Dir(d), now, fx)
+		f.Forward(fx, id, n, p, geom.Dir(d), now)
 	}
 }
 
@@ -300,14 +222,14 @@ func wants(c geom.Coord, p *packet.Packet, d geom.Dir) bool {
 
 // fixup moves packets off missing border ports — and, with faults
 // armed, off killed links — onto free usable ones.
-func (f *Fabric) fixup(id int, n *node, outs *[geom.NumLinkDirs]*packet.Packet, now int64) {
+func (f *Fabric) fixup(id int, n *router.Node, outs *[geom.NumLinkDirs]*packet.Packet, now int64) {
 	// Fixed-size candidate array: at most one packet per port needs
 	// re-homing, and a heap slice here would allocate every border
 	// cycle.
 	var homeless [geom.NumLinkDirs]*packet.Packet
 	nh := 0
 	for d := range outs {
-		if outs[d] != nil && !f.outUsable(id, n, geom.Dir(d), now) {
+		if outs[d] != nil && !f.Usable(id, n, geom.Dir(d), now) {
 			homeless[nh] = outs[d]
 			nh++
 			outs[d] = nil
@@ -327,13 +249,13 @@ func (f *Fabric) fixup(id int, n *node, outs *[geom.NumLinkDirs]*packet.Packet, 
 	for _, p := range homeless[:nh] {
 		placed := false
 		// Preferred productive port first.
-		if d := geom.XYFirst(n.c, p.Dst); d != geom.Local && f.outUsable(id, n, d, now) && outs[d] == nil {
+		if d := geom.XYFirst(n.C, p.Dst); d != geom.Local && f.Usable(id, n, d, now) && outs[d] == nil {
 			outs[d] = p
 			placed = true
 		}
 		if !placed {
 			for _, d := range geom.LinkDirs {
-				if f.outUsable(id, n, d, now) && outs[d] == nil {
+				if f.Usable(id, n, d, now) && outs[d] == nil {
 					outs[d] = p
 					placed = true
 					break
@@ -349,12 +271,12 @@ func (f *Fabric) fixup(id int, n *node, outs *[geom.NumLinkDirs]*packet.Packet, 
 				continue
 			}
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-			panic(fmt.Sprintf("chipper: no output left at %v cycle %d for %v", n.c, now, p))
+			panic(fmt.Sprintf("chipper: no output left at %v cycle %d for %v", n.C, now, p))
 		}
 	}
 }
 
-func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Packet, now int64, fx *router.FX) {
+func (f *Fabric) tryInject(id int, n *router.Node, slots *[geom.NumLinkDirs]*packet.Packet, now int64, fx *router.FX) {
 	// The router can emit at most one packet per usable output port;
 	// borders have fewer than four (and faults may kill more), so
 	// injection must leave room or the fix-up pass would strand a
@@ -362,7 +284,7 @@ func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Pac
 	usableOut, occupied := 0, 0
 	free := -1
 	for d := range slots {
-		if f.outUsable(id, n, geom.Dir(d), now) {
+		if f.Usable(id, n, geom.Dir(d), now) {
 			usableOut++
 		}
 		if slots[d] != nil {
@@ -374,53 +296,18 @@ func (f *Fabric) tryInject(id int, n *node, slots *[geom.NumLinkDirs]*packet.Pac
 	if free < 0 || occupied >= usableOut {
 		return
 	}
-	for off := 0; off < n.ni.Domains(); off++ {
-		dom := int((now + int64(off)) % int64(n.ni.Domains()))
-		p := n.ni.Head(dom)
+	for off := 0; off < n.NI.Domains(); off++ {
+		dom := int((now + int64(off)) % int64(n.NI.Domains()))
+		p := n.NI.Head(dom)
 		if p == nil {
 			continue
 		}
-		n.ni.Pop(dom)
+		n.NI.Pop(dom)
 		f.Injected(fx, p, now)
 		f.BufferRead(fx, p.Size)
 		slots[free] = p
 		return
 	}
-}
-
-func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, fx *router.FX) {
-	// Corruption is modeled at link entry: the flit burned the wire but
-	// fails its CRC and never reaches the neighbor.
-	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
-		f.Link(fx, p.Size)
-		f.DropOrRetry(p, now)
-		return
-	}
-	p.Hops++
-	deflected := !geom.Productive(n.c, p.Dst, d)
-	if deflected {
-		p.Deflections++
-	}
-	f.Hop(fx, p.Size)
-	f.Traverse(id, d, p, p.Size, deflected, now)
-	n.out[d].Send(p, now)
-}
-
-// Audit verifies that NI queues plus link occupancy account for every
-// in-flight packet.
-func (f *Fabric) Audit() error {
-	n := f.Backlog()
-	for _, nd := range f.nodes {
-		for _, l := range nd.out {
-			if l != nil {
-				n += l.InFlight()
-			}
-		}
-	}
-	if n != f.InFlight() {
-		return fmt.Errorf("chipper: %d packets in queues+links, %d in flight", n, f.InFlight())
-	}
-	return nil
 }
 
 var _ network.Fabric = (*Fabric)(nil)

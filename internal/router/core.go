@@ -18,6 +18,7 @@ import (
 // one stepping loop.  It owns the per-node NIs, the NI-side packet
 // lifecycle with its energy and conservation accounting, the
 // monotonic-Step guard and NI-level fault recovery; a fabric embeds it
+// (the bufferless ones through Plane, which brings the receive root)
 // and supplies its router node functions through two tile roots,
 // annotated for shardsafe:
 //

@@ -19,11 +19,13 @@
 // point is a single-cycle router), so uncontended latency is far below
 // BLESS — and drop rate, not deflection, grows with load.
 //
-// The fabric is a router.Kernel like the other five.  Each source node
-// keeps its own retransmission timers: they are armed only at the
-// source and fire there, so a tile's timers never leave it and the
-// kernel steps Runahead serially or sharded across node tiles with
-// bit-identical results (SetShards; DESIGN.md §17).
+// The fabric is a router.Plane like BLESS, CHIPPER and SB: the plane
+// receives and sends, and the fabric supplies its arbitration.  Each
+// source node keeps its own retransmission timers beside the plane's
+// node: they are armed only at the source and fire there, so a tile's
+// timers never leave it and the kernel steps Runahead serially or
+// sharded across node tiles with bit-identical results (SetShards;
+// DESIGN.md §17).
 package runahead
 
 import (
@@ -32,7 +34,6 @@ import (
 	"surfbless/internal/config"
 	"surfbless/internal/dueq"
 	"surfbless/internal/geom"
-	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
@@ -63,31 +64,23 @@ func retryTimeout(m geom.Mesh) int64 {
 // permanent fault on a packet's only route shows up as livelock for
 // the watchdog, not as a silent loss).
 type Fabric struct {
-	router.Kernel
-	nodes   []*node
-	timeout int64 // retryTimeout(Mesh)
+	router.Plane
+	src     []source // one per node, beside Nodes
+	timeout int64    // retryTimeout(Mesh)
 }
 
-type node struct {
-	c   geom.Coord
-	ni  *router.NI
-	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
-	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
-
-	// arrivals and relaunch are per-cycle scratch owned by this node and
-	// reused across cycles (DESIGN.md §12): this cycle's arrivals (at
-	// most one per input port), and the packets whose timers expired.
-	arrivals []*packet.Packet
-	relaunch []*packet.Packet
-
+// source is one node's retransmission state.
+type source struct {
 	// timers holds one retransmission timer per packet this source
 	// launched and has not yet seen acknowledged.
 	timers dueq.Queue[timer]
 
-	// Per-node counters, summed on read: copies this node sent into the
-	// mesh minus copies it received, copies it dropped, and
+	// relaunch is per-cycle scratch reused across cycles (DESIGN.md
+	// §12): the packets whose timers expired this cycle.
+	relaunch []*packet.Packet
+
+	// Counters, summed on read: copies this node dropped, and
 	// retransmissions it launched.
-	traveling      int
 	drops, retrans int64
 }
 
@@ -112,43 +105,28 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, fmt.Errorf("runahead: config model is %v", cfg.Model)
 	}
 	f := &Fabric{timeout: retryTimeout(cfg.Mesh())}
-	var err error
-	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.receiveTile, f.resolveTile); err != nil {
+	// Every hop takes one cycle: the single-cycle router.
+	if err := f.Init(cfg, 1, sink, col, meter, f.receiveTile, f.resolveTile); err != nil {
 		return nil, err
 	}
-	f.nodes = make([]*node, f.Mesh.Nodes())
-	for id := range f.nodes {
-		f.nodes[id] = &node{c: f.Mesh.CoordOf(id), ni: f.NIs[id]}
-	}
-	for _, n := range f.nodes {
-		for _, d := range geom.LinkDirs {
-			if !f.Mesh.HasNeighbor(n.c, d) {
-				continue
-			}
-			l := link.New[*packet.Packet](1) // single-cycle hop
-			n.out[d] = l
-			f.nodes[f.Mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
-		}
-	}
+	f.src = make([]source, len(f.Nodes))
 	return f, nil
 }
 
-// Inject offers p (single-flit) to node's NI.
+// Inject offers p to node's NI like the plane's Inject, and also
+// panics on a self-addressed packet.
 func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
-	if p.Size != 1 {
-		panic(fmt.Sprintf("runahead: cannot transfer multi-flit packet %v", p))
-	}
 	if p.Src == p.Dst {
 		panic(fmt.Sprintf("runahead: self-addressed packet %v (deliver locally instead)", p))
 	}
-	return f.Offer(nodeID, p, now)
+	return f.Plane.Inject(nodeID, p, now)
 }
 
 // Drops returns the packet copies lost to contention or faults.
 func (f *Fabric) Drops() int64 {
 	var s int64
-	for _, n := range f.nodes {
-		s += n.drops
+	for i := range f.src {
+		s += f.src[i].drops
 	}
 	return s
 }
@@ -157,20 +135,21 @@ func (f *Fabric) Drops() int64 {
 // timeout.
 func (f *Fabric) Retransmissions() int64 {
 	var s int64
-	for _, n := range f.nodes {
-		s += n.retrans
+	for i := range f.src {
+		s += f.src[i].retrans
 	}
 	return s
 }
 
-// receiveTile drains one tile's inbound link lines and collects its
-// sources' expired timers.
+// receiveTile runs the plane's receive on one tile's nodes and
+// collects their sources' expired timers.
 //
 //shard:phase(receive)
 func (f *Fabric) receiveTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
-	for _, n := range f.nodes[lo:hi] {
-		n.receive(f.Now)
+	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
+	for id := lo; id < hi; id++ {
+		f.Nodes[id].Receive(f.Now)
+		f.src[id].expire(f.Now)
 	}
 }
 
@@ -179,59 +158,50 @@ func (f *Fabric) receiveTile(t int) {
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
 	for id := lo; id < hi; id++ {
-		f.resolveNode(id, f.nodes[id], f.Now, fx)
+		f.resolveNode(id, f.Nodes[id], &f.src[id], f.Now, fx)
 	}
 }
 
-// receive is the cycle's receive phase for one router: the arrivals
-// drain into scratch, and the timers due now whose packet is still
-// undelivered are set aside for relaunch.  Any ejection of such a
-// packet, by whichever tile, happened in an earlier cycle's resolve
-// phase, so a barrier separates it from this read.
-func (n *node) receive(now int64) {
-	n.arrivals = n.arrivals[:0]
-	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil {
-			continue
-		}
-		n.arrivals = n.in[d].RecvInto(now, n.arrivals)
-	}
-	n.traveling -= len(n.arrivals)
-	n.relaunch = n.relaunch[:0]
-	for e, ok := n.timers.PopDue(now); ok; e, ok = n.timers.PopDue(now) {
+// expire sets aside the timers due now whose packet is still
+// undelivered, for relaunch.  Any ejection of such a packet, by
+// whichever tile, happened in an earlier cycle's resolve phase, so a
+// barrier separates it from this read.
+func (s *source) expire(now int64) {
+	s.relaunch = s.relaunch[:0]
+	for e, ok := s.timers.PopDue(now); ok; e, ok = s.timers.PopDue(now) {
 		if e.pending() {
-			n.relaunch = append(n.relaunch, e.p)
+			s.relaunch = append(s.relaunch, e.p)
 		}
 	}
 }
 
-// arm starts p's retransmission timer at its source n.
-func (f *Fabric) arm(n *node, p *packet.Packet, now int64) {
-	n.timers.Push(timer{p: p, id: p.ID}, now+f.timeout)
+// arm starts p's retransmission timer at its source s.
+func (f *Fabric) arm(s *source, p *packet.Packet, now int64) {
+	s.timers.Push(timer{p: p, id: p.ID}, now+f.timeout)
 }
 
 // resolveNode is the cycle's routing phase for one router:
 // retransmission of timed-out packets, ejection, forwarding, then
 // injection.
-func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
+func (f *Fabric) resolveNode(id int, n *router.Node, s *source, now int64, fx *router.FX) {
 	// Relaunch timed-out packets at the tail of their source NI; a full
 	// NI queue forces another timeout round instead of losing the packet.
-	for _, p := range n.relaunch {
-		n.retrans++
+	for _, p := range s.relaunch {
+		s.retrans++
 		f.Retransmitted(fx, p, now)
 		f.BufferRead(fx, 1)
-		if !n.ni.Offer(p) {
-			f.arm(n, p, now)
+		if !n.NI.Offer(p) {
+			f.arm(s, p, now)
 		}
 	}
 
 	// A frozen router loses every arriving copy; the source timers
 	// retransmit them like any congestion drop.
 	if f.Faults != nil && f.Faults.Frozen(id, now) {
-		n.drops += int64(len(n.arrivals))
+		s.drops += int64(len(n.Arrivals))
 		return
 	}
 
@@ -239,79 +209,65 @@ func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
 	// source will retransmit if this was the only copy in flight).
 	ejected := false
 	var taken [geom.NumLinkDirs]bool
-	for _, p := range n.arrivals {
-		if p.Dst == n.c {
+	for _, p := range n.Arrivals {
+		if p.Dst == n.C {
 			if !ejected && p.EjectedAt < 0 {
 				f.Crossbar(fx, 1)
 				f.Ejected(fx, id, p, now)
 				ejected = true
 			} else {
-				n.drops++
+				s.drops++
 			}
 			continue
 		}
 		// Forward on the X-Y output or drop: closest-to-destination wins
 		// the port (deterministic tie-break on ID); a killed link drops
 		// the copy like contention would.
-		d := geom.XYFirst(n.c, p.Dst)
-		if taken[d] || (f.Faults != nil && f.Faults.LinkDown(id, d, now)) {
-			n.drops++
+		d := geom.XYFirst(n.C, p.Dst)
+		if taken[d] || !f.Usable(id, n, d, now) {
+			s.drops++
 			continue
 		}
 		taken[d] = true
-		f.forward(id, n, p, d, now, fx)
+		if !f.Send(fx, id, n, p, d, now) {
+			s.drops++ // corrupted at link entry; the source timer recovers it
+		}
 	}
 
-	// Injection: one fresh packet if its X-Y port is still free.
-	for off := 0; off < n.ni.Domains(); off++ {
-		dom := int((now + int64(off)) % int64(n.ni.Domains()))
-		p := n.ni.Head(dom)
+	// Injection: one fresh packet if its X-Y port is still free; a
+	// killed link keeps it waiting in the NI until the link heals.
+	for off := 0; off < n.NI.Domains(); off++ {
+		dom := int((now + int64(off)) % int64(n.NI.Domains()))
+		p := n.NI.Head(dom)
 		if p == nil {
 			continue
 		}
-		d := geom.XYFirst(n.c, p.Dst)
-		if d == geom.Local || taken[d] || n.out[d] == nil {
+		d := geom.XYFirst(n.C, p.Dst)
+		if d == geom.Local || taken[d] || !f.Usable(id, n, d, now) {
 			continue
 		}
-		if f.Faults != nil && f.Faults.LinkDown(id, d, now) {
-			continue // wait in the NI until the link heals
-		}
-		n.ni.Pop(dom)
+		n.NI.Pop(dom)
 		f.Injected(fx, p, now)
 		f.BufferRead(fx, 1)
-		f.forward(id, n, p, d, now, fx)
+		if !f.Send(fx, id, n, p, d, now) {
+			s.drops++
+		}
 		// One retransmission timer per launch: if no delivery happens
 		// within the timeout, the source sends a fresh copy.  The timeout
 		// outlasts the longest X-Y path, so two copies never coexist.
-		f.arm(n, p, now)
+		f.arm(s, p, now)
 		break
 	}
-}
-
-// forward sends p on output d.  Corruption at link entry loses the
-// copy; the source timer recovers it.
-func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, fx *router.FX) {
-	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
-		f.Link(fx, 1)
-		n.drops++
-		return
-	}
-	p.Hops++
-	n.traveling++
-	f.Hop(fx, 1)
-	f.Traverse(id, d, p, 1, false, now)
-	n.out[d].Send(p, now)
 }
 
 // Audit verifies that every undelivered packet is queued, traveling or
 // awaiting a retransmission timeout.
 func (f *Fabric) Audit() error {
-	queued := f.Backlog()
-	traveling, pendingRetries := 0, 0
+	queued, traveling := f.Backlog(), f.Traveling()
+	pendingRetries := 0
 	seen := map[uint64]bool{}
-	for _, n := range f.nodes {
-		traveling += n.traveling
-		n.timers.Each(func(e timer) {
+	for i := range f.src {
+		f.src[i].timers.Each(func(e timer) {
 			if e.pending() && !seen[e.id] {
 				pendingRetries++
 				seen[e.id] = true

@@ -93,7 +93,7 @@ func TestInjectedConservationDriftCaught(t *testing.T) {
 		t.Fatalf("healthy fabric failed audit: %v", err)
 	}
 	// Simulate an accounting bug: a queued packet the fabric never counted.
-	h.f.nodes[5].ni.Offer(h.pkt(geom.Coord{X: 1, Y: 1}, geom.Coord{X: 3, Y: 0}, 0, packet.Ctrl))
+	h.f.NIs[5].Offer(h.pkt(geom.Coord{X: 1, Y: 1}, geom.Coord{X: 3, Y: 0}, 0, packet.Ctrl))
 	if err := h.f.Audit(); err == nil {
 		t.Error("conservation drift went undetected")
 	}

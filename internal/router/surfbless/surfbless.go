@@ -28,10 +28,10 @@
 // explicit output reservation is needed because mid-window waves never
 // satisfy CanStart for a new head.
 //
-// The fabric is a router.Kernel: it supplies the per-node collect and
-// resolve functions and their two tile roots, and the kernel steps them
-// serially or sharded across node tiles with bit-identical results
-// (SetShards; DESIGN.md §17).
+// The fabric is a router.Plane: the plane receives, sends and audits,
+// and the fabric supplies its arbitration as a resolve root, which the
+// kernel steps serially or sharded across node tiles with bit-identical
+// results (SetShards; DESIGN.md §17).
 package surfbless
 
 import (
@@ -39,7 +39,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
-	"surfbless/internal/link"
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
@@ -65,35 +64,12 @@ type Policy struct {
 // armed the fabric routes stricken packets through the kernel's
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
-	router.Kernel
+	router.Plane
 	cfg   config.Config
 	sched *wave.Schedule
 	dec   *wave.Decoder
 	slot  []int // per-domain slot width (window length in waves)
 	pol   Policy
-	nodes []*node
-}
-
-type node struct {
-	c   geom.Coord
-	ni  *router.NI
-	in  [geom.NumLinkDirs]*link.Line[*packet.Packet]
-	out [geom.NumLinkDirs]*link.Line[*packet.Packet]
-
-	// Per-cycle scratch reused across cycles (DESIGN.md §12).  A dense
-	// array of (packet, arrival direction) pairs replaces the former
-	// per-cycle map[*packet.Packet]geom.Dir — at most one arrival per
-	// input port, so four slots cover every cycle with zero heap work.
-	arrivals [geom.NumLinkDirs]arrival
-	nArr     int
-	rbuf     []*packet.Packet // per-link receive scratch
-}
-
-// arrival is one packet collected from an input link this cycle,
-// remembering the port it came in on (used in invariant diagnostics).
-type arrival struct {
-	p    *packet.Packet
-	from geom.Dir
 }
 
 // New builds a Surf-Bless mesh for cfg with the paper's routing
@@ -114,12 +90,10 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		return nil, fmt.Errorf("surfbless: config model is %v", cfg.Model)
 	}
 	f := &Fabric{cfg: cfg, pol: pol}
-	var err error
-	if f.Kernel, err = router.NewKernel(cfg, sink, col, meter, f.collectTile, f.resolveTile); err != nil {
+	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
 	}
-	mesh := f.Mesh
-	sched := wave.New(mesh, cfg.HopDelay())
+	sched := wave.New(f.Mesh, cfg.HopDelay())
 
 	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
 	if err != nil {
@@ -145,21 +119,6 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 	}
 
 	f.sched, f.dec, f.slot = sched, dec, slotWidths
-	f.nodes = make([]*node, mesh.Nodes())
-	for id := range f.nodes {
-		f.nodes[id] = &node{c: mesh.CoordOf(id), ni: f.NIs[id]}
-	}
-	p := cfg.HopDelay()
-	for _, n := range f.nodes {
-		for _, d := range geom.LinkDirs {
-			if !mesh.HasNeighbor(n.c, d) {
-				continue
-			}
-			l := link.New[*packet.Packet](p)
-			n.out[d] = l
-			f.nodes[mesh.ID(n.c.Add(d))].in[d.Opposite()] = l
-		}
-	}
 	return f, nil
 }
 
@@ -183,168 +142,122 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return f.Offer(nodeID, p, now)
 }
 
-// collectTile drains one tile's inbound link lines.
-//
-//shard:phase(receive)
-func (f *Fabric) collectTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
-	for _, n := range f.nodes[lo:hi] {
-		f.collectNode(n, f.Now)
-	}
-}
-
 // resolveTile runs one tile's ejection, routing and injection.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.nodes), len(f.FX), t)
+	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
 	for id := lo; id < hi; id++ {
-		f.resolveNode(id, f.nodes[id], f.Now, fx)
+		f.resolveNode(id, f.Nodes[id], f.Now, fx)
 	}
 }
 
-// collectNode is the cycle's receive phase for one router: arrivals
-// drain into the node's dense scratch array under the confinement
-// invariant — a packet must arrive on a wave owned by its own domain,
-// at a window start.
-func (f *Fabric) collectNode(n *node, now int64) {
-	n.nArr = 0
-	for _, d := range geom.LinkDirs {
-		if n.in[d] == nil || n.in[d].Idle() {
-			continue
+// resolveNode is the cycle's routing phase for one router: the
+// confinement check on its arrivals, then ejection, old-first
+// arbitration, output selection/forwarding and SE injection.
+func (f *Fabric) resolveNode(id int, n *router.Node, now int64, fx *router.FX) {
+	// Every packet must arrive on a wave owned by its own domain, at a
+	// window start.
+	for i, p := range n.Arrivals {
+		d := n.From[i]
+		w := f.sched.InputWave(n.C, d, now)
+		if dom := f.dec.Domain(w); dom != p.Domain {
+			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+			panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d on wave %d of domain %d",
+				p, n.C, d, now, w, dom))
 		}
-		n.rbuf = n.in[d].RecvInto(now, n.rbuf[:0])
-		for _, p := range n.rbuf {
-			w := f.sched.InputWave(n.c, d, now)
-			if dom := f.dec.Domain(w); dom != p.Domain {
-				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-				panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d on wave %d of domain %d",
-					p, n.c, d, now, w, dom))
-			}
-			if !f.dec.CanStart(w, f.slot[p.Domain]) {
-				//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-				panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d mid-window (wave %d)",
-					p, n.c, d, now, w))
-			}
-			n.arrivals[n.nArr] = arrival{p: p, from: d}
-			n.nArr++
+		if !f.dec.CanStart(w, f.slot[p.Domain]) {
+			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
+			panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d mid-window (wave %d)",
+				p, n.C, d, now, w))
 		}
 	}
-}
-
-// resolveNode is the cycle's routing phase for one router: ejection,
-// old-first arbitration, output selection/forwarding and SE injection
-// over the arrivals collectNode gathered.
-func (f *Fabric) resolveNode(id int, n *node, now int64, fx *router.FX) {
-	arrivals := n.arrivals[:n.nArr]
-
-	// A frozen router's pipeline is dead: the links above were still
-	// drained (they demand collection), but every arrival is lost at the
-	// input and recovered via source retransmission.  Nothing ejects,
-	// forwards or injects here until the freeze repairs.
 	if f.Faults != nil && f.Faults.Frozen(id, now) {
-		for _, a := range arrivals {
-			f.DropOrRetry(a.p, now)
-		}
+		f.DropArrivals(n, now)
 		return
 	}
+	arrivals := n.Arrivals
 
 	// Ejection happens only on the south-east sub-wave (§4.2): the
 	// ejection port is owned by the SE scheduler's current wave, so a
 	// packet at its destination ejects only when that wave belongs to
 	// its domain — otherwise it is deflected onward (§5.1.3).
-	seWave := f.sched.OutputWave(n.c, geom.Local, now)
+	seWave := f.sched.OutputWave(n.C, geom.Local, now)
 	seDom := f.dec.Domain(seWave)
 	seStart := seDom >= 0 && f.dec.CanStart(seWave, f.slot[seDom])
 	ejected := -1
 	if seStart {
-		for i, a := range arrivals {
-			if a.p.Dst == n.c && a.p.Domain == seDom && (ejected < 0 || a.p.Older(arrivals[ejected].p)) {
+		for i, p := range arrivals {
+			if p.Dst == n.C && p.Domain == seDom && (ejected < 0 || p.Older(arrivals[ejected])) {
 				ejected = i
 			}
 		}
 	}
 	if ejected >= 0 {
-		p := arrivals[ejected].p
+		p := arrivals[ejected]
 		f.Crossbar(fx, p.Size)
 		f.Ejected(fx, id, p, now)
 		arrivals = append(arrivals[:ejected], arrivals[ejected+1:]...)
 	}
 
-	// Step 1 of the routing algorithm: old-first packet order
-	// (allocation-free insertion sort; Older is a total order).
-	sortArrivalsOldestFirst(arrivals)
+	// Step 1 of the routing algorithm: old-first packet order.
+	router.SortOldestFirst(arrivals)
 
 	// Step 2: X-Y, then Y-X, then random same-domain deflection.
 	var taken [geom.NumLinkDirs]bool
-	for _, a := range arrivals {
-		d := f.pickOutput(n, a.p, now, &taken)
+	for _, p := range arrivals {
+		d := f.pickOutput(id, n, p, now, &taken)
 		if d < 0 {
 			// Fault-free, a missing output falsifies the paper's central
 			// claim and must panic.  With faults armed the wave balance is
 			// broken by design (a down link removes its port from the
 			// schedule), so the stranded packet enters recovery instead.
 			if f.Faults != nil {
-				f.DropOrRetry(a.p, now)
+				f.DropOrRetry(p, now)
 				continue
 			}
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-			panic(fmt.Sprintf("surfbless: no same-domain output at %v cycle %d for %v (arrived %v) — wave balance violated",
-				n.c, now, a.p, a.from))
+			panic(fmt.Sprintf("surfbless: no same-domain output at %v cycle %d for %v — wave balance violated",
+				n.C, now, p))
 		}
-		f.forward(id, n, a.p, d, now, &taken, fx)
+		taken[d] = true
+		f.Forward(fx, id, n, p, d, now)
 	}
 
 	// Injection: only on the SE sub-wave, only for the domain owning it,
 	// and only at the lowest priority (a free same-domain output must
 	// remain, §4.3).
 	if seStart {
-		if p := n.ni.Head(seDom); p != nil {
-			if d := f.pickOutput(n, p, now, &taken); d >= 0 {
-				n.ni.Pop(seDom)
+		if p := n.NI.Head(seDom); p != nil {
+			if d := f.pickOutput(id, n, p, now, &taken); d >= 0 {
+				n.NI.Pop(seDom)
 				f.Injected(fx, p, now)
 				f.BufferRead(fx, p.Size)
-				f.forward(id, n, p, d, now, &taken, fx)
+				taken[d] = true
+				f.Forward(fx, id, n, p, d, now)
 			}
 		}
 	}
 }
 
-// sortArrivalsOldestFirst is router.SortOldestFirst over (packet,
-// direction) pairs: old-first arbitration order, ≤4 elements,
-// allocation-free insertion sort.
-func sortArrivalsOldestFirst(as []arrival) {
-	for i := 1; i < len(as); i++ {
-		a := as[i]
-		j := i - 1
-		for ; j >= 0 && a.p.Older(as[j].p); j-- {
-			as[j+1] = as[j]
-		}
-		as[j+1] = a
-	}
-}
-
 // eligible reports whether output d may carry p's head this cycle.
-func (f *Fabric) eligible(n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool) bool {
-	if d == geom.Local || n.out[d] == nil || taken[d] {
+func (f *Fabric) eligible(id int, n *router.Node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool) bool {
+	if d == geom.Local || taken[d] || !f.Usable(id, n, d, now) {
 		return false
 	}
-	if f.Faults != nil && f.Faults.LinkDown(f.Mesh.ID(n.c), d, now) {
-		return false
-	}
-	w := f.sched.OutputWave(n.c, d, now)
+	w := f.sched.OutputWave(n.C, d, now)
 	return f.dec.Domain(w) == p.Domain && f.dec.CanStart(w, f.slot[p.Domain])
 }
 
 // pickOutput implements Step 2 of §4.3.  It returns -1 when no
 // same-domain output is free (legal only for injection attempts).
-func (f *Fabric) pickOutput(n *node, p *packet.Packet, now int64, taken *[geom.NumLinkDirs]bool) geom.Dir {
-	if d := geom.XYFirst(n.c, p.Dst); d != geom.Local && f.eligible(n, p, d, now, taken) {
+func (f *Fabric) pickOutput(id int, n *router.Node, p *packet.Packet, now int64, taken *[geom.NumLinkDirs]bool) geom.Dir {
+	if d := geom.XYFirst(n.C, p.Dst); d != geom.Local && f.eligible(id, n, p, d, now, taken) {
 		return d
 	}
 	if !f.pol.DisableYX {
-		if d := geom.YXFirst(n.c, p.Dst); d != geom.Local && f.eligible(n, p, d, now, taken) {
+		if d := geom.YXFirst(n.C, p.Dst); d != geom.Local && f.eligible(id, n, p, d, now, taken) {
 			return d
 		}
 	}
@@ -355,7 +268,7 @@ func (f *Fabric) pickOutput(n *node, p *packet.Packet, now int64, taken *[geom.N
 	var free [geom.NumLinkDirs]geom.Dir
 	nf := 0
 	for _, d := range geom.LinkDirs {
-		if f.eligible(n, p, d, now, taken) {
+		if f.eligible(id, n, p, d, now, taken) {
 			free[nf] = d
 			nf++
 		}
@@ -367,43 +280,6 @@ func (f *Fabric) pickOutput(n *node, p *packet.Packet, now int64, taken *[geom.N
 		return free[0]
 	}
 	return free[router.Hash64(p.ID, uint64(now))%uint64(nf)]
-}
-
-func (f *Fabric) forward(id int, n *node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool, fx *router.FX) {
-	taken[d] = true
-	// Single-flit corruption is modeled at link entry: the worm burned
-	// the wire but fails its CRC, so it never reaches the neighbor and
-	// the wave invariant at the receiver stays intact.
-	if f.Faults != nil && f.Faults.Corrupt(p, id, d, now) {
-		f.Link(fx, p.Size)
-		f.DropOrRetry(p, now)
-		return
-	}
-	p.Hops++
-	deflected := !geom.Productive(n.c, p.Dst, d)
-	if deflected {
-		p.Deflections++
-	}
-	f.Hop(fx, p.Size)
-	f.Traverse(id, d, p, p.Size, deflected, now)
-	n.out[d].Send(p, now)
-}
-
-// Audit verifies that NI queues plus link occupancy account for every
-// in-flight packet (Surf-Bless routers hold no state between cycles).
-func (f *Fabric) Audit() error {
-	n := f.Backlog()
-	for _, nd := range f.nodes {
-		for _, l := range nd.out {
-			if l != nil {
-				n += l.InFlight()
-			}
-		}
-	}
-	if n != f.InFlight() {
-		return fmt.Errorf("surfbless: %d packets in queues+links, %d in flight", n, f.InFlight())
-	}
-	return nil
 }
 
 var _ network.Fabric = (*Fabric)(nil)

@@ -57,6 +57,8 @@ type chaosHarness struct {
 	bounces     atomic.Int64
 	kills       atomic.Int64
 	restarts    atomic.Int64
+	biteBLESS   atomic.Bool   // armed after the last bounce: kill the next BLESS lease's worker
+	bitten      atomic.Int64  // workers killed holding a BLESS lease
 	progressCh  chan struct{} // pinged per completion; drives the killer
 
 	workers  []*chaosWorker
@@ -121,20 +123,30 @@ func (h *chaosHarness) bounce() {
 }
 
 // startWorker launches one fleet member with its own kill switch.
+// Once biteBLESS is armed, the first worker to take a lease of the
+// BLESS job dies before it runs it: no completion and no heartbeat
+// follow, and the job has no twin to finish the point by singleflight,
+// so only the lease's TTL can requeue it.
 func (h *chaosHarness) startWorker(name string) *chaosWorker {
 	h.t.Helper()
 	pol := quickPolicy(int64(len(name)) + h.kills.Load())
+	ctx, kill := context.WithCancel(context.Background())
+	cw := &chaosWorker{name: name, kill: kill, done: make(chan struct{})}
 	w, err := NewWorker(WorkerOptions{
 		Name:   name,
 		Client: h.client(),
 		Runner: &Runner{Policy: pol},
 		Slots:  1, Backoff: pol, RPCAttempts: 4,
+		Hooks: &WorkerHooks{LeaseAcquired: func(l Lease) {
+			if l.Spec.Model == "BLESS" && h.biteBLESS.CompareAndSwap(true, false) {
+				kill()
+				h.bitten.Add(1)
+			}
+		}},
 	})
 	if err != nil {
 		h.t.Fatalf("NewWorker: %v", err)
 	}
-	ctx, kill := context.WithCancel(context.Background())
-	cw := &chaosWorker{name: name, kill: kill, done: make(chan struct{})}
 	h.workerWG.Add(1)
 	go func() {
 		defer h.workerWG.Done()
@@ -207,6 +219,11 @@ func TestChaosWorkerKillsAndCoordinatorBounces(t *testing.T) {
 				if n >= at {
 					delete(bounceAt, at)
 					h.bounce()
+					if len(bounceAt) == 0 {
+						// A bounce forgets every lease, so a lease
+						// stranded from here on can only expire.
+						h.biteBLESS.Store(true)
+					}
 				}
 			}
 			if n >= nextKill {
@@ -288,6 +305,12 @@ func TestChaosWorkerKillsAndCoordinatorBounces(t *testing.T) {
 	}
 	t.Logf("chaos: %d kills, %d restarts, %d coordinator bounces, %d leases expired",
 		h.kills.Load(), h.restarts.Load(), h.bounces.Load(), h.expired.Load())
+	if h.bitten.Load() == 0 {
+		t.Fatal("no worker took a BLESS lease after the last bounce; lease expiry went untested")
+	}
+	if h.expired.Load() < 1 {
+		t.Fatal("the stranded BLESS lease completed without expiring")
+	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

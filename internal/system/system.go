@@ -103,34 +103,30 @@ func waveSetsFor(smax, hopDelay int) [][]int {
 	if smax < 6*stride {
 		panic(fmt.Sprintf("system: Smax %d too small for two data VNets (need ≥ %d)", smax, 6*stride))
 	}
-	var data0, data1 []int
+	var starts0, starts1 []int
 	for k := 0; k < 3; k++ {
-		data0 = append(data0, window(2*k*stride)...)
-		data1 = append(data1, window((2*k+1)*stride)...)
+		starts0 = append(starts0, 2*k*stride)
+		starts1 = append(starts1, (2*k+1)*stride)
 	}
-	owned := make(map[int]bool)
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < smax; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	// Order: domain index == virtual network (0 ctrl, 1 and 2 data).
-	return [][]int{ctrl, data0, data1}
+	return waveSets(smax, starts0, starts1)
 }
 
 // PaperWaveSets returns the paper's literal §5.2 assignment for
 // Smax = 42 — data VNets on {0–4},{15–19},{30–34} and {7–11},{22–26},
 // {37–41}, control on the rest — used by the wave-placement ablation.
 func PaperWaveSets() [][]int {
+	return waveSets(42, []int{0, 15, 30}, []int{7, 22, 37})
+}
+
+// waveSets assigns the two data VNets a worm window at each of their
+// window starts and the control VNet every other wave below smax.  The
+// order is domain index == virtual network (0 ctrl, 1 and 2 data).
+func waveSets(smax int, starts0, starts1 []int) [][]int {
 	var data0, data1 []int
-	for _, s := range []int{0, 15, 30} {
+	for _, s := range starts0 {
 		data0 = append(data0, window(s)...)
 	}
-	for _, s := range []int{7, 22, 37} {
+	for _, s := range starts1 {
 		data1 = append(data1, window(s)...)
 	}
 	owned := make(map[int]bool)
@@ -138,7 +134,7 @@ func PaperWaveSets() [][]int {
 		owned[w] = true
 	}
 	var ctrl []int
-	for w := 0; w < 42; w++ {
+	for w := 0; w < smax; w++ {
 		if !owned[w] {
 			ctrl = append(ctrl, w)
 		}
