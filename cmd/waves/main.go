@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"surfbless/internal/geom"
@@ -21,15 +22,27 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 4, "mesh dimension (N×N)")
-	p := flag.Int("p", 1, "hop delay P in cycles")
-	waveIdx := flag.Int("wave", 0, "wave index to render")
-	frames := flag.Int("frames", 0, "frames to render (0 = one full period)")
-	analyze := flag.Bool("analyze", false, "analyze a wave-set assignment instead of rendering")
-	domains := flag.Int("domains", 3, "analyze: number of domains (1 ctrl + rest data)")
-	size := flag.Int("size", 5, "analyze: worm window width in waves")
-	sets := flag.String("sets", "tuned", "analyze: tuned | paper | roundrobin")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind a testable seam: flags in, text
+// out, exit code back.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("waves", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 4, "mesh dimension (N×N)")
+	p := fs.Int("p", 1, "hop delay P in cycles")
+	waveIdx := fs.Int("wave", 0, "wave index to render")
+	frames := fs.Int("frames", 0, "frames to render (0 = one full period)")
+	analyze := fs.Bool("analyze", false, "analyze a wave-set assignment instead of rendering")
+	domains := fs.Int("domains", 3, "analyze: number of domains (1 ctrl + rest data)")
+	size := fs.Int("size", 5, "analyze: worm window width in waves")
+	sets := fs.String("sets", "tuned", "analyze: tuned | paper | roundrobin")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	mesh := geom.NewMesh(*n, *n)
 	sched := wave.New(mesh, *p)
@@ -38,86 +51,59 @@ func main() {
 		if count <= 0 {
 			count = sched.Smax()
 		}
-		fmt.Printf("N=%d P=%d Smax=%d, tracking wave %d for %d frames\n\n",
+		fmt.Fprintf(stdout, "N=%d P=%d Smax=%d, tracking wave %d for %d frames\n\n",
 			*n, *p, sched.Smax(), *waveIdx, count)
 		for i := 0; i < count; i++ {
-			fmt.Println(wave.RenderWave(sched, *waveIdx, int64(i)))
+			fmt.Fprintln(stdout, wave.RenderWave(sched, *waveIdx, int64(i)))
 		}
-		return
+		return 0
 	}
 
 	dec, err := buildDecoder(sched.Smax(), *p, *domains, *size, *sets)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "waves:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "waves:", err)
+		return 1
 	}
-	fmt.Printf("schedule: N=%d P=%d Smax=%d, %d domains, %q sets, worm width %d\n\n",
+	fmt.Fprintf(stdout, "schedule: N=%d P=%d Smax=%d, %d domains, %q sets, worm width %d\n\n",
 		*n, *p, sched.Smax(), dec.Domains(), *sets, *size)
 	for dom := 0; dom < dec.Domains(); dom++ {
 		width := *size
 		if dom == 0 && *sets != "roundrobin" {
 			width = 1 // control domain carries 1-flit packets
 		}
-		fmt.Printf("domain %d: share %.1f%%, %d startable %d-wide windows, worst N/W detour %d rows\n",
+		fmt.Fprintf(stdout, "domain %d: share %.1f%%, %d startable %d-wide windows, worst N/W detour %d rows\n",
 			dom, 100*wave.DomainShare(dec, dom), dec.StartableSlots(dom, width), width,
 			wave.WorstDetour(dec, *p, *n, dom, width))
 		for _, s := range dec.Owned(dom) {
 			if !dec.CanStart(s, width) {
 				continue
 			}
-			fmt.Printf("  window @%2d turns at rows %v\n", s, wave.TurnRows(dec, *p, *n, dom, s, width))
+			fmt.Fprintf(stdout, "  window @%2d turns at rows %v\n", s, wave.TurnRows(dec, *p, *n, dom, s, width))
 		}
 	}
+	return 0
 }
 
 // buildDecoder assembles the requested wave→domain assignment.
 func buildDecoder(smax, p, domains, size int, kind string) (*wave.Decoder, error) {
-	switch kind {
-	case "roundrobin":
+	var sets [][]int
+	var err error
+	switch {
+	case kind == "roundrobin":
 		return wave.RoundRobin(smax, domains), nil
-	case "tuned", "paper":
-		if domains < 2 {
-			return nil, fmt.Errorf("wave sets need ≥ 2 domains (1 ctrl + data)")
-		}
-		starts := make([][]int, domains-1)
-		if kind == "paper" {
-			if smax != 42 || domains != 3 {
-				return nil, fmt.Errorf("the paper's literal sets exist for Smax=42, 3 domains")
-			}
-			starts[0] = []int{0, 15, 30}
-			starts[1] = []int{7, 22, 37}
-		} else {
-			stride := 2 * p
-			if stride <= size {
-				return nil, fmt.Errorf("stride 2P=%d cannot hold a %d-wide window", stride, size)
-			}
-			for d := range starts {
-				for k := 0; k < 3; k++ {
-					s := (k*(domains-1) + d) * stride
-					if s+size > smax {
-						return nil, fmt.Errorf("Smax=%d too small for %d data domains", smax, domains-1)
-					}
-					starts[d] = append(starts[d], s)
-				}
-			}
-		}
-		used := map[int]bool{}
-		out := make([][]int, domains)
-		for d, ss := range starts {
-			for _, s := range ss {
-				for w := s; w < s+size; w++ {
-					out[d+1] = append(out[d+1], w)
-					used[w] = true
-				}
-			}
-		}
-		for w := 0; w < smax; w++ {
-			if !used[w] {
-				out[0] = append(out[0], w)
-			}
-		}
-		return wave.FromSets(smax, out)
-	default:
+	case kind != "tuned" && kind != "paper":
 		return nil, fmt.Errorf("unknown sets %q (want tuned, paper or roundrobin)", kind)
+	case domains < 2:
+		return nil, fmt.Errorf("wave sets need ≥ 2 domains (1 ctrl + data)")
+	case kind == "tuned":
+		sets, err = wave.StrideSets(smax, p, domains-1, size)
+	case smax != 42 || domains != 3:
+		return nil, fmt.Errorf("the paper's literal sets exist for Smax=42, 3 domains")
+	default:
+		sets = wave.PaperSets(size)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return wave.FromSets(smax, sets)
 }

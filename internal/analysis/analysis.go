@@ -6,12 +6,12 @@
 //
 // The moving parts:
 //
-//   - Analyzer describes one check.  Per-package analyzers implement
-//     Run and see one type-checked package at a time; whole-module
-//     analyzers implement RunModule and see every loaded package at
-//     once (hotalloc needs the cross-package call graph, which the
+//   - Analyzer describes one check.  Every analyzer implements
+//     RunModule and sees every loaded package at once: hotalloc and
+//     shardsafe need the cross-package call graph, which the
 //     per-package granularity of x/tools facts would otherwise
-//     require).
+//     require, and the package-local checks simply loop over the
+//     units.
 //   - Unit is one type-checked package: syntax, types and the
 //     surrounding module path.
 //   - Diagnostic is one finding.  Its Category doubles as the
@@ -33,8 +33,7 @@ import (
 	"strings"
 )
 
-// Analyzer describes one static check.  Exactly one of Run and
-// RunModule must be set.
+// Analyzer describes one static check.
 type Analyzer struct {
 	// Name identifies the analyzer in output and must be a valid Go
 	// identifier.
@@ -42,10 +41,7 @@ type Analyzer struct {
 	// Doc is the one-paragraph description printed by `nocvet -help`.
 	Doc string
 
-	// Run analyzes a single package.
-	Run func(*Pass) error
-	// RunModule analyzes every loaded package at once.  Analyzers that
-	// follow calls or types across package boundaries use this form.
+	// RunModule analyzes every loaded package at once.
 	RunModule func(*ModulePass) error
 }
 
@@ -67,22 +63,7 @@ type Unit struct {
 	Info *types.Info
 }
 
-// Pass carries one package to a per-package analyzer.
-type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Unit     *Unit
-	// Report records one finding.
-	Report func(Diagnostic)
-}
-
-// Reportf reports a formatted finding at pos under the given
-// suppression category.
-func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Category: category, Message: fmt.Sprintf(format, args...)})
-}
-
-// ModulePass carries every loaded package to a whole-module analyzer.
+// ModulePass carries every loaded package to an analyzer.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -112,4 +93,25 @@ type Diagnostic struct {
 // modules mirroring its layout.
 func PathIs(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
+
+// CalleeIdent returns the identifier naming a call's callee — the
+// function name, or the selector of a qualified or method call — and
+// nil for calls through any other expression.
+func CalleeIdent(call *ast.CallExpr) *ast.Ident {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun
+	case *ast.SelectorExpr:
+		return fun.Sel
+	}
+	return nil
+}
+
+// Callee resolves the function or method a call names, or nil when its
+// callee is no *types.Func (a func value, a conversion, a builtin).  An
+// interface method call resolves to the abstract method.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, _ := info.Uses[CalleeIdent(call)].(*types.Func)
+	return fn
 }

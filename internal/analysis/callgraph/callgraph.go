@@ -111,7 +111,7 @@ func scanEdges(n *Node) []Edge {
 		if !ok {
 			return true
 		}
-		id := calleeIdent(call)
+		id := analysis.CalleeIdent(call)
 		if id == nil {
 			return true
 		}
@@ -136,18 +136,6 @@ func scanEdges(n *Node) []Edge {
 	return edges
 }
 
-// calleeIdent returns the identifier naming a call's callee, nil for
-// calls through arbitrary expressions.
-func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun
-	case *ast.SelectorExpr:
-		return fun.Sel
-	}
-	return nil
-}
-
 // StaticCallee resolves the function or method a call statically
 // invokes, or nil for dynamic calls (func values and interface
 // methods) and non-call expressions (type conversions, builtins).
@@ -155,11 +143,7 @@ func calleeIdent(call *ast.CallExpr) *ast.Ident {
 // the abstract method — but dispatch dynamically, so they count as
 // unresolved here.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	id := calleeIdent(call)
-	if id == nil {
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
+	fn := analysis.Callee(info, call)
 	if fn == nil || interfaceMethod(fn) {
 		return nil
 	}

@@ -60,7 +60,7 @@ func RunAnalyzersWith(fset *token.FileSet, units []*Unit, analyzers []*Analyzer,
 		}
 	}
 
-	record := func(a *Analyzer, u *Unit) func(Diagnostic) {
+	record := func(a *Analyzer) func(Diagnostic) {
 		return func(d Diagnostic) {
 			f := Finding{
 				Analyzer: a.Name,
@@ -68,13 +68,9 @@ func RunAnalyzersWith(fset *token.FileSet, units []*Unit, analyzers []*Analyzer,
 				Category: d.Category,
 				Message:  d.Message,
 			}
-			// A module analyzer may report into any unit; find the one
-			// owning the position so its directives apply.
-			idx := indexes[u]
-			if idx == nil {
-				idx = indexForPos(fset, indexes, d.Pos)
-			}
-			if idx != nil {
+			// An analyzer may report into any unit; find the one owning
+			// the position so its directives apply.
+			if idx := indexForPos(fset, indexes, d.Pos); idx != nil {
 				if _, ok := idx.Suppressed(d.Pos, d.Category); ok {
 					f.Suppressed = true
 				}
@@ -84,21 +80,9 @@ func RunAnalyzersWith(fset *token.FileSet, units []*Unit, analyzers []*Analyzer,
 	}
 
 	for _, a := range analyzers {
-		switch {
-		case a.Run != nil:
-			for _, u := range units {
-				pass := &Pass{Analyzer: a, Fset: fset, Unit: u, Report: record(a, u)}
-				if err := a.Run(pass); err != nil {
-					return nil, fmt.Errorf("%s: %s: %w", a.Name, u.Path, err)
-				}
-			}
-		case a.RunModule != nil:
-			pass := &ModulePass{Analyzer: a, Fset: fset, Units: units, Report: record(a, nil)}
-			if err := a.RunModule(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
-		default:
-			return nil, fmt.Errorf("analyzer %s has neither Run nor RunModule", a.Name)
+		pass := &ModulePass{Analyzer: a, Fset: fset, Units: units, Report: record(a)}
+		if err := a.RunModule(pass); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 

@@ -34,9 +34,9 @@ import (
 
 // Analyzer is the determinism checker.
 var Analyzer = &analysis.Analyzer{
-	Name: "determinism",
-	Doc:  "forbid time.Now, the global math/rand source, and unordered map ranges in replay-critical packages",
-	Run:  run,
+	Name:      "determinism",
+	Doc:       "forbid time.Now, the global math/rand source, and unordered map ranges in replay-critical packages",
+	RunModule: run,
 }
 
 // Scope limits the analyzer to the packages whose behaviour feeds
@@ -50,27 +50,29 @@ var Scope = regexp.MustCompile(`internal/(router(/[^/]+)?|sim|traffic|link|shard
 // wallClock lists the forbidden wall-clock reads.
 var wallClock = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-func run(pass *analysis.Pass) error {
-	if !Scope.MatchString(pass.Unit.Path) {
-		return nil
-	}
-	for _, file := range pass.Unit.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkCall(pass, n)
-			case *ast.RangeStmt:
-				checkRange(pass, n)
-			}
-			return true
-		})
+func run(pass *analysis.ModulePass) error {
+	for _, u := range pass.Units {
+		if !Scope.MatchString(u.Path) {
+			continue
+		}
+		for _, file := range u.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkCall(pass, u.Info, n)
+				case *ast.RangeStmt:
+					checkRange(pass, u.Info, n)
+				}
+				return true
+			})
+		}
 	}
 	return nil
 }
 
 // checkCall flags wall-clock reads and global math/rand draws.
-func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := calleeFunc(pass, call)
+func checkCall(pass *analysis.ModulePass, info *types.Info, call *ast.CallExpr) {
+	fn := analysis.Callee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}
@@ -97,8 +99,8 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 }
 
 // checkRange flags iteration over map types.
-func checkRange(pass *analysis.Pass, rs *ast.RangeStmt) {
-	tv, ok := pass.Unit.Info.Types[rs.X]
+func checkRange(pass *analysis.ModulePass, info *types.Info, rs *ast.RangeStmt) {
+	tv, ok := info.Types[rs.X]
 	if !ok {
 		return
 	}
@@ -107,19 +109,4 @@ func checkRange(pass *analysis.Pass, rs *ast.RangeStmt) {
 	}
 	pass.Reportf(rs.Pos(), "ordered",
 		"range over %s iterates in randomized order; iterate a sorted key slice, or waive with //nocvet:ordered if the effect is order-independent", tv.Type)
-}
-
-// calleeFunc resolves the called function object, if static.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.Unit.Info.Uses[id].(*types.Func)
-	return fn
 }

@@ -41,37 +41,41 @@ import (
 
 // Analyzer is the fingerprint payload auditor.
 var Analyzer = &analysis.Analyzer{
-	Name: "fingerprintcheck",
-	Doc:  "every field reachable from a fingerprint's json.Marshal payload must feed the hash or carry an explicit json:\"-\" exemption",
-	Run:  run,
+	Name:      "fingerprintcheck",
+	Doc:       "every field reachable from a fingerprint's json.Marshal payload must feed the hash or carry an explicit json:\"-\" exemption",
+	RunModule: run,
 }
 
-func run(pass *analysis.Pass) error {
-	w := &walker{pass: pass, seen: make(map[string]bool)}
-	for _, file := range pass.Unit.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "Fingerprint" || fd.Body == nil {
-				continue
+func run(pass *analysis.ModulePass) error {
+	for _, u := range pass.Units {
+		// One walk per package: a struct two packages' payloads reach
+		// is audited (and reported) once for each.
+		w := &walker{pass: pass, unit: u, seen: make(map[string]bool)}
+		for _, file := range u.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.Name != "Fingerprint" || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok || len(call.Args) == 0 {
+						return true
+					}
+					fn := analysis.Callee(u.Info, call)
+					if fn == nil || fn.Pkg() == nil {
+						return true
+					}
+					path := fn.Pkg().Path()
+					switch {
+					case path == "encoding/json" && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent"):
+						w.root(call.Args[0], call.Pos())
+					case analysis.PathIs(path, "internal/simcache") && fn.Name() == "KeyOf" && len(call.Args) == 2:
+						w.root(call.Args[1], call.Pos())
+					}
+					return true
+				})
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				fn := calleeFunc(pass, call)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				path := fn.Pkg().Path()
-				switch {
-				case path == "encoding/json" && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent"):
-					w.root(call.Args[0], call.Pos())
-				case analysis.PathIs(path, "internal/simcache") && fn.Name() == "KeyOf" && len(call.Args) == 2:
-					w.root(call.Args[1], call.Pos())
-				}
-				return true
-			})
 		}
 	}
 	return nil
@@ -80,7 +84,8 @@ func run(pass *analysis.Pass) error {
 // walker audits every module struct type reachable from one payload
 // root.
 type walker struct {
-	pass *analysis.Pass
+	pass *analysis.ModulePass
+	unit *analysis.Unit
 	seen map[string]bool
 	// fallback anchors findings on fields whose own source position
 	// is unknown (types imported purely from export data).
@@ -89,7 +94,7 @@ type walker struct {
 
 // root seeds the walk with the static type of a json.Marshal argument.
 func (w *walker) root(arg ast.Expr, pos token.Pos) {
-	tv, ok := w.pass.Unit.Info.Types[arg]
+	tv, ok := w.unit.Info.Types[arg]
 	if !ok {
 		return
 	}
@@ -163,7 +168,7 @@ func (w *walker) checkFieldType(f *types.Var, t types.Type, owner string) {
 func (w *walker) checkType(t types.Type, display string) {
 	if n, ok := t.(*types.Named); ok {
 		pkg := n.Obj().Pkg()
-		if pkg == nil || !inModule(pkg.Path(), w.pass.Unit.ModulePath) {
+		if pkg == nil || !inModule(pkg.Path(), w.unit.ModulePath) {
 			return
 		}
 		key := types.TypeString(t, nil)
@@ -239,19 +244,4 @@ func implementsMethod(t types.Type, name string) bool {
 		return true
 	}
 	return false
-}
-
-// calleeFunc resolves the called function object, if static.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.Unit.Info.Uses[id].(*types.Func)
-	return fn
 }

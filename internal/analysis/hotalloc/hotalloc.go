@@ -153,16 +153,10 @@ func scanCall(info *types.Info, call *ast.CallExpr, appendTargets map[*ast.CallE
 		return
 	}
 
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
+	id := analysis.CalleeIdent(call)
+	if id == nil {
 		return
 	}
-
 	switch obj := info.Uses[id].(type) {
 	case *types.Builtin:
 		switch obj.Name() {

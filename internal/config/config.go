@@ -13,6 +13,7 @@ import (
 
 	"surfbless/internal/fault"
 	"surfbless/internal/geom"
+	"surfbless/internal/wave"
 )
 
 // Model selects which router microarchitecture the network instantiates.
@@ -261,23 +262,10 @@ func (c Config) validateWaveSets() error {
 	if len(c.WaveSets) != c.Domains {
 		return fmt.Errorf("config: %d wave sets for %d domains", len(c.WaveSets), c.Domains)
 	}
-	smax := c.Smax()
-	seen := make(map[int]int)
-	for d, set := range c.WaveSets {
-		if len(set) == 0 {
-			return fmt.Errorf("config: domain %d has an empty wave set", d)
-		}
-		for _, w := range set {
-			if w < 0 || w >= smax {
-				return fmt.Errorf("config: wave %d out of range [0,%d)", w, smax)
-			}
-			if prev, dup := seen[w]; dup {
-				return fmt.Errorf("config: wave %d assigned to both domain %d and %d", w, prev, d)
-			}
-			seen[w] = d
-		}
-	}
 	// Waves left unassigned are legal: they simply carry no traffic
 	// (useful for ablations that waste schedule slots on purpose).
+	if _, err := wave.FromSets(c.Smax(), c.WaveSets); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
 	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"surfbless/internal/coherence"
 	"surfbless/internal/config"
 	"surfbless/internal/cpu"
 	"surfbless/internal/packet"
@@ -13,6 +14,7 @@ import (
 	"surfbless/internal/system"
 	"surfbless/internal/textplot"
 	"surfbless/internal/traffic"
+	"surfbless/internal/wave"
 )
 
 // Ablations beyond the paper's evaluation, quantifying design choices
@@ -30,7 +32,7 @@ type WaveSetRow struct {
 // AblationWaveSets compares the tuned multiple-of-2P worm-window
 // placement against the paper's literal {0,15,30}/{7,22,37} sets on a
 // subset of applications.  The tuned placement creates wave turn rows
-// every couple of hops (see system.waveSetsFor) and should win clearly.
+// every couple of hops (see wave.StrideSets) and should win clearly.
 func AblationWaveSets(sc Scale) ([]WaveSetRow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -51,7 +53,7 @@ func AblationWaveSets(sc Scale) ([]WaveSetRow, error) {
 		}
 		paper, err := runSystem(system.Options{
 			Model: config.SB, App: prof, InstrPerCore: sc.Instr, Seed: sc.Seed,
-			WaveSets: system.PaperWaveSets(),
+			WaveSets: wave.PaperSets(coherence.DataFlits),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("ablation wavesets %s paper: %w", app, err)

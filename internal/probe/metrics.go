@@ -3,20 +3,19 @@ package probe
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // Metrics is a small Prometheus-text metrics registry for the service
-// layer: counters and gauges either owned by the registry (Counter /
-// Gauge, atomically updated) or computed at scrape time from a
-// callback (CounterFunc / GaugeFunc, e.g. the simcache hit/miss
-// counters).  It exists so `-http` runs can expose live run state
-// without depending on a metrics library; the exposition format is
-// the Prometheus text format version 0.0.4, which Prometheus, Grafana
-// Agent and `promtool` all scrape natively.
+// layer: counters owned by the registry (Counter, atomically updated),
+// and counters and gauges computed at scrape time from a callback
+// (CounterFunc / GaugeFunc, e.g. the simcache hit/miss counters).  It
+// exists so `-http` runs can expose live run state without depending
+// on a metrics library; the exposition format is the Prometheus text
+// format version 0.0.4, which Prometheus, Grafana Agent and `promtool`
+// all scrape natively.
 //
 // Registration is idempotent: re-registering a name returns the
 // existing instrument (Func variants replace the callback), so the
@@ -71,32 +70,6 @@ func (c Counter) Value() int64 {
 	return c.in.val.Load()
 }
 
-// Gauge is an owned metric that can go up and down.  The zero value is
-// a no-op sink, like Counter's.
-type Gauge struct{ in *instrument }
-
-// Set replaces the gauge's value.
-func (g Gauge) Set(v int64) {
-	if g.in != nil {
-		g.in.val.Store(v)
-	}
-}
-
-// Add moves the gauge by delta.
-func (g Gauge) Add(delta int64) {
-	if g.in != nil {
-		g.in.val.Add(delta)
-	}
-}
-
-// Value returns the current value (0 for the zero value).
-func (g Gauge) Value() int64 {
-	if g.in == nil {
-		return 0
-	}
-	return g.in.val.Load()
-}
-
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{metric: make(map[string]*instrument)}
@@ -124,11 +97,6 @@ func (m *Metrics) register(name, help, kind string, fn func() int64) *instrument
 // Counter registers (or returns the existing) owned counter name.
 func (m *Metrics) Counter(name, help string) Counter {
 	return Counter{m.register(name, help, kindCounter, nil)}
-}
-
-// Gauge registers (or returns the existing) owned gauge name.
-func (m *Metrics) Gauge(name, help string) Gauge {
-	return Gauge{m.register(name, help, kindGauge, nil)}
 }
 
 // CounterFunc registers a counter whose value is read from fn at
@@ -174,15 +142,6 @@ func (m *Metrics) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprint(w, b.String())
 	})
-}
-
-// Names returns the registered metric names in registration order.
-func (m *Metrics) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]string(nil), m.order...)
-	sort.Strings(out)
-	return out
 }
 
 // checkMetricName enforces the Prometheus metric-name charset

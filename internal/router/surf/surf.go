@@ -44,7 +44,8 @@ import (
 
 // New builds a Surf mesh for cfg.  The VC complement configured in cfg
 // (CtrlVCsPerPort/DataVCsPerPort and depths) is replicated per domain;
-// wave→domain decoding follows cfg.WaveSets when set, else round-robin.
+// wave→domain decoding follows cfg.WaveSets when set, else round-robin,
+// and every output but ejection is gated by the plan at slot width 1.
 func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *power.Meter) (*wormhole.Engine, error) {
 	if cfg.Model != config.Surf {
 		return nil, fmt.Errorf("surf: config model is %v", cfg.Model)
@@ -52,23 +53,14 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sched := wave.New(cfg.Mesh(), cfg.HopDelay())
-	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	plan, err := wave.NewPlan(cfg.Mesh(), cfg.HopDelay(), cfg.Domains, cfg.WaveSets, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Every domain must own at least one wave or its traffic never moves.
-	for d := 0; d < cfg.Domains; d++ {
-		if len(dec.Owned(d)) == 0 {
-			return nil, fmt.Errorf("surf: domain %d owns no waves", d)
-		}
-	}
 	return wormhole.New(wormhole.Options{
-		Cfg:       cfg,
-		VCs:       wormhole.DomainVCs(cfg),
-		Key:       wormhole.KeyDomain,
-		WaveGated: true,
-		Sched:     sched,
-		Dec:       dec,
+		Cfg:  cfg,
+		VCs:  wormhole.DomainVCs(cfg),
+		Key:  wormhole.KeyDomain,
+		Plan: plan,
 	}, sink, col, meter)
 }

@@ -50,14 +50,14 @@ func TestInjectedDecoderCorruptionCaught(t *testing.T) {
 	}
 	// …then corrupt the decoder: domains rotate by one, so every packet
 	// already in flight is now on a "foreign" wave.
-	h.f.dec = wave.RoundRobin(h.f.sched.Smax(), 3)
-	rotated, err := wave.FromSets(h.f.sched.Smax(), [][]int{
-		h.f.dec.Owned(1), h.f.dec.Owned(2), h.f.dec.Owned(0),
+	dec := h.f.plan.Dec
+	rotated, err := wave.FromSets(dec.Smax(), [][]int{
+		dec.Owned(1), dec.Owned(2), dec.Owned(0),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.f.dec = rotated
+	h.f.plan.Dec = rotated
 	msg := runUntilPanic(h, 50)
 	if msg == "" {
 		t.Fatal("decoder corruption went undetected")
@@ -78,8 +78,8 @@ func TestInjectedScheduleMismatchCaught(t *testing.T) {
 	}
 	// A schedule built for P=2 on a fabric whose links take P=3: same
 	// Smax parity games don't save it — offsets diverge per hop.
-	h.f.sched = wave.New(h.cfg.Mesh(), 2)
-	h.f.dec = wave.RoundRobin(h.f.sched.Smax(), 2)
+	h.f.plan.Sched = wave.New(h.cfg.Mesh(), 2)
+	h.f.plan.Dec = wave.RoundRobin(h.f.plan.Sched.Smax(), 2)
 	if msg := runUntilPanic(h, 80); msg == "" {
 		t.Fatal("hop-delay mismatch went undetected")
 	}

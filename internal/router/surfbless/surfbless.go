@@ -23,10 +23,10 @@
 //
 // Multi-flit packets (§5.2) travel as worms pinned to aligned windows
 // of consecutive same-domain waves: a worm of L flits may start only
-// where the decoder reports CanStart(w, L) (the "begin of the wave
-// sets"), which makes window occupancy self-synchronizing — no
-// explicit output reservation is needed because mid-window waves never
-// satisfy CanStart for a new head.
+// where the fabric's wave plan opens a window of its domain (the
+// "begin of the wave sets"), which makes window occupancy
+// self-synchronizing — no explicit output reservation is needed
+// because mid-window waves never open a window for a new head.
 //
 // The fabric is a router.Plane: the plane receives, sends and audits,
 // and the fabric supplies its arbitration as a resolve root, which the
@@ -65,18 +65,16 @@ type Policy struct {
 // drop-with-retransmit recovery instead of panicking.
 type Fabric struct {
 	router.Plane
-	cfg   config.Config
-	sched *wave.Schedule
-	dec   *wave.Decoder
-	slot  []int // per-domain slot width (window length in waves)
-	pol   Policy
+	cfg  config.Config
+	plan wave.Plan
+	pol  Policy
 }
 
 // New builds a Surf-Bless mesh for cfg with the paper's routing
 // algorithm.  slotWidths gives the window length per domain (nil means
 // 1 for every domain); packets of a domain must not exceed its slot
 // width.  Wave→domain decoding follows cfg.WaveSets when set, else
-// round-robin.
+// round-robin (wave.NewPlan).
 func New(cfg config.Config, slotWidths []int, sink network.Sink, col *stats.Collector, meter *power.Meter) (*Fabric, error) {
 	return NewWithPolicy(cfg, slotWidths, Policy{}, sink, col, meter)
 }
@@ -93,40 +91,13 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
 	}
-	sched := wave.New(f.Mesh, cfg.HopDelay())
-
-	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	plan, err := wave.NewPlan(f.Mesh, cfg.HopDelay(), cfg.Domains, cfg.WaveSets, slotWidths)
 	if err != nil {
 		return nil, err
 	}
-
-	if slotWidths == nil {
-		slotWidths = make([]int, cfg.Domains)
-		for i := range slotWidths {
-			slotWidths[i] = 1
-		}
-	}
-	if len(slotWidths) != cfg.Domains {
-		return nil, fmt.Errorf("surfbless: %d slot widths for %d domains", len(slotWidths), cfg.Domains)
-	}
-	for dom, w := range slotWidths {
-		if w < 1 {
-			return nil, fmt.Errorf("surfbless: domain %d slot width %d", dom, w)
-		}
-		if dec.StartableSlots(dom, w) == 0 {
-			return nil, fmt.Errorf("surfbless: domain %d has no startable window of %d waves", dom, w)
-		}
-	}
-
-	f.sched, f.dec, f.slot = sched, dec, slotWidths
+	f.plan = *plan
 	return f, nil
 }
-
-// Decoder exposes the wave→domain decoder (read-only use).
-func (f *Fabric) Decoder() *wave.Decoder { return f.dec }
-
-// Schedule exposes the wave schedule (read-only use).
-func (f *Fabric) Schedule() *wave.Schedule { return f.sched }
 
 // Inject offers p to node's per-domain NI queue.  It panics when the
 // packet violates the static domain contract (bad domain index, or a
@@ -136,8 +107,8 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	if p.Domain < 0 || p.Domain >= f.cfg.Domains {
 		panic(fmt.Sprintf("surfbless: %v has domain outside [0,%d)", p, f.cfg.Domains))
 	}
-	if p.Size > f.slot[p.Domain] {
-		panic(fmt.Sprintf("surfbless: %v exceeds domain %d slot width %d", p, p.Domain, f.slot[p.Domain]))
+	if p.Size > f.plan.Slot[p.Domain] {
+		panic(fmt.Sprintf("surfbless: %v exceeds domain %d slot width %d", p, p.Domain, f.plan.Slot[p.Domain]))
 	}
 	return f.Offer(nodeID, p, now)
 }
@@ -161,13 +132,13 @@ func (f *Fabric) resolveNode(id int, n *router.Node, now int64, fx *router.FX) {
 	// window start.
 	for i, p := range n.Arrivals {
 		d := n.From[i]
-		w := f.sched.InputWave(n.C, d, now)
-		if dom := f.dec.Domain(w); dom != p.Domain {
+		w := f.plan.Sched.InputWave(n.C, d, now)
+		if dom := f.plan.Dec.Domain(w); dom != p.Domain {
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
 			panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d on wave %d of domain %d",
 				p, n.C, d, now, w, dom))
 		}
-		if !f.dec.CanStart(w, f.slot[p.Domain]) {
+		if !f.plan.Dec.CanStart(w, f.plan.Slot[p.Domain]) {
 			//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
 			panic(fmt.Sprintf("surfbless: %v arrived at %v/%v cycle %d mid-window (wave %d)",
 				p, n.C, d, now, w))
@@ -183,9 +154,9 @@ func (f *Fabric) resolveNode(id int, n *router.Node, now int64, fx *router.FX) {
 	// ejection port is owned by the SE scheduler's current wave, so a
 	// packet at its destination ejects only when that wave belongs to
 	// its domain — otherwise it is deflected onward (§5.1.3).
-	seWave := f.sched.OutputWave(n.C, geom.Local, now)
-	seDom := f.dec.Domain(seWave)
-	seStart := seDom >= 0 && f.dec.CanStart(seWave, f.slot[seDom])
+	seWave := f.plan.Sched.OutputWave(n.C, geom.Local, now)
+	seDom := f.plan.Dec.Domain(seWave)
+	seStart := seDom >= 0 && f.plan.Dec.CanStart(seWave, f.plan.Slot[seDom])
 	ejected := -1
 	if seStart {
 		for i, p := range arrivals {
@@ -243,11 +214,7 @@ func (f *Fabric) resolveNode(id int, n *router.Node, now int64, fx *router.FX) {
 
 // eligible reports whether output d may carry p's head this cycle.
 func (f *Fabric) eligible(id int, n *router.Node, p *packet.Packet, d geom.Dir, now int64, taken *[geom.NumLinkDirs]bool) bool {
-	if d == geom.Local || taken[d] || !f.Usable(id, n, d, now) {
-		return false
-	}
-	w := f.sched.OutputWave(n.C, d, now)
-	return f.dec.Domain(w) == p.Domain && f.dec.CanStart(w, f.slot[p.Domain])
+	return d != geom.Local && !taken[d] && f.Usable(id, n, d, now) && f.plan.Opens(n.C, d, now, p.Domain)
 }
 
 // pickOutput implements Step 2 of §4.3.  It returns -1 when no

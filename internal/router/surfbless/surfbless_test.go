@@ -75,13 +75,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
+// The fabric runs the wave plan of its configuration: the round-robin
+// decoder over its domains, the 8×8 schedule at P = 3, slot width 1.
+func TestPlanFollowsConfig(t *testing.T) {
 	h := newHarness(t, defCfg(3), nil)
-	if h.f.Decoder().Domains() != 3 {
-		t.Error("Decoder accessor wrong")
+	if h.f.plan.Dec.Domains() != 3 {
+		t.Errorf("plan decodes %d domains, want 3", h.f.plan.Dec.Domains())
 	}
-	if h.f.Schedule().Smax() != 42 {
-		t.Error("Schedule accessor wrong")
+	if h.f.plan.Sched.Smax() != 42 {
+		t.Errorf("plan schedule Smax %d, want 42", h.f.plan.Sched.Smax())
+	}
+	if len(h.f.plan.Slot) != 3 || h.f.plan.Slot[0] != 1 {
+		t.Errorf("plan slot widths %v, want [1 1 1]", h.f.plan.Slot)
 	}
 }
 
@@ -91,7 +96,7 @@ func TestAccessors(t *testing.T) {
 func TestInjectionWaitsForOwnWave(t *testing.T) {
 	h := newHarness(t, defCfg(2), nil)
 	mesh := h.cfg.Mesh()
-	sched := h.f.Schedule()
+	sched := h.f.plan.Sched
 	src, dst := geom.Coord{X: 2, Y: 2}, geom.Coord{X: 5, Y: 2}
 
 	p := h.pkt(src, dst, 0, packet.Ctrl)
@@ -103,7 +108,7 @@ func TestInjectionWaitsForOwnWave(t *testing.T) {
 	// The first cycle whose SE wave at src belongs to domain 0.
 	wantInject := int64(-1)
 	for tm := int64(0); tm < 42; tm++ {
-		if h.f.Decoder().Domain(sched.Index(wave.SE, src, tm)) == 0 {
+		if h.f.plan.Dec.Domain(sched.Index(wave.SE, src, tm)) == 0 {
 			wantInject = tm
 			break
 		}
@@ -235,8 +240,8 @@ func TestStressAllDomainsAssertionsHold(t *testing.T) {
 func TestWormStress(t *testing.T) {
 	cfg := defCfg(3)
 	cfg.InjectionVCDepth = 5
-	cfg.WaveSets = paperSets()
-	h := newHarness(t, cfg, []int{5, 5, 1})
+	cfg.WaveSets = wave.PaperSets(5)
+	h := newHarness(t, cfg, []int{1, 5, 5})
 	mesh := cfg.Mesh()
 	injected := 0
 	for cyc := 0; cyc < 400; cyc++ {
@@ -248,7 +253,7 @@ func TestWormStress(t *testing.T) {
 			}
 			dom := (node/5 + cyc) % 3
 			class := packet.Data
-			if dom == 2 {
+			if dom == 0 {
 				class = packet.Ctrl
 			}
 			if h.f.Inject(node, h.pkt(src, dst, dom, class), h.now) {
@@ -268,29 +273,6 @@ func TestWormStress(t *testing.T) {
 	if len(h.got) != injected {
 		t.Errorf("delivered %d of %d", len(h.got), injected)
 	}
-}
-
-func paperSets() [][]int {
-	span := func(a, b int) []int {
-		var s []int
-		for w := a; w <= b; w++ {
-			s = append(s, w)
-		}
-		return s
-	}
-	data0 := append(append(span(0, 4), span(15, 19)...), span(30, 34)...)
-	data1 := append(append(span(7, 11), span(22, 26)...), span(37, 41)...)
-	owned := map[int]bool{}
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < 42; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{data0, data1, ctrl}
 }
 
 func TestStepMonotonic(t *testing.T) {

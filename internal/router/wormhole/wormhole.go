@@ -5,7 +5,7 @@
 //     credit-based flow control, Table-1 VC complement), and
 //   - Surf — the SurfNoC-style confined-interference network [2],
 //     realized by package surf as this engine with per-domain VCs and
-//     wave-gated output ports (see Options.WaveGated).
+//     wave-gated output ports (see Options.Plan).
 //
 // Modelling granularity matches Garnet: packets move flit by flit;
 // a head flit performs route computation and VC allocation, every flit
@@ -81,12 +81,10 @@ type Options struct {
 	VCs []VCSpec // the VC complement of every non-local input port
 	Key Key
 
-	// WaveGated enables Surf's TDM: a flit may cross output port o at
-	// cycle T only when the wave owning o at T decodes to the flit's
-	// domain.  Requires Sched and Dec.
-	WaveGated bool
-	Sched     *wave.Schedule
-	Dec       *wave.Decoder
+	// Plan, when non-nil, enables Surf's TDM: a flit may cross output
+	// port o at cycle T only when the wave owning o at T decodes to the
+	// flit's domain (the plan opens a window of it at slot width 1).
+	Plan *wave.Plan
 }
 
 // SharedVCs returns the Table-1 VC complement with every VC open to
@@ -248,16 +246,12 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 			return nil, fmt.Errorf("wormhole: VC %d depth %d", i, s.Depth)
 		}
 	}
-	if opt.WaveGated && (opt.Sched == nil || opt.Dec == nil) {
-		return nil, fmt.Errorf("wormhole: wave gating requires a schedule and decoder")
-	}
-
 	e := &Engine{opt: opt, lanes: 1}
 	var err error
 	if e.Kernel, err = router.NewKernel(cfg, sink, col, meter, e.recvTile, e.moveTile); err != nil {
 		return nil, err
 	}
-	if opt.WaveGated {
+	if opt.Plan != nil {
 		// Per-domain input bandwidth removes cross-domain contention at
 		// input ports; output TDM already bounds aggregate switch use.
 		// See DESIGN.md §2 (modelling conventions for Surf).
@@ -348,11 +342,7 @@ func (e *Engine) vcAdmits(spec VCSpec, p *packet.Packet) bool {
 // resource, and arbitrateOutput gives Local one grant lane per domain,
 // so ungated ejection cannot couple domains.
 func (e *Engine) gate(c geom.Coord, o geom.Dir, p *packet.Packet, now int64) bool {
-	if !e.opt.WaveGated || o == geom.Local {
-		return true
-	}
-	w := e.opt.Sched.OutputWave(c, o, now)
-	return e.opt.Dec.Domain(w) == p.Domain
+	return e.opt.Plan == nil || o == geom.Local || e.opt.Plan.Opens(c, o, now, p.Domain)
 }
 
 // lane returns the input-bandwidth lane a packet uses at an input port.

@@ -65,9 +65,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Cfg: cfg, VCs: []VCSpec{{Depth: 0}}}, nil, col, meter); err == nil {
 		t.Error("zero-depth VC accepted")
 	}
-	if _, err := New(Options{Cfg: cfg, VCs: SharedVCs(cfg), WaveGated: true}, nil, col, meter); err == nil {
-		t.Error("wave gating without schedule accepted")
-	}
 	if _, err := New(Options{Cfg: cfg, VCs: SharedVCs(cfg)}, nil, nil, meter); err == nil {
 		t.Error("nil collector accepted")
 	}

@@ -7,6 +7,7 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/stats"
 	"surfbless/internal/traffic"
+	"surfbless/internal/wave"
 )
 
 func ctrlSources(domains int, rate float64) []traffic.Source {
@@ -210,21 +211,21 @@ func TestSBDomainCountDeflectionPenalty(t *testing.T) {
 }
 
 // Multi-flit worms on explicit wave sets (the §5.2 configuration):
-// 5-flit data packets in two domains, 1-flit control in the third.
+// 1-flit control in domain 0, 5-flit data packets in the other two.
 func TestSBWaveSetsMultiFlit(t *testing.T) {
 	cfg := config.Default(config.SB)
 	cfg.Domains = 3
 	cfg.InjectionVCDepth = 5
-	cfg.WaveSets = paperWaveSets()
+	cfg.WaveSets = wave.PaperSets(5)
 	res, err := Run(Options{
 		Cfg:     cfg,
 		Pattern: traffic.UniformRandom,
 		Sources: []traffic.Source{
+			{Rate: 0.03, Class: packet.Ctrl, VNet: 0},
 			{Rate: 0.01, Class: packet.Data, VNet: 1},
 			{Rate: 0.01, Class: packet.Data, VNet: 2},
-			{Rate: 0.03, Class: packet.Ctrl, VNet: 0},
 		},
-		SlotWidths: []int{5, 5, 1},
+		SlotWidths: []int{1, 5, 5},
 		Warmup:     500, Measure: 3000, Drain: 20000,
 		Seed: 5, AuditEvery: 1000,
 	})
@@ -241,34 +242,10 @@ func TestSBWaveSetsMultiFlit(t *testing.T) {
 	}
 	// Data domains own 15/42 of the waves in 3 windows: their latency
 	// must exceed the control domain's (fewer injection opportunities).
-	if res.Domains[0].AvgTotalLatency() <= res.Domains[2].AvgTotalLatency() {
+	if res.Domains[1].AvgTotalLatency() <= res.Domains[0].AvgTotalLatency() {
 		t.Errorf("data latency %.1f not above control latency %.1f",
-			res.Domains[0].AvgTotalLatency(), res.Domains[2].AvgTotalLatency())
+			res.Domains[1].AvgTotalLatency(), res.Domains[0].AvgTotalLatency())
 	}
-}
-
-// paperWaveSets returns the §5.2 assignment for Smax = 42.
-func paperWaveSets() [][]int {
-	span := func(a, b int) []int {
-		var s []int
-		for w := a; w <= b; w++ {
-			s = append(s, w)
-		}
-		return s
-	}
-	data0 := append(append(span(0, 4), span(15, 19)...), span(30, 34)...)
-	data1 := append(append(span(7, 11), span(22, 26)...), span(37, 41)...)
-	owned := map[int]bool{}
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < 42; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{data0, data1, ctrl}
 }
 
 // Option validation.

@@ -11,8 +11,8 @@
 // are leases with TTL + heartbeat renewal so a SIGKILL'd worker loses
 // nothing; identical in-flight point fingerprints are deduplicated via
 // singleflight over the shared simcache-backed result store; and
-// workers drain gracefully on SIGTERM — finish in-flight leases,
-// release the rest.
+// workers drain gracefully on SIGTERM: each slot finishes and reports
+// the lease in hand and asks for no more.
 package sweepsvc
 
 import (

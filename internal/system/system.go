@@ -29,6 +29,7 @@ import (
 	"surfbless/internal/router/wormhole"
 	"surfbless/internal/stats"
 	"surfbless/internal/traffic"
+	"surfbless/internal/wave"
 )
 
 // Options configures one full-system run.
@@ -52,8 +53,8 @@ type Options struct {
 	Coefficients *power.Coefficients
 
 	// WaveSets overrides the SB wave assignment (nil = the tuned
-	// waveSetsFor placement).  The wave-placement ablation passes
-	// PaperWaveSets().
+	// wave.StrideSets placement).  The wave-placement ablation passes
+	// wave.PaperSets.
 	WaveSets [][]int
 }
 
@@ -78,78 +79,6 @@ type Result struct {
 	MemReads   int64
 }
 
-// waveSetsFor builds the §5.2-style wave assignment for Smax waves and
-// hop delay P: each data virtual network receives three 5-wave worm
-// windows, the control network owns every remaining wave.
-//
-// The paper hand-picks {0–4},{15–19},{30–34} / {7–11},{22–26},{37–41}.
-// This reproduction places the windows at multiples of 2·P instead
-// (P = 3 ⇒ data0 {0–4},{12–16},{24–28}, data1 {6–10},{18–22},{30–34}).
-// The placement matters enormously: the SE scheduler trails the N
-// scheduler by 2·P·y at row y, so a worm travelling north on wave s can
-// hop onto the south-east wave — to turn or to eject — only at rows
-// where s − 2·P·y is again a window start.  With the paper's stride 15
-// (not a multiple of 2·P = 6) that happens only at the mesh border,
-// and every north/west-destined worm detours to row/column 0 or 7;
-// with stride 2·P, turn rows exist every couple of rows and the
-// deflection detour shrinks dramatically.  PaperWaveSets returns the
-// literal published assignment so the ablation bench can quantify the
-// difference.
-func waveSetsFor(smax, hopDelay int) [][]int {
-	stride := 2 * hopDelay
-	if stride <= coherence.DataFlits {
-		panic(fmt.Sprintf("system: stride %d cannot hold a %d-flit worm window plus a gap", stride, coherence.DataFlits))
-	}
-	if smax < 6*stride {
-		panic(fmt.Sprintf("system: Smax %d too small for two data VNets (need ≥ %d)", smax, 6*stride))
-	}
-	var starts0, starts1 []int
-	for k := 0; k < 3; k++ {
-		starts0 = append(starts0, 2*k*stride)
-		starts1 = append(starts1, (2*k+1)*stride)
-	}
-	return waveSets(smax, starts0, starts1)
-}
-
-// PaperWaveSets returns the paper's literal §5.2 assignment for
-// Smax = 42 — data VNets on {0–4},{15–19},{30–34} and {7–11},{22–26},
-// {37–41}, control on the rest — used by the wave-placement ablation.
-func PaperWaveSets() [][]int {
-	return waveSets(42, []int{0, 15, 30}, []int{7, 22, 37})
-}
-
-// waveSets assigns the two data VNets a worm window at each of their
-// window starts and the control VNet every other wave below smax.  The
-// order is domain index == virtual network (0 ctrl, 1 and 2 data).
-func waveSets(smax int, starts0, starts1 []int) [][]int {
-	var data0, data1 []int
-	for _, s := range starts0 {
-		data0 = append(data0, window(s)...)
-	}
-	for _, s := range starts1 {
-		data1 = append(data1, window(s)...)
-	}
-	owned := make(map[int]bool)
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < smax; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{ctrl, data0, data1}
-}
-
-func window(start int) []int {
-	ws := make([]int, coherence.DataFlits)
-	for i := range ws {
-		ws[i] = start + i
-	}
-	return ws
-}
-
 // cfgFor returns the §5.2 network configuration for the model.
 func cfgFor(model config.Model) (config.Config, error) {
 	switch model {
@@ -161,7 +90,13 @@ func cfgFor(model config.Model) (config.Config, error) {
 	cfg.Domains = coherence.NumVNets
 	cfg.InjectionVCDepth = coherence.DataFlits // injection VCs must hold a worm
 	if model == config.SB {
-		cfg.WaveSets = waveSetsFor(cfg.Smax(), cfg.HopDelay())
+		// Each data VNet gets three aligned worm windows at the tuned
+		// 2·P stride (DESIGN.md §6); control owns the other waves.
+		sets, err := wave.StrideSets(cfg.Smax(), cfg.HopDelay(), coherence.NumVNets-1, coherence.DataFlits)
+		if err != nil {
+			return config.Config{}, fmt.Errorf("system: %w", err)
+		}
+		cfg.WaveSets = sets
 	}
 	// Surf keeps the default round-robin wave→domain decoding.  Two
 	// alternatives were measured and rejected: SB-style sparse worm

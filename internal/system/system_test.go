@@ -35,45 +35,6 @@ func shortRun(t *testing.T, model config.Model, app string, instr int64) Result 
 	return res
 }
 
-func TestWaveSetsForPaperSmax(t *testing.T) {
-	sets := waveSetsFor(42, 3)
-	if len(sets) != 3 {
-		t.Fatalf("%d sets, want 3", len(sets))
-	}
-	ctrl, d0, d1 := sets[0], sets[1], sets[2]
-	if len(d0) != 15 || len(d1) != 15 {
-		t.Errorf("data sets sized %d/%d, want 15 each (three 5-wave windows)", len(d0), len(d1))
-	}
-	if len(ctrl) != 12 {
-		t.Errorf("control set sized %d, want 12", len(ctrl))
-	}
-	// Disjoint and in range.
-	seen := map[int]int{}
-	for dom, set := range sets {
-		for _, w := range set {
-			if w < 0 || w >= 42 {
-				t.Fatalf("wave %d out of range", w)
-			}
-			if prev, dup := seen[w]; dup {
-				t.Fatalf("wave %d in both set %d and %d", w, prev, dom)
-			}
-			seen[w] = dom
-		}
-	}
-	if len(seen) != 42 {
-		t.Errorf("%d waves assigned, want all 42", len(seen))
-	}
-}
-
-func TestWaveSetsForPanicsWhenTooSmall(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("waveSetsFor(24) must panic (windows would overlap)")
-		}
-	}()
-	waveSetsFor(24, 3)
-}
-
 func TestCfgFor(t *testing.T) {
 	for _, m := range []config.Model{config.WH, config.Surf, config.SB} {
 		cfg, err := cfgFor(m)

@@ -166,7 +166,7 @@ func New(mesh geom.Mesh, pattern Pattern, sources []Source, seed int64) *Generat
 		due:     make([]int64, mesh.Nodes()*nd),
 	}
 	for n := 0; n < mesh.Nodes(); n++ {
-		_, silent := g.fixedDestination(n)
+		_, silent := pattern.FixedDestination(mesh, n)
 		for d, s := range sources {
 			i := n*nd + d
 			// A stream that can never offer — rate 0, or a pattern that
@@ -286,7 +286,7 @@ func (g *Generator) emit(f network.Fabric, s *stream, node, dom, dst int, now in
 func (g *Generator) destination(node int, rng *rand.Rand) int {
 	switch g.pattern {
 	case Transpose, BitComplement, Corner:
-		dst, _ := g.fixedDestination(node)
+		dst, _ := g.pattern.FixedDestination(g.mesh, node)
 		return dst
 	case Hotspot:
 		if rng.Float64() < hotspotFraction && node != 0 {
@@ -302,27 +302,27 @@ func (g *Generator) destination(node int, rng *rand.Rand) int {
 	return d
 }
 
-// fixedDestination returns the destination of the deterministic
-// patterns for node; silent reports a node the pattern gives none
+// FixedDestination returns the destination the deterministic patterns
+// give node on mesh; silent reports a node the pattern gives none
 // (transpose diagonal, the corner pattern off node 0).  Random patterns
-// report (-1, false).
-func (g *Generator) fixedDestination(node int) (dst int, silent bool) {
-	src := g.mesh.CoordOf(node)
-	switch g.pattern {
+// have no fixed destination and report (-1, false).
+func (p Pattern) FixedDestination(mesh geom.Mesh, node int) (dst int, silent bool) {
+	src := mesh.CoordOf(node)
+	switch p {
 	case Transpose:
 		to := geom.Coord{X: src.Y, Y: src.X}
-		if to == src || !g.mesh.Contains(to) {
+		if to == src || !mesh.Contains(to) {
 			return -1, true
 		}
-		return g.mesh.ID(to), false
+		return mesh.ID(to), false
 	case BitComplement:
-		dst = g.mesh.Nodes() - 1 - node
+		dst = mesh.Nodes() - 1 - node
 		return dst, dst == node
 	case Corner:
 		if node != 0 {
 			return -1, true
 		}
-		return g.mesh.ID(geom.Coord{X: g.mesh.Width - 1, Y: g.mesh.Height - 1}), false
+		return mesh.ID(geom.Coord{X: mesh.Width - 1, Y: mesh.Height - 1}), false
 	}
 	return -1, false
 }

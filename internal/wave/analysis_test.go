@@ -2,57 +2,14 @@ package wave
 
 import "testing"
 
-// tunedSets mirrors system.waveSetsFor for Smax = 42, P = 3: data
-// windows at multiples of 2P.
+// tunedSets is the placement the full-system simulator runs for
+// Smax = 42, P = 3: data windows at multiples of 2P.
 func tunedSets() [][]int {
-	span := func(starts ...int) []int {
-		var s []int
-		for _, a := range starts {
-			for w := a; w < a+5; w++ {
-				s = append(s, w)
-			}
-		}
-		return s
+	sets, err := StrideSets(42, 3, 2, 5)
+	if err != nil {
+		panic(err)
 	}
-	data0 := span(0, 12, 24)
-	data1 := span(6, 18, 30)
-	owned := map[int]bool{}
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < 42; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{ctrl, data0, data1}
-}
-
-// paperLiteralSets is the published §5.2 assignment.
-func paperLiteralSets() [][]int {
-	span := func(starts ...int) []int {
-		var s []int
-		for _, a := range starts {
-			for w := a; w < a+5; w++ {
-				s = append(s, w)
-			}
-		}
-		return s
-	}
-	data0 := span(0, 15, 30)
-	data1 := span(7, 22, 37)
-	owned := map[int]bool{}
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < 42; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{ctrl, data0, data1}
+	return sets
 }
 
 // The DESIGN.md §6 claim, verified analytically: with the paper's
@@ -65,7 +22,7 @@ func TestWorstDetourPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paper, err := FromSets(42, paperLiteralSets())
+	paper, err := FromSets(42, PaperSets(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +64,7 @@ func TestTurnRowsTuned(t *testing.T) {
 // Row 0 is always a turn row: the border rules make all three
 // schedulers coincide there.
 func TestRowZeroAlwaysTurns(t *testing.T) {
-	for _, sets := range [][][]int{tunedSets(), paperLiteralSets()} {
+	for _, sets := range [][][]int{tunedSets(), PaperSets(5)} {
 		dec, err := FromSets(42, sets)
 		if err != nil {
 			t.Fatal(err)

@@ -49,40 +49,11 @@ func TestRoundRobinPanics(t *testing.T) {
 	RoundRobin(0, 1)
 }
 
-// The §5.2 assignment: two data virtual networks on three 5-wave sets
-// each, control on the rest of the 42 waves.
-func paperSets() [][]int {
-	span := func(a, b int) []int {
-		var s []int
-		for w := a; w <= b; w++ {
-			s = append(s, w)
-		}
-		return s
-	}
-	concat := func(xs ...[]int) []int {
-		var s []int
-		for _, x := range xs {
-			s = append(s, x...)
-		}
-		return s
-	}
-	data0 := concat(span(0, 4), span(15, 19), span(30, 34))
-	data1 := concat(span(7, 11), span(22, 26), span(37, 41))
-	owned := make(map[int]bool)
-	for _, w := range append(append([]int{}, data0...), data1...) {
-		owned[w] = true
-	}
-	var ctrl []int
-	for w := 0; w < 42; w++ {
-		if !owned[w] {
-			ctrl = append(ctrl, w)
-		}
-	}
-	return [][]int{data0, data1, ctrl}
-}
-
+// The §5.2 assignment: two data virtual networks (domains 1 and 2) on
+// three 5-wave sets each, control (domain 0) on the rest of the 42
+// waves.
 func TestFromSetsPaperAssignment(t *testing.T) {
-	d, err := FromSets(42, paperSets())
+	d, err := FromSets(42, PaperSets(5))
 	if err != nil {
 		t.Fatalf("paper wave sets rejected: %v", err)
 	}
@@ -91,17 +62,17 @@ func TestFromSetsPaperAssignment(t *testing.T) {
 	}
 	// Spot-check ownership.
 	for _, w := range []int{0, 4, 15, 34} {
-		if d.Domain(w) != 0 {
-			t.Errorf("wave %d should belong to data VN 0", w)
-		}
-	}
-	for _, w := range []int{7, 26, 41} {
 		if d.Domain(w) != 1 {
 			t.Errorf("wave %d should belong to data VN 1", w)
 		}
 	}
-	for _, w := range []int{5, 6, 12, 20, 35, 36} {
+	for _, w := range []int{7, 26, 41} {
 		if d.Domain(w) != 2 {
+			t.Errorf("wave %d should belong to data VN 2", w)
+		}
+	}
+	for _, w := range []int{5, 6, 12, 20, 35, 36} {
+		if d.Domain(w) != 0 {
 			t.Errorf("wave %d should belong to the control VN", w)
 		}
 	}
@@ -198,17 +169,17 @@ func TestCanStartPanics(t *testing.T) {
 }
 
 func TestStartableSlots(t *testing.T) {
-	d, err := FromSets(42, paperSets())
+	d, err := FromSets(42, PaperSets(5))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := d.StartableSlots(0, 5); got != 3 {
-		t.Errorf("data VN 0 has %d startable 5-flit slots, want 3", got)
 	}
 	if got := d.StartableSlots(1, 5); got != 3 {
 		t.Errorf("data VN 1 has %d startable 5-flit slots, want 3", got)
 	}
-	if got := d.StartableSlots(2, 1); got != 12 {
+	if got := d.StartableSlots(2, 5); got != 3 {
+		t.Errorf("data VN 2 has %d startable 5-flit slots, want 3", got)
+	}
+	if got := d.StartableSlots(0, 1); got != 12 {
 		t.Errorf("control VN has %d startable slots, want 12 (42−30 owned waves)", got)
 	}
 }
@@ -253,29 +224,5 @@ func TestEjectionAlignmentByDomainCount(t *testing.T) {
 		if aligned != wantAligned {
 			t.Errorf("domains=%d: ejection-aligned=%v, want %v", domains, aligned, wantAligned)
 		}
-	}
-}
-
-// TestNewDecoderPicksAssignment: nil wave sets select the round-robin
-// assignment, explicit sets select FromSets and carry its errors.
-func TestNewDecoderPicksAssignment(t *testing.T) {
-	rr, err := NewDecoder(12, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := NewDecoder(12, 2, [][]int{{0, 1}, {5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 12; w++ {
-		if rr.Domain(w) != w%3 {
-			t.Errorf("round robin: wave %d → domain %d, want %d", w, rr.Domain(w), w%3)
-		}
-	}
-	if sets.Domains() != 2 || sets.Domain(1) != 0 || sets.Domain(5) != 1 || sets.Domain(2) != -1 {
-		t.Errorf("wave sets decoded to %v %v %v", sets.Domain(1), sets.Domain(5), sets.Domain(2))
-	}
-	if _, err := NewDecoder(12, 2, [][]int{{0}, {0}}); err == nil {
-		t.Error("overlapping wave sets accepted")
 	}
 }

@@ -95,10 +95,9 @@ type Schedule struct {
 	p    int // hop delay P: router pipeline + link traversal, in cycles
 	smax int
 
-	// Initial counter values per node id, precomputed from Eq. (1)-(3).
-	initSE []int
-	initN  []int
-	initW  []int
+	// Initial counter values per sub-wave and node id, precomputed from
+	// Eq. (1)-(3).
+	init [3][]int
 }
 
 // New builds the wave schedule for an N×N mesh with hop delay P.
@@ -118,19 +117,15 @@ func New(mesh geom.Mesh, hopDelay int) *Schedule {
 	n := mesh.Width
 	p := hopDelay
 	smax := 2 * p * (n - 1)
-	s := &Schedule{
-		mesh:   mesh,
-		p:      p,
-		smax:   smax,
-		initSE: make([]int, mesh.Nodes()),
-		initN:  make([]int, mesh.Nodes()),
-		initW:  make([]int, mesh.Nodes()),
+	s := &Schedule{mesh: mesh, p: p, smax: smax}
+	for sub := range s.init {
+		s.init[sub] = make([]int, mesh.Nodes())
 	}
 	for id := 0; id < mesh.Nodes(); id++ {
 		c := mesh.CoordOf(id)
-		s.initSE[id] = mod(smax*p-p*(c.X+c.Y), smax)
-		s.initW[id] = mod(smax*p+p*(c.X-c.Y), smax)
-		s.initN[id] = mod(smax*p-p*(c.X-c.Y), smax)
+		s.init[SE][id] = mod(smax*p-p*(c.X+c.Y), smax)
+		s.init[WSub][id] = mod(smax*p+p*(c.X-c.Y), smax)
+		s.init[NSub][id] = mod(smax*p-p*(c.X-c.Y), smax)
 	}
 	return s
 }
@@ -145,22 +140,11 @@ func (s *Schedule) HopDelay() int { return s.p }
 func (s *Schedule) Mesh() geom.Mesh { return s.mesh }
 
 // Index returns the wave index held by sub-wave scheduler sub at router
-// c during cycle t, i.e. the value of that scheduler's counter.
+// c during cycle t, i.e. the value of that scheduler's counter.  It is
+// small enough to inline into the fabrics' per-port checks; an unknown
+// sub panics on the table index.
 func (s *Schedule) Index(sub Sub, c geom.Coord, t int64) int {
-	id := s.mesh.ID(c)
-	var init int
-	switch sub {
-	case SE:
-		init = s.initSE[id]
-	case NSub:
-		init = s.initN[id]
-	case WSub:
-		init = s.initW[id]
-	default:
-		//nocvet:alloc panic-path formatting on a falsified invariant; runs at most once, while dying
-		panic(fmt.Sprintf("wave: unknown sub-wave %d", sub))
-	}
-	return int(mod64(int64(init)+t, int64(s.smax)))
+	return int(mod64(int64(s.init[sub][s.mesh.ID(c)])+t, int64(s.smax)))
 }
 
 // InputWave returns the wave owning input port `in` of router c at

@@ -35,13 +35,15 @@ func Flows(mesh geom.Mesh, pattern traffic.Pattern, sources []traffic.Source) (w
 			return fs, fmt.Errorf("conformance: domain %d is unregulated (Burst 0): a Bernoulli stream admits unbounded bursts, no bound can hold", d)
 		}
 		for n := 0; n < mesh.Nodes(); n++ {
-			src := mesh.CoordOf(n)
-			dst, ok := destination(mesh, pattern, src)
-			if !ok {
+			dst, silent := pattern.FixedDestination(mesh, n)
+			if silent {
 				continue
 			}
+			if dst < 0 {
+				return fs, fmt.Errorf("conformance: pattern %v has randomized destinations; its packet population is not a flow set", pattern)
+			}
 			fs.Flows = append(fs.Flows, wcta.Flow{
-				Src: src, Dst: dst, Domain: d,
+				Src: mesh.CoordOf(n), Dst: mesh.CoordOf(dst), Domain: d,
 				Rate:  s.Rate,
 				Burst: s.Burst,
 				Size:  s.Class.Flits(),
@@ -49,43 +51,6 @@ func Flows(mesh geom.Mesh, pattern traffic.Pattern, sources []traffic.Source) (w
 		}
 	}
 	return fs, nil
-}
-
-// destination mirrors traffic.Generator.destination for the
-// deterministic patterns; ok is false when the node generates nothing.
-func destination(mesh geom.Mesh, pattern traffic.Pattern, src geom.Coord) (geom.Coord, bool) {
-	switch pattern {
-	case traffic.Transpose:
-		dst := geom.Coord{X: src.Y, Y: src.X}
-		if dst == src || !mesh.Contains(dst) {
-			return geom.Coord{}, false
-		}
-		return dst, true
-	case traffic.BitComplement:
-		dst := mesh.CoordOf(mesh.Nodes() - 1 - mesh.ID(src))
-		if dst == src {
-			return geom.Coord{}, false
-		}
-		return dst, true
-	case traffic.Corner:
-		if src != (geom.Coord{}) {
-			return geom.Coord{}, false
-		}
-		return geom.Coord{X: mesh.Width - 1, Y: mesh.Height - 1}, true
-	default:
-		panic(fmt.Sprintf("conformance: pattern %v has randomized destinations; its packet population is not a flow set", pattern))
-	}
-}
-
-// Deterministic reports whether the pattern's destinations are a pure
-// function of the source node, i.e. whether Flows can describe it.
-func Deterministic(p traffic.Pattern) bool {
-	switch p {
-	case traffic.Transpose, traffic.BitComplement, traffic.Corner:
-		return true
-	default:
-		return false
-	}
 }
 
 // Check is one conformance experiment: a fabric, a deterministic

@@ -151,13 +151,13 @@ func TestFlowsMatchesGeneratorPatterns(t *testing.T) {
 	}
 }
 
-func TestDeterministic(t *testing.T) {
-	for p, want := range map[traffic.Pattern]bool{
-		traffic.Corner: true, traffic.Transpose: true, traffic.BitComplement: true,
-		traffic.UniformRandom: false, traffic.Hotspot: false,
-	} {
-		if Deterministic(p) != want {
-			t.Errorf("Deterministic(%v) = %v, want %v", p, !want, want)
+// Uniform and hotspot draw their destinations at random: Flows must
+// refuse them with an error, not a panic.
+func TestFlowsRejectsRandomPatterns(t *testing.T) {
+	for _, p := range []traffic.Pattern{traffic.UniformRandom, traffic.Hotspot} {
+		_, err := Flows(geom.NewMesh(4, 4), p, []traffic.Source{{Rate: 0.1, Burst: 1, Class: packet.Ctrl}})
+		if err == nil || !strings.Contains(err.Error(), "randomized") {
+			t.Errorf("%v: got %v, want the randomized-destinations error", p, err)
 		}
 	}
 }

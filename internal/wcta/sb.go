@@ -36,12 +36,10 @@ import (
 // disjoint resources, which is the paper's confinement claim restated
 // at analysis level.
 type sbAnalyzer struct {
-	mesh  geom.Mesh
-	sched *wave.Schedule
-	dec   *wave.Decoder
-	slot  []int
-	p     int // hop delay P
-	smax  int
+	mesh geom.Mesh
+	plan *wave.Plan // the plan the fabric runs (wave.NewPlan)
+	p    int        // hop delay P
+	smax int
 
 	epochs map[int]epochResult // per-domain, computed lazily
 	ranks  map[int]rankResult  // per-domain rank fixed points
@@ -56,29 +54,19 @@ type epochResult struct {
 // sbBounds derives per-flow bounds for the SB fabric.
 func sbBounds(cfg config.Config, slotWidths []int, fs FlowSet) ([]Bound, error) {
 	mesh := cfg.Mesh()
-	sched := wave.New(mesh, cfg.HopDelay())
-	dec, err := wave.NewDecoder(sched.Smax(), cfg.Domains, cfg.WaveSets)
+	plan, err := wave.NewPlan(mesh, cfg.HopDelay(), cfg.Domains, cfg.WaveSets, slotWidths)
 	if err != nil {
 		return nil, err
 	}
-	if slotWidths == nil {
-		slotWidths = make([]int, cfg.Domains)
-		for i := range slotWidths {
-			slotWidths[i] = 1
-		}
-	}
-	if len(slotWidths) != cfg.Domains {
-		return nil, fmt.Errorf("wcta: %d slot widths for %d domains", len(slotWidths), cfg.Domains)
-	}
 	for i, f := range fs.Flows {
-		if f.FlitSize() > slotWidths[f.Domain] {
+		if f.FlitSize() > plan.Slot[f.Domain] {
 			return nil, fmt.Errorf("wcta: flow %d: %d flits exceed domain %d slot width %d",
-				i, f.FlitSize(), f.Domain, slotWidths[f.Domain])
+				i, f.FlitSize(), f.Domain, plan.Slot[f.Domain])
 		}
 	}
 	a := &sbAnalyzer{
-		mesh: mesh, sched: sched, dec: dec, slot: slotWidths,
-		p: cfg.HopDelay(), smax: sched.Smax(),
+		mesh: mesh, plan: plan,
+		p: cfg.HopDelay(), smax: plan.Sched.Smax(),
 		epochs: make(map[int]epochResult),
 		ranks:  make(map[int]rankResult),
 	}
@@ -249,8 +237,8 @@ func (a *sbAnalyzer) legalState(node geom.Coord, phase int, dom int) bool {
 		if !a.mesh.HasNeighbor(node, d) {
 			continue
 		}
-		w := a.sched.InputWave(node, d, t)
-		if a.dec.Domain(w) == dom && a.dec.CanStart(w, a.slot[dom]) {
+		w := a.plan.Sched.InputWave(node, d, t)
+		if a.plan.Dec.Domain(w) == dom && a.plan.Dec.CanStart(w, a.plan.Slot[dom]) {
 			return true
 		}
 	}
@@ -260,8 +248,7 @@ func (a *sbAnalyzer) legalState(node geom.Coord, phase int, dom int) bool {
 // seStart reports whether the SE scheduler at node opens a startable
 // window of dom at the phase — the injection/ejection opportunity.
 func (a *sbAnalyzer) seStart(node geom.Coord, phase int, dom int) bool {
-	w := a.sched.OutputWave(node, geom.Local, int64(phase))
-	return a.dec.Domain(w) == dom && a.dec.CanStart(w, a.slot[dom])
+	return a.plan.Opens(node, geom.Local, int64(phase), dom)
 }
 
 // injectWalk returns the worst lone-packet walk over every legal
@@ -399,13 +386,9 @@ func (w *sbWalk) choices(node geom.Coord, phase int, dirs *[geom.NumLinkDirs]geo
 	return n
 }
 
-// eligible mirrors the fabric's output-eligibility check: the output
-// exists and its current wave is a startable window of the domain.
+// eligible is the fabric's output-eligibility check without faults or
+// contention: the output exists and the plan opens a window of the
+// domain on it.
 func (w *sbWalk) eligible(node geom.Coord, d geom.Dir, phase int) bool {
-	a := w.a
-	if !a.mesh.HasNeighbor(node, d) {
-		return false
-	}
-	wv := a.sched.OutputWave(node, d, int64(phase))
-	return a.dec.Domain(wv) == w.dom && a.dec.CanStart(wv, a.slot[w.dom])
+	return w.a.mesh.HasNeighbor(node, d) && w.a.plan.Opens(node, d, int64(phase), w.dom)
 }

@@ -41,11 +41,11 @@ func vcBounds(cfg config.Config, fs FlowSet, confined bool) []Bound {
 // vcBoundsGated derives bounds for Surf: confined interference plus
 // per-flit wave gating on every non-local output port.
 func vcBoundsGated(cfg config.Config, fs FlowSet) ([]Bound, error) {
-	dec, err := wave.NewDecoder(cfg.Smax(), cfg.Domains, cfg.WaveSets)
+	plan, err := wave.NewPlan(cfg.Mesh(), cfg.HopDelay(), cfg.Domains, cfg.WaveSets, nil)
 	if err != nil {
 		return nil, err
 	}
-	return vcAnalyze(cfg, fs, true, dec), nil
+	return vcAnalyze(cfg, fs, true, plan.Dec), nil
 }
 
 func vcAnalyze(cfg config.Config, fs FlowSet, confined bool, dec *wave.Decoder) []Bound {

@@ -52,8 +52,9 @@ func (a *Analysis) Bound(i int) Bound { return a.Bounds[i] }
 // Analyze derives per-flow worst-case traversal-time bounds for the
 // fabric selected by cfg.Model under the traffic contract fs.
 // slotWidths is the per-domain SB wave-window width (nil = 1 for every
-// domain), mirroring the fabric constructor; it is ignored by the
-// other models.
+// domain); the SB backend builds the fabric's own wave.Plan from it, so
+// a slot plan surfbless.New refuses is refused here too.  The other
+// models ignore it.
 //
 // Backends (derivations in DESIGN.md §14):
 //

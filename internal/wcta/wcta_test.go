@@ -7,6 +7,9 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
+	"surfbless/internal/power"
+	"surfbless/internal/router/surfbless"
+	"surfbless/internal/stats"
 )
 
 func cornerFlow() Flow {
@@ -253,5 +256,21 @@ func TestBoundString(t *testing.T) {
 func TestFlitSizeNormalization(t *testing.T) {
 	if (Flow{}).FlitSize() != 1 || (Flow{Size: 5}).FlitSize() != 5 {
 		t.Error("FlitSize normalization broken")
+	}
+}
+
+// A bound holds only for a plan the fabric runs: slot widths that
+// surfbless.New refuses (no 5-wide window exists among 2 round-robin
+// domains' 1-wave runs) must be refused by the analysis too.
+func TestAnalyzeRefusesFabricRefusedSlots(t *testing.T) {
+	cfg := cfgFor(config.SB, 4)
+	slots := []int{5, 5}
+	col := stats.NewCollector(cfg.Domains, 0, 0)
+	if _, err := surfbless.New(cfg, slots, nil, col, power.NewMeter(cfg, power.Default45nm())); err == nil {
+		t.Fatal("surfbless.New accepted the slot plan")
+	}
+	f := Flow{Src: geom.Coord{}, Dst: geom.Coord{X: 3, Y: 3}, Domain: 0, Rate: 0.01, Burst: 1, Size: 5}
+	if a, err := Analyze(cfg, slots, FlowSet{Flows: []Flow{f}}); err == nil {
+		t.Errorf("Analyze accepted the slot plan the fabric refuses: %v", a.Bound(0))
 	}
 }
