@@ -4,14 +4,14 @@
 //
 // Usage:
 //
-//	experiments [-scale tiny|quick|full] [-fig all|table1|fig5|fig6|fig7|apps|ablations|extensions|faults|wcta] [-out DIR]
-//	            [-cache-dir DIR] [-no-cache] [-shards N]
+//	experiments [-scale tiny|quick|full] [-fig all|table1|fig3|fig5|fig6|fig7|apps|ablations|extensions|faults|wcta] [-out DIR]
+//	            [-cache-dir DIR] [-no-cache]
 //	            [-http ADDR] [-progress] [-probe-dir DIR] [-probe-every N]
 //
-// -shards N steps every synthetic point's mesh as N parallel tiles
-// (see DESIGN.md §17) — bit-identical to serial stepping, so tables,
-// cache keys and golden outputs are unchanged; it only helps wall-clock
-// on the big-mesh sweeps (ablations at -scale full).
+// Every experiment runs its simulation points in parallel on GOMAXPROCS
+// workers.  Each point is an isolated deterministic run, so the tables
+// are byte-identical however many cores there are.  An unknown -fig or
+// -scale exits 1 before anything runs, and an unknown flag exits 2.
 //
 // "apps" runs the §5.2 full-system matrix that produces Figs. 8, 9 and
 // 10 together.  At -scale full expect several minutes.  "faults" runs
@@ -23,7 +23,8 @@
 //
 // Robustness: each experiment is isolated — a failure (or panic) is
 // retried once, then reported and skipped so the rest of the batch
-// still completes; the process exits nonzero if anything failed.
+// still completes; the process exits nonzero if anything failed.  An
+// output file that cannot be written stops the run with exit 1.
 //
 // Every simulation is a pure function of its options, so results are
 // cached content-addressed under -cache-dir (default
@@ -42,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,32 +55,117 @@ import (
 	"surfbless/internal/textplot"
 )
 
-func main() { os.Exit(mainExperiments()) }
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-func mainExperiments() int {
-	scaleName := flag.String("scale", "quick", "simulation scale: tiny, quick or full")
-	fig := flag.String("fig", "all", "which experiment: all, table1, fig3, fig5, fig6, fig7, apps, ablations, extensions, faults, wcta")
-	out := flag.String("out", "", "directory to write .txt and .csv outputs (optional)")
-	cacheDir := flag.String("cache-dir", filepath.Join("results", ".simcache"), "result-cache directory")
-	noCache := flag.Bool("no-cache", false, "run every simulation fresh")
-	shards := flag.Int("shards", 1, "mesh tiles stepped in parallel per synthetic point (bit-identical to serial)")
-	httpAddr := flag.String("http", "", "serve /progress, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
-	progress := flag.Bool("progress", false, "print a structured progress line to stderr every 5s")
-	probeDir := flag.String("probe-dir", "", "write probed Fig. 5 time series (JSONL) and heatmaps (CSV) into this directory")
-	probeEvery := flag.Int64("probe-every", probe.DefaultEvery, "probe bucket width in cycles for -probe-dir")
-	flag.Parse()
+// run is the whole command behind a testable seam: flags in, tables
+// out, exit code back.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleName := fs.String("scale", "quick", "simulation scale: tiny, quick or full")
+	fig := fs.String("fig", "all", "which experiment: all, table1, fig3, fig5, fig6, fig7, apps, ablations, extensions, faults, wcta")
+	out := fs.String("out", "", "directory to write .txt and .csv outputs (optional)")
+	cacheDir := fs.String("cache-dir", filepath.Join("results", ".simcache"), "result-cache directory")
+	noCache := fs.Bool("no-cache", false, "run every simulation fresh")
+	httpAddr := fs.String("http", "", "serve /progress, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:6060)")
+	progress := fs.Bool("progress", false, "print a structured progress line to stderr every 5s")
+	probeDir := fs.String("probe-dir", "", "write probed Fig. 5 time series (JSONL) and heatmaps (CSV) into this directory")
+	probeEvery := fs.Int64("probe-every", probe.DefaultEvery, "probe bucket width in cycles for -probe-dir")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
 
 	sc, err := scaleByName(*scaleName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("-shards %d, need ≥ 1", *shards))
+	// The stages in output order.  fig3 is text, not a table: it has no
+	// tables function and is printed and written on its own.
+	stages := []struct {
+		name   string
+		tables func() ([]*textplot.Table, error)
+	}{
+		{"table1", func() ([]*textplot.Table, error) {
+			return []*textplot.Table{experiments.Table1()}, nil
+		}},
+		{"fig3", nil},
+		{"fig5", func() ([]*textplot.Table, error) {
+			r, err := experiments.Fig5(sc)
+			return r.Tables(), err
+		}},
+		{"fig6", func() ([]*textplot.Table, error) {
+			r, err := experiments.Fig6(sc)
+			return r.Tables(), err
+		}},
+		{"fig7", func() ([]*textplot.Table, error) {
+			r, err := experiments.Fig7(sc)
+			return r.Tables(), err
+		}},
+		{"apps", func() ([]*textplot.Table, error) {
+			r, err := experiments.Apps(sc)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(stderr, "SB exec penalty vs WH: %+.2f%% (paper: +3.23%%)\n", r.SBExecPenalty()*100)
+			fmt.Fprintf(stderr, "SB energy saving vs WH: %.1f%% (paper: 53.6%%)\n", r.SBEnergySaving()*100)
+			return r.Tables(), nil
+		}},
+		{"ablations", func() ([]*textplot.Table, error) {
+			ws, err := experiments.AblationWaveSets(sc)
+			if err != nil {
+				return nil, err
+			}
+			rt, err := experiments.AblationRouting(sc)
+			if err != nil {
+				return nil, err
+			}
+			ms, err := experiments.AblationMeshSweep(sc)
+			if err != nil {
+				return nil, err
+			}
+			return []*textplot.Table{experiments.WaveSetTable(ws), experiments.RoutingTable(rt), experiments.MeshTable(ms)}, nil
+		}},
+		{"faults", func() ([]*textplot.Table, error) {
+			r, err := experiments.ConfinementUnderFaults(sc)
+			return r.Tables(), err
+		}},
+		{"wcta", func() ([]*textplot.Table, error) {
+			rows, err := experiments.WCTAConformance(sc)
+			return []*textplot.Table{experiments.WCTATable(rows)}, err
+		}},
+		{"extensions", func() ([]*textplot.Table, error) {
+			bl, err := experiments.ExtensionBufferless(sc)
+			if err != nil {
+				return nil, err
+			}
+			pr, err := experiments.ExtensionPatterns(sc)
+			if err != nil {
+				return nil, err
+			}
+			return []*textplot.Table{experiments.BufferlessTable(bl), experiments.PatternTable(pr)}, nil
+		}},
 	}
-	experiments.SetShards(*shards)
+	known := *fig == "all"
+	names := []string{"all"}
+	for _, s := range stages {
+		known = known || s.name == *fig
+		names = append(names, s.name)
+	}
+	if !known {
+		return fail(fmt.Errorf("unknown -fig %q (want %s; Figs. 8–10 come from apps)", *fig, strings.Join(names, ", ")))
+	}
+
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		// Failed runs (WCTA conformance violations) leave forensic
 		// flight-recorder dumps next to the figure outputs; replay them
@@ -88,11 +175,11 @@ func mainExperiments() int {
 	var cache *simcache.Cache
 	if !*noCache {
 		if cache, err = simcache.New(simcache.Options{Dir: *cacheDir}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		experiments.SetCache(cache)
 		defer func() {
-			fmt.Fprintf(os.Stderr, "cache (%s): %v\n", *cacheDir, cache.Stats())
+			fmt.Fprintf(stderr, "cache (%s): %v\n", *cacheDir, cache.Stats())
 		}()
 	}
 
@@ -111,13 +198,13 @@ func mainExperiments() int {
 		}
 		srv, err := probe.Serve(*httpAddr, g, metrics)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer srv.Close() //nolint:errcheck // releases the listener on the way out
-		fmt.Fprintf(os.Stderr, "introspection: http://%s/progress (metrics at /metrics)\n", srv.Addr())
+		fmt.Fprintf(stderr, "introspection: http://%s/progress (metrics at /metrics)\n", srv.Addr())
 	}
 	if *progress {
-		stop := g.Report(os.Stderr, 5*time.Second)
+		stop := g.Report(stderr, 5*time.Second)
 		defer stop()
 	}
 
@@ -126,138 +213,57 @@ func mainExperiments() int {
 	// once, then recorded as failed and skipped; the exit code reports
 	// the damage at the end.
 	var failed []string
-	run := func(name string, f func() ([]*textplot.Table, error)) {
-		if *fig != "all" && *fig != name {
-			return
+	for _, s := range stages {
+		if *fig != "all" && *fig != s.name {
+			continue
 		}
-		g.SetStage(name)
+		if s.tables == nil {
+			text := experiments.Fig3Text()
+			fmt.Fprintln(stdout, text)
+			if *out != "" {
+				if err := os.WriteFile(filepath.Join(*out, "fig3_wave_pattern.txt"), []byte(text), 0o644); err != nil {
+					return fail(err)
+				}
+			}
+			continue
+		}
+		g.SetStage(s.name)
 		start := time.Now()
-		tabs, err := runIsolated(f)
+		tabs, err := runIsolated(s.tables)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed (%v), retrying once\n", name, err)
-			tabs, err = runIsolated(f)
+			fmt.Fprintf(stderr, "experiments: %s failed (%v), retrying once\n", s.name, err)
+			tabs, err = runIsolated(s.tables)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s failed twice: %v — skipping\n", name, err)
-			failed = append(failed, name)
-			return
+			fmt.Fprintf(stderr, "experiments: %s failed twice: %v — skipping\n", s.name, err)
+			failed = append(failed, s.name)
+			continue
 		}
 		for _, t := range tabs {
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 			if *out != "" {
-				base := filepath.Join(*out, name+"_"+slug(t.Title))
+				base := filepath.Join(*out, s.name+"_"+slug(t.Title))
 				if err := os.WriteFile(base+".txt", []byte(t.String()), 0o644); err != nil {
-					fatal(err)
+					return fail(err)
 				}
 				if err := os.WriteFile(base+".csv", []byte(t.CSV()), 0o644); err != nil {
-					fatal(err)
+					return fail(err)
 				}
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n\n", s.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table1", func() ([]*textplot.Table, error) {
-		return []*textplot.Table{experiments.Table1()}, nil
-	})
-	if *fig == "all" || *fig == "fig3" {
-		text := experiments.Fig3Text()
-		fmt.Println(text)
-		if *out != "" {
-			if err := os.WriteFile(filepath.Join(*out, "fig3_wave_pattern.txt"), []byte(text), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	run("fig5", func() ([]*textplot.Table, error) {
-		r, err := experiments.Fig5(sc)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	})
-	run("fig6", func() ([]*textplot.Table, error) {
-		r, err := experiments.Fig6(sc)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	})
-	run("fig7", func() ([]*textplot.Table, error) {
-		r, err := experiments.Fig7(sc)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	})
-	run("apps", func() ([]*textplot.Table, error) {
-		r, err := experiments.Apps(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs := r.Tables()
-		fmt.Fprintf(os.Stderr, "SB exec penalty vs WH: %+.2f%% (paper: +3.23%%)\n", r.SBExecPenalty()*100)
-		fmt.Fprintf(os.Stderr, "SB energy saving vs WH: %.1f%% (paper: 53.6%%)\n", r.SBEnergySaving()*100)
-		return tabs, nil
-	})
-	run("ablations", func() ([]*textplot.Table, error) {
-		var tabs []*textplot.Table
-		ws, err := experiments.AblationWaveSets(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs = append(tabs, experiments.WaveSetTable(ws))
-		rt, err := experiments.AblationRouting(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs = append(tabs, experiments.RoutingTable(rt))
-		ms, err := experiments.AblationMeshSweep(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs = append(tabs, experiments.MeshTable(ms))
-		return tabs, nil
-	})
-	run("faults", func() ([]*textplot.Table, error) {
-		r, err := experiments.ConfinementUnderFaults(sc)
-		if err != nil {
-			return nil, err
-		}
-		return r.Tables(), nil
-	})
-	run("wcta", func() ([]*textplot.Table, error) {
-		rows, err := experiments.WCTAConformance(sc)
-		if err != nil {
-			return nil, err
-		}
-		return []*textplot.Table{experiments.WCTATable(rows)}, nil
-	})
-	run("extensions", func() ([]*textplot.Table, error) {
-		var tabs []*textplot.Table
-		bl, err := experiments.ExtensionBufferless(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs = append(tabs, experiments.BufferlessTable(bl))
-		pr, err := experiments.ExtensionPatterns(sc)
-		if err != nil {
-			return nil, err
-		}
-		tabs = append(tabs, experiments.PatternTable(pr))
-		return tabs, nil
-	})
 	if *probeDir != "" {
 		g.SetStage("fig5-probe")
 		start := time.Now()
 		if err := experiments.Fig5Probe(sc, *probeEvery, *probeDir); err != nil {
-			fatal(fmt.Errorf("fig5 probe: %w", err))
+			return fail(fmt.Errorf("fig5 probe: %w", err))
 		}
-		fmt.Fprintf(os.Stderr, "[fig5-probe done in %v; series and heatmaps in %s]\n",
+		fmt.Fprintf(stderr, "[fig5-probe done in %v; series and heatmaps in %s]\n",
 			time.Since(start).Round(time.Millisecond), *probeDir)
 	}
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %d experiment(s) failed: %s\n",
+		fmt.Fprintf(stderr, "experiments: %d experiment(s) failed: %s\n",
 			len(failed), strings.Join(failed, ", "))
 		return 1
 	}
@@ -305,9 +311,4 @@ func slug(title string) string {
 		s = s[:48]
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

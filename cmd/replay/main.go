@@ -30,7 +30,6 @@ import (
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
 	"surfbless/internal/network"
-	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
@@ -177,12 +176,8 @@ func recordRun(model config.Model, domains int, rate float64, cycles, seed int64
 	cfg.Domains = domains
 	var buf strings.Builder
 	tw := trace.New(&buf)
-	sources := make([]traffic.Source, domains)
-	for i := range sources {
-		sources[i] = traffic.Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}
-	}
 	res, err := sim.Run(sim.Options{
-		Cfg: cfg, Pattern: traffic.UniformRandom, Sources: sources, Seed: seed,
+		Cfg: cfg, Pattern: traffic.UniformRandom, Sources: traffic.EvenSplit(rate, domains), Seed: seed,
 		Measure: cycles, Drain: 50 * cycles,
 		Taps: []probe.Tap{tw},
 	})

@@ -11,7 +11,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/fault"
-	"surfbless/internal/packet"
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
 	"surfbless/internal/traffic"
@@ -27,15 +26,11 @@ func degradedDump(t *testing.T) *probe.FlightDump {
 	cfg.Faults = &fault.Plan{Events: []fault.Event{
 		{Kind: fault.LinkKill, Node: 0, Dir: 1 /* East */, At: 0},
 	}}
-	sources := make([]traffic.Source, cfg.Domains)
-	for i := range sources {
-		sources[i] = traffic.Source{Rate: 0.05 / float64(cfg.Domains), Class: packet.Ctrl, VNet: -1}
-	}
 	rec := probe.NewFlightRecorder(256)
 	_, err := sim.Run(sim.Options{
 		Cfg:                cfg,
 		Pattern:            traffic.UniformRandom,
-		Sources:            sources,
+		Sources:            traffic.EvenSplit(0.05, cfg.Domains),
 		Measure:            3000,
 		Drain:              50000,
 		Seed:               3,

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"surfbless/internal/config"
-	"surfbless/internal/packet"
 	"surfbless/internal/sim"
 	"surfbless/internal/textplot"
 	"surfbless/internal/traffic"
@@ -55,14 +54,10 @@ func main() {
 	}
 	m := cfg.Model
 
-	sources := make([]traffic.Source, *domains)
-	for i := range sources {
-		sources[i] = traffic.Source{Rate: *rate / float64(*domains), Class: packet.Ctrl, VNet: -1}
-	}
 	res, err := sim.Run(sim.Options{
 		Cfg:     cfg,
 		Pattern: p,
-		Sources: sources,
+		Sources: traffic.EvenSplit(*rate, *domains),
 		Warmup:  *warmup, Measure: *cycles, Drain: 20 * *cycles,
 		Seed: *seed,
 	})

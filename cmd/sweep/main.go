@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sweep [-model SB] [-domains 2] [-from 0.01] [-to 0.3] [-step 0.02]
-//	      [-cycles 10000] [-seed 1] [-workers 1] [-shards 1]
+//	      [-cycles 10000] [-seed 1] [-workers 1]
 //	      [-cache-dir DIR] [-no-cache]
 //	      [-faults FILE] [-checkpoint FILE] [-resume]
 //	      [-attempts N] [-point-timeout DUR]
@@ -17,12 +17,6 @@
 // isolated deterministic simulation and rows are emitted in rate order
 // regardless of completion order, so the CSV is byte-identical to a
 // serial (-workers 1) sweep.
-//
-// -shards N steps each point's mesh as N parallel tiles (see DESIGN.md
-// §17) — useful for giant meshes where one point dominates wall-clock.
-// Sharded stepping is bit-identical to serial, so the CSV, cache keys
-// and checkpoint fingerprints are all unchanged.  Local runs only; a
-// -remote fleet picks its own execution knobs.
 //
 // -remote ADDR submits the sweep to a sweepd coordinator (see
 // cmd/sweepd) instead of simulating locally, streams each row as the
@@ -44,8 +38,9 @@
 // row while the sweep continues (exit code 1 at the end); points that
 // needed retries carry "; attempts=N" in their status cell.
 // -point-timeout bounds one point's wall-clock simulation time
-// (cancellation is plumbed through the simulator); an expired timeout
-// is retryable like any failure.  A point that livelocks or trips a
+// (cancellation is plumbed through the simulator, and a run that ends
+// past its bound times out too); an expired timeout is retryable like
+// any failure.  A point that livelocks or trips a
 // router invariant is emitted as a "degraded" row with its partial
 // statistics.
 //
@@ -118,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cycles := fs.Int64("cycles", 10000, "measured cycles per point")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 1, "points simulated concurrently (rows stay in rate order)")
-	shards := fs.Int("shards", 1, "mesh tiles stepped in parallel inside each point (local runs only; bit-identical to serial)")
 	cacheDir := fs.String("cache-dir", filepath.Join("results", ".simcache"), "result-cache directory")
 	noCache := fs.Bool("no-cache", false, "run every simulation fresh")
 	attempts := fs.Int("attempts", sweepsvc.DefaultMaxAttempts, "per-point execution budget (1 = no retry)")
@@ -148,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *workers < 1 {
 		return fatal(fmt.Errorf("-workers %d, need ≥ 1", *workers))
-	}
-	if *shards < 1 {
-		return fatal(fmt.Errorf("-shards %d, need ≥ 1", *shards))
 	}
 	// The spec carries the timeout in whole milliseconds (what -remote
 	// submits); a finer value would time out differently here and there.
@@ -259,7 +250,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				rate, attempt, err, policy.Delay(attempt-1).Round(time.Millisecond))
 		},
 		Attach: pointFiles{
-			model: m, shards: *shards,
+			model: m,
 			trace: *traceFile, spans: *spansFile,
 			probeDir: *probeDir, probeEvery: *probeEvery,
 			flightDir: *flightDir, stderr: stderr,
@@ -425,13 +416,12 @@ func runRemote(spec sweepsvc.Spec, addr string, policy backoff.Policy, progress 
 	}
 }
 
-// pointFiles is cmd/sweep's Runner.Attach hook: the -shards execution
-// knob plus the per-point observability outputs a sweep can request —
-// lifecycle trace, Chrome-trace spans, probe series/heatmaps, and
-// flight-recorder dumps of degraded points.
+// pointFiles is cmd/sweep's Runner.Attach hook: the per-point
+// observability outputs a sweep can request — lifecycle trace,
+// Chrome-trace spans, probe series/heatmaps, and flight-recorder dumps
+// of degraded points.
 type pointFiles struct {
 	model      config.Model
-	shards     int
 	trace      string
 	spans      string
 	probeDir   string
@@ -446,9 +436,6 @@ type pointFiles struct {
 // span file; the series export and the flight dump follow only for a
 // run that produced a row, the dump only when that run degraded.
 func (f pointFiles) attach(rate float64, o *sim.Options) (func(error) error, error) {
-	// Shards is fingerprint-exempt, so cache and journal keys are
-	// unchanged.
-	o.Shards = f.shards
 	var files []io.Closer
 	closeFiles := func() error {
 		var errs []error

@@ -44,9 +44,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mesh := geom.NewMesh(*n, *n)
-	sched := wave.New(mesh, *p)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "waves:", err)
+		return 1
+	}
+	if *n < 2 || *p < 1 {
+		return fail(fmt.Errorf("-n %d -p %d: a wave schedule needs N ≥ 2 and P ≥ 1", *n, *p))
+	}
+	sched := wave.New(geom.NewMesh(*n, *n), *p)
 	if !*analyze {
+		if *waveIdx < 0 || *waveIdx >= sched.Smax() {
+			return fail(fmt.Errorf("-wave %d outside [0,%d)", *waveIdx, sched.Smax()))
+		}
 		count := *frames
 		if count <= 0 {
 			count = sched.Smax()
@@ -59,10 +68,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	if *domains < 1 || *size < 1 {
+		return fail(fmt.Errorf("-domains %d -size %d: both must be ≥ 1", *domains, *size))
+	}
 	dec, err := buildDecoder(sched.Smax(), *p, *domains, *size, *sets)
 	if err != nil {
-		fmt.Fprintln(stderr, "waves:", err)
-		return 1
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "schedule: N=%d P=%d Smax=%d, %d domains, %q sets, worm width %d\n\n",
 		*n, *p, sched.Smax(), dec.Domains(), *sets, *size)

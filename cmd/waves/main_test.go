@@ -28,8 +28,18 @@ func TestOutputPinned(t *testing.T) {
 		{"-n 8 -p 2 -analyze", "", 1},             // stride 4 cannot hold a 5-wide window
 		{"-n 8 -p 3 -analyze -domains 1", "", 1},  // no data domain
 		{"-n 8 -p 3 -analyze -sets bogus", "", 1}, // unknown assignment
-		{"-n 8 -p 3 -no-such-flag", "", 2},        // flag error
-		{"-h", "", 0},                             // usage goes to stderr
+
+		// Flag values outside the schedule's domain are errors, not panics.
+		{"-n 1", "", 1},
+		{"-p 0", "", 1},
+		{"-n 0 -analyze", "", 1},
+		{"-n 8 -p 3 -wave 99", "", 1},
+		{"-wave -1", "", 1},
+		{"-analyze -sets roundrobin -domains 0", "", 1},
+		{"-analyze -sets roundrobin -size 0", "", 1},
+
+		{"-n 8 -p 3 -no-such-flag", "", 2}, // flag error
+		{"-h", "", 0},                      // usage goes to stderr
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

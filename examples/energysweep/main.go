@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"surfbless"
-	"surfbless/internal/packet"
+	"surfbless/internal/traffic"
 )
 
 const cycles = 50_000
@@ -23,14 +23,10 @@ func run(model surfbless.Model, domains int) surfbless.Energy {
 		cfg.DataVCsPerPort, cfg.DataVCDepth = 1, 4
 		cfg.InjectionVCDepth = 4
 	}
-	sources := make([]surfbless.Source, domains)
-	for i := range sources {
-		sources[i] = surfbless.Source{Rate: 0.05 / float64(domains), Class: packet.Ctrl, VNet: -1}
-	}
 	res, err := surfbless.RunSynthetic(surfbless.SimOptions{
 		Cfg:     cfg,
 		Pattern: surfbless.UniformRandom,
-		Sources: sources,
+		Sources: traffic.EvenSplit(0.05, domains),
 		Measure: cycles,
 		Seed:    1,
 	})

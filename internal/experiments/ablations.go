@@ -6,7 +6,6 @@ import (
 	"surfbless/internal/coherence"
 	"surfbless/internal/config"
 	"surfbless/internal/cpu"
-	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router/surfbless"
 	"surfbless/internal/sim"
@@ -37,29 +36,36 @@ func AblationWaveSets(sc Scale) ([]WaveSetRow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	apps := []string{"swaptions", "dedup", "canneal"}
-	addTotal(2 * len(apps))
-	var rows []WaveSetRow
-	for _, app := range apps {
+	var points []system.Options
+	for _, app := range []string{"swaptions", "dedup", "canneal"} {
 		prof, err := cpu.ProfileByName(app)
 		if err != nil {
 			return nil, err
 		}
-		tuned, err := runSystem(system.Options{
-			Model: config.SB, App: prof, InstrPerCore: sc.Instr, Seed: sc.Seed,
-		})
+		tuned := system.Options{Model: config.SB, App: prof, InstrPerCore: sc.Instr, Seed: sc.Seed}
+		paper := tuned
+		paper.WaveSets = wave.PaperSets(coherence.DataFlits)
+		points = append(points, tuned, paper)
+	}
+	outs, err := runPoints(points, func(o system.Options) (system.Result, error) {
+		out, err := runSystem(o)
 		if err != nil {
-			return nil, fmt.Errorf("ablation wavesets %s tuned: %w", app, err)
+			sets := "tuned"
+			if o.WaveSets != nil {
+				sets = "paper"
+			}
+			return out, fmt.Errorf("ablation wavesets %s %s: %w", o.App.Name, sets, err)
 		}
-		paper, err := runSystem(system.Options{
-			Model: config.SB, App: prof, InstrPerCore: sc.Instr, Seed: sc.Seed,
-			WaveSets: wave.PaperSets(coherence.DataFlits),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("ablation wavesets %s paper: %w", app, err)
-		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []WaveSetRow
+	for i := 0; i < len(outs); i += 2 {
+		tuned, paper := outs[i], outs[i+1]
 		rows = append(rows, WaveSetRow{
-			App:          app,
+			App:          points[i].App.Name,
 			TunedExec:    tuned.ExecCycles,
 			PaperExec:    paper.ExecCycles,
 			TunedLatency: tuned.Total.AvgTotalLatency(),
@@ -98,29 +104,24 @@ func AblationRouting(sc Scale) ([]RoutingRow, error) {
 		return nil, err
 	}
 	const domains, rate = 4, 0.15
-	variants := []struct {
+	type variant struct {
 		name string
 		pol  surfbless.Policy
-	}{
+	}
+	variants := []variant{
 		{"paper (XY, YX, random)", surfbless.Policy{}},
 		{"no YX fallback", surfbless.Policy{DisableYX: true}},
 		{"fixed-order deflection", surfbless.Policy{DisableRandom: true}},
 	}
-	addTotal(len(variants))
-	var rows []RoutingRow
-	for _, v := range variants {
+	return runPoints(variants, func(v variant) (RoutingRow, error) {
 		cfg := fig6Config(config.SB, domains)
 		col := stats.NewCollector(domains, sc.Warmup, sc.Warmup+sc.Measure)
 		meter := power.NewMeter(cfg, power.Default45nm())
 		fab, err := surfbless.NewWithPolicy(cfg, nil, v.pol, nil, col, meter)
 		if err != nil {
-			return nil, fmt.Errorf("ablation routing %s: %w", v.name, err)
+			return RoutingRow{}, fmt.Errorf("ablation routing %s: %w", v.name, err)
 		}
-		sources := make([]traffic.Source, domains)
-		for i := range sources {
-			sources[i] = traffic.Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}
-		}
-		gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, sources, sc.Seed)
+		gen := traffic.New(cfg.Mesh(), traffic.UniformRandom, traffic.EvenSplit(rate, domains), sc.Seed)
 		now := int64(0)
 		for ; now < sc.Warmup+sc.Measure; now++ {
 			gen.Tick(fab, now)
@@ -130,15 +131,13 @@ func AblationRouting(sc Scale) ([]RoutingRow, error) {
 			fab.Step(now)
 		}
 		tot := col.Total()
-		rows = append(rows, RoutingRow{
+		return RoutingRow{
 			Variant:     v.name,
 			Latency:     tot.AvgTotalLatency(),
 			Deflections: tot.AvgDeflections(),
 			Throughput:  float64(tot.Ejected) / float64(cfg.Nodes()) / float64(sc.Measure),
-		})
-		pointDone()
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // RoutingTable renders the routing ablation.
@@ -166,33 +165,26 @@ func AblationMeshSweep(sc Scale) ([]MeshRow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	sizes := []int{4, 6, 8, 10}
-	addTotal(len(sizes))
-	var rows []MeshRow
-	for _, n := range sizes {
+	return runPoints([]int{4, 6, 8, 10}, func(n int) (MeshRow, error) {
 		cfg := fig6Config(config.SB, 2)
 		cfg.Width, cfg.Height = n, n
 		out, err := runSim(sim.Options{
 			Cfg:     cfg,
 			Pattern: traffic.UniformRandom,
-			Sources: []traffic.Source{
-				{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-				{Rate: 0.025, Class: packet.Ctrl, VNet: -1},
-			},
-			Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
+			Sources: traffic.EvenSplit(0.05, 2),
+			Warmup:  sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
 			Seed: sc.Seed,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("mesh sweep N=%d: %w", n, err)
+			return MeshRow{}, fmt.Errorf("mesh sweep N=%d: %w", n, err)
 		}
-		rows = append(rows, MeshRow{
+		return MeshRow{
 			N:       n,
 			Smax:    cfg.Smax(),
 			Latency: out.Total.AvgTotalLatency(),
 			Energy:  out.Energy,
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // MeshTable renders the mesh-size sweep.

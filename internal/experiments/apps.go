@@ -5,7 +5,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/cpu"
-	"surfbless/internal/parmap"
 	"surfbless/internal/system"
 	"surfbless/internal/textplot"
 )
@@ -34,36 +33,26 @@ func Apps(sc Scale) (AppsResult, error) {
 		Models: []config.Model{config.WH, config.Surf, config.SB},
 		Runs:   map[string]map[config.Model]system.Result{},
 	}
-	type job struct {
-		prof  cpu.Profile
-		model config.Model
-	}
-	var jobs []job
+	var points []system.Options
 	for _, prof := range cpu.Profiles() {
 		res.Apps = append(res.Apps, prof.Name)
 		res.Runs[prof.Name] = map[config.Model]system.Result{}
 		for _, model := range res.Models {
-			jobs = append(jobs, job{prof, model})
+			points = append(points, system.Options{Model: model, App: prof, InstrPerCore: sc.Instr, Seed: sc.Seed})
 		}
 	}
-	addTotal(len(jobs))
-	outs, err := parmap.Map(jobs, 0, func(j job) (system.Result, error) {
-		out, err := runSystem(system.Options{
-			Model:        j.model,
-			App:          j.prof,
-			InstrPerCore: sc.Instr,
-			Seed:         sc.Seed,
-		})
+	outs, err := runPoints(points, func(o system.Options) (system.Result, error) {
+		out, err := runSystem(o)
 		if err != nil {
-			return out, fmt.Errorf("apps %s/%v: %w", j.prof.Name, j.model, err)
+			return out, fmt.Errorf("apps %s/%v: %w", o.App.Name, o.Model, err)
 		}
 		return out, nil
 	})
 	if err != nil {
 		return res, err
 	}
-	for i, j := range jobs {
-		res.Runs[j.prof.Name][j.model] = outs[i]
+	for i, o := range points {
+		res.Runs[o.App.Name][o.Model] = outs[i]
 	}
 	return res, nil
 }

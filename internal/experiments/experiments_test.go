@@ -10,7 +10,26 @@ import (
 
 // The experiment tests run at the Tiny scale and assert the SHAPES the
 // paper reports — who wins, what is flat, what grows — not absolute
-// numbers.
+// numbers.  Each runs its driver through counted, which also proves the
+// driver's /progress count.
+
+// counted runs driver at the Tiny scale with a fresh progress tracker
+// installed, and fails t unless the driver declared want points and
+// counted every one of them as done.
+func counted[R any](t *testing.T, want int64, driver func(Scale) (R, error)) R {
+	t.Helper()
+	g := probe.NewProgress()
+	SetProgress(g)
+	defer SetProgress(nil)
+	r, err := driver(Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := g.Snapshot(); s.Done != want || s.Total != want {
+		t.Errorf("progress done %d of %d, want %d of %d", s.Done, s.Total, want, want)
+	}
+	return r
+}
 
 func TestScaleValidate(t *testing.T) {
 	for _, sc := range []Scale{Tiny(), Quick(), Full()} {
@@ -37,10 +56,7 @@ func TestTable1(t *testing.T) {
 // Fig 5: SB's victim series must be perfectly flat (bit-identical runs)
 // while BLESS degrades with interference.
 func TestFig5Shape(t *testing.T) {
-	r, err := Fig5(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := counted(t, 2*2*int64(len(Fig5Rates)), Fig5) // models × rates × {latency, saturation}
 	for i := 1; i < len(r.Rates); i++ {
 		if r.SBLatency[i] != r.SBLatency[0] {
 			t.Errorf("SB victim latency moved: %.3f @%.2f vs %.3f @0",
@@ -62,10 +78,7 @@ func TestFig5Shape(t *testing.T) {
 
 // Fig 6: the energy ordering and scaling claims of §5.1.2.
 func TestFig6Shape(t *testing.T) {
-	r, err := Fig6(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := counted(t, 2+2*9, Fig6) // WH, BLESS, then Surf and SB at D=1…9
 	byLabel := map[string]Fig6Row{}
 	for _, row := range r.Rows {
 		byLabel[row.Label] = row
@@ -104,10 +117,9 @@ func label(model string, d int) string {
 // Fig 7(a): aligned domain counts (2 divides 2P) track the BLESS
 // baseline; misaligned ones (4) pay latency at low load.
 func TestFig7Shape(t *testing.T) {
-	r, err := Fig7Domains(Tiny(), []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := counted(t, 3*2*int64(len(Fig7Rates)), func(sc Scale) (Fig7Result, error) {
+		return Fig7Domains(sc, []int{1, 2, 4})
+	})
 	if len(r.A) != 3 || len(r.B) != 3 {
 		t.Fatalf("series missing: %d/%d", len(r.A), len(r.B))
 	}
@@ -137,10 +149,7 @@ func TestAppsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 full-system runs")
 	}
-	r, err := Apps(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := counted(t, 9*3, Apps)
 	if len(r.Apps) != 9 {
 		t.Fatalf("%d apps, want 9", len(r.Apps))
 	}
@@ -172,10 +181,7 @@ func TestAblationWaveSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("6 full-system runs")
 	}
-	rows, err := AblationWaveSets(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := counted(t, 3*2, AblationWaveSets)
 	for _, row := range rows {
 		if row.PaperExec <= row.TunedExec {
 			t.Errorf("%s: paper's wave sets (%d) should run longer than the tuned ones (%d)",
@@ -187,6 +193,8 @@ func TestAblationWaveSets(t *testing.T) {
 	}
 }
 
+// The routing ablation runs its policy fabrics outside runSim; its
+// three points count in /progress like every other driver's.
 func TestAblationRouting(t *testing.T) {
 	rows, err := AblationRouting(Tiny())
 	if err != nil {
@@ -204,26 +212,14 @@ func TestAblationRouting(t *testing.T) {
 	}
 }
 
-// The routing ablation runs its own simulations outside runSim, so it
-// declares and counts its three points itself: /progress must not read
-// 100% while they run.
+// The routing ablation declares and counts its three points like every
+// other driver: /progress must not read 100% while they run.
 func TestAblationRoutingCountsProgress(t *testing.T) {
-	g := probe.NewProgress()
-	SetProgress(g)
-	defer SetProgress(nil)
-	if _, err := AblationRouting(Tiny()); err != nil {
-		t.Fatal(err)
-	}
-	if s := g.Snapshot(); s.Done != 3 || s.Total != 3 {
-		t.Errorf("progress done %d of %d, want 3 of 3", s.Done, s.Total)
-	}
+	counted(t, 3, AblationRouting)
 }
 
 func TestAblationMeshSweep(t *testing.T) {
-	rows, err := AblationMeshSweep(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := counted(t, 4, AblationMeshSweep)
 	if len(rows) != 4 {
 		t.Fatalf("%d mesh points, want 4", len(rows))
 	}
@@ -259,10 +255,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestExtensionBufferless(t *testing.T) {
-	rows, err := ExtensionBufferless(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := counted(t, 4*3, ExtensionBufferless)
 	if len(rows) != 12 {
 		t.Fatalf("%d rows, want 12 (4 models × 3 rates)", len(rows))
 	}
@@ -288,10 +281,7 @@ func TestExtensionBufferless(t *testing.T) {
 }
 
 func TestExtensionPatterns(t *testing.T) {
-	rows, err := ExtensionPatterns(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := counted(t, 4*4, ExtensionPatterns) // patterns × {SB, BLESS} × {quiet, loud}
 	if len(rows) != 4 {
 		t.Fatalf("%d rows, want 4 patterns", len(rows))
 	}
@@ -306,5 +296,23 @@ func TestExtensionPatterns(t *testing.T) {
 	}
 	if PatternTable(rows).Rows() != 4 {
 		t.Error("pattern table malformed")
+	}
+}
+
+// The WCTA matrix at the tiny scale: every cell passes its soundness
+// and tightness checks (WCTAConformance errors otherwise), and each of
+// its model × mesh × scenario × seed points counts once.
+func TestWCTAConformance(t *testing.T) {
+	rows := counted(t, 3*3*int64(len(wctaScenarios()))*5, WCTAConformance)
+	if len(rows) != 3*3*len(wctaScenarios()) {
+		t.Fatalf("%d rows, want %d", len(rows), 3*3*len(wctaScenarios()))
+	}
+	for _, r := range rows {
+		if r.Violations != 0 || r.Ejected == 0 || r.WorstBound == 0 {
+			t.Errorf("%v %dx%d %s: %+v", r.Model, r.Mesh, r.Mesh, r.Scenario, r)
+		}
+	}
+	if WCTATable(rows).Rows() != len(rows) {
+		t.Error("wcta table malformed")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"surfbless/internal/config"
-	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/sim"
 	"surfbless/internal/textplot"
@@ -33,33 +32,37 @@ func ExtensionBufferless(sc Scale) ([]BufferlessRow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	co := power.Default45nm()
-	addTotal(4 * 3) // 4 models × 3 rates
-	var rows []BufferlessRow
+	type point struct {
+		model config.Model
+		rate  float64
+	}
+	var points []point
 	for _, model := range []config.Model{config.BLESS, config.CHIPPER, config.RUNAHEAD, config.SB} {
 		for _, rate := range []float64{0.05, 0.15, 0.25} {
-			cfg := config.Default(model)
-			out, err := runSim(sim.Options{
-				Cfg:     cfg,
-				Pattern: traffic.UniformRandom,
-				Sources: []traffic.Source{{Rate: rate, Class: packet.Ctrl, VNet: -1}},
-				Warmup:  sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-				Seed: sc.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("bufferless %v rate %.2f: %w", model, rate, err)
-			}
-			rows = append(rows, BufferlessRow{
-				Model:       model,
-				Rate:        rate,
-				MeanLatency: out.Total.AvgTotalLatency(),
-				P99Latency:  out.LatencyP99[0],
-				Deflections: out.Total.AvgDeflections(),
-				StaticW:     power.RouterStaticPower(cfg, co),
-			})
+			points = append(points, point{model, rate})
 		}
 	}
-	return rows, nil
+	return runPoints(points, func(p point) (BufferlessRow, error) {
+		cfg := config.Default(p.model)
+		out, err := runSim(sim.Options{
+			Cfg:     cfg,
+			Pattern: traffic.UniformRandom,
+			Sources: traffic.EvenSplit(p.rate, 1),
+			Warmup:  sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
+			Seed: sc.Seed,
+		})
+		if err != nil {
+			return BufferlessRow{}, fmt.Errorf("bufferless %v rate %.2f: %w", p.model, p.rate, err)
+		}
+		return BufferlessRow{
+			Model:       p.model,
+			Rate:        p.rate,
+			MeanLatency: out.Total.AvgTotalLatency(),
+			P99Latency:  out.LatencyP99[0],
+			Deflections: out.Total.AvgDeflections(),
+			StaticW:     power.RouterStaticPower(cfg, power.Default45nm()),
+		}, nil
+	})
 }
 
 // BufferlessTable renders the bufferless comparison.
@@ -88,43 +91,31 @@ func ExtensionPatterns(sc Scale) ([]PatternRow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	run := func(model config.Model, pattern traffic.Pattern, interference float64) (float64, error) {
-		cfg := config.Default(model)
-		cfg.Domains = 2
-		out, err := runSim(sim.Options{
-			Cfg:     cfg,
-			Pattern: pattern,
-			Sources: []traffic.Source{
-				{Rate: 0.04, Class: packet.Ctrl, VNet: -1},
-				{Rate: interference, Class: packet.Ctrl, VNet: -1},
-			},
-			Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-			Seed: sc.Seed,
-		})
+	type point struct {
+		model        config.Model
+		pattern      traffic.Pattern
+		interference float64
+	}
+	patterns := []traffic.Pattern{traffic.UniformRandom, traffic.Transpose, traffic.BitComplement, traffic.Hotspot}
+	var points []point
+	for _, p := range patterns {
+		for _, model := range []config.Model{config.SB, config.BLESS} {
+			points = append(points, point{model, p, 0}, point{model, p, 0.2})
+		}
+	}
+	lats, err := runPoints(points, func(p point) (float64, error) {
+		out, err := runSim(twoDomainOptions(sc, p.model, p.pattern, 0.04, p.interference))
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("patterns %v: %w", p.pattern, err)
 		}
 		return out.Domains[0].AvgTotalLatency(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	addTotal(4 * 4) // 4 patterns × {SB, BLESS} × {quiet, loud}
 	var rows []PatternRow
-	for _, p := range []traffic.Pattern{traffic.UniformRandom, traffic.Transpose, traffic.BitComplement, traffic.Hotspot} {
-		sbQuiet, err := run(config.SB, p, 0)
-		if err != nil {
-			return nil, fmt.Errorf("patterns %v: %w", p, err)
-		}
-		sbLoud, err := run(config.SB, p, 0.2)
-		if err != nil {
-			return nil, fmt.Errorf("patterns %v: %w", p, err)
-		}
-		blQuiet, err := run(config.BLESS, p, 0)
-		if err != nil {
-			return nil, fmt.Errorf("patterns %v: %w", p, err)
-		}
-		blLoud, err := run(config.BLESS, p, 0.2)
-		if err != nil {
-			return nil, fmt.Errorf("patterns %v: %w", p, err)
-		}
+	for i, p := range patterns {
+		sbQuiet, sbLoud, blQuiet, blLoud := lats[4*i], lats[4*i+1], lats[4*i+2], lats[4*i+3]
 		drift := sbLoud - sbQuiet
 		if drift < 0 {
 			drift = -drift

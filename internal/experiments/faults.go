@@ -6,8 +6,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/fault"
-	"surfbless/internal/packet"
-	"surfbless/internal/parmap"
 	"surfbless/internal/sim"
 	"surfbless/internal/textplot"
 	"surfbless/internal/traffic"
@@ -89,40 +87,29 @@ func ConfinementUnderFaults(sc Scale) (FaultsResult, error) {
 	}
 	models := []config.Model{config.WH, config.BLESS, config.SB}
 	scenarios := FaultScenarios()
-	type job struct {
+	type point struct {
 		model    config.Model
 		scenario FaultScenario
 	}
-	var jobs []job
+	var points []point
 	for _, m := range models {
 		for _, s := range scenarios {
-			jobs = append(jobs, job{m, s})
+			points = append(points, point{m, s})
 		}
 	}
-	addTotal(len(jobs))
-	rows, err := parmap.Map(jobs, 0, func(j job) (FaultsRow, error) {
-		cfg := config.Default(j.model)
-		cfg.Domains = 2
-		cfg.Faults = j.scenario.Plan
-		out, err := runSim(sim.Options{
-			Cfg:     cfg,
-			Pattern: traffic.UniformRandom,
-			Sources: []traffic.Source{
-				{Rate: faultVictimRate, Class: packet.Ctrl, VNet: -1},
-				{Rate: faultAggressorRate, Class: packet.Ctrl, VNet: -1},
-			},
-			Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-			Seed: sc.Seed,
-			// Scale the no-progress ceiling to the drain budget so a
-			// wedged mesh degrades within this run's own time frame
-			// (the auto default is tuned for full-length runs).
-			WatchdogNoProgress: sc.Drain / 4,
-		})
-		row := FaultsRow{Model: j.model.String(), Scenario: j.scenario.Name, Status: "ok"}
+	rows, err := runPoints(points, func(p point) (FaultsRow, error) {
+		o := twoDomainOptions(sc, p.model, traffic.UniformRandom, faultVictimRate, faultAggressorRate)
+		o.Cfg.Faults = p.scenario.Plan
+		// Scale the no-progress ceiling to the drain budget so a wedged
+		// mesh degrades within this run's own time frame (the auto
+		// default is tuned for full-length runs).
+		o.WatchdogNoProgress = sc.Drain / 4
+		out, err := runSim(o)
+		row := FaultsRow{Model: p.model.String(), Scenario: p.scenario.Name, Status: "ok"}
 		if err != nil {
 			var de *sim.DegradedError
 			if !errors.As(err, &de) {
-				return row, fmt.Errorf("faults %v/%s: %w", j.model, j.scenario.Name, err)
+				return row, fmt.Errorf("faults %v/%s: %w", p.model, p.scenario.Name, err)
 			}
 			out = de.Partial
 			row.Status = "degraded: " + de.Reason

@@ -9,10 +9,7 @@ import (
 // a row — healthy or degraded — and the fault scenarios must actually
 // exercise the loss machinery somewhere.
 func TestConfinementUnderFaultsShape(t *testing.T) {
-	r, err := ConfinementUnderFaults(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := counted(t, 3*int64(len(FaultScenarios())), ConfinementUnderFaults)
 	if len(r.Rows) != 3*len(FaultScenarios()) {
 		t.Fatalf("%d rows, want %d", len(r.Rows), 3*len(FaultScenarios()))
 	}

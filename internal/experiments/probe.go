@@ -6,9 +6,7 @@ import (
 	"path/filepath"
 
 	"surfbless/internal/config"
-	"surfbless/internal/packet"
 	"surfbless/internal/probe"
-	"surfbless/internal/sim"
 	"surfbless/internal/trace"
 	"surfbless/internal/traffic"
 )
@@ -41,50 +39,44 @@ func Fig5Probe(sc Scale, every int64, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	addTotal(2 * len(Fig5Rates))
-	spanRate := Fig5Rates[len(Fig5Rates)-1]
-	for _, model := range []config.Model{config.BLESS, config.SB} {
+	type point struct {
+		model config.Model
+		rate  float64
+	}
+	var points []point
+	for _, model := range fig5Models {
 		for _, rate := range Fig5Rates {
-			cfg := config.Default(model)
-			cfg.Domains = 2
-			series := probe.NewSeries(every)
-			opts := sim.Options{
-				Cfg:     cfg,
-				Pattern: traffic.UniformRandom,
-				Sources: []traffic.Source{
-					{Rate: victimRate, Class: packet.Ctrl, VNet: -1},
-					{Rate: rate, Class: packet.Ctrl, VNet: -1},
-				},
-				Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-				Seed: sc.Seed,
-				Taps: []probe.Tap{series},
-			}
-			base := fmt.Sprintf("%v_r%.2f", model, rate)
-			var pf *trace.Perfetto
-			if rate == spanRate {
-				f, err := os.Create(filepath.Join(dir, "fig5_spans_"+base+".json"))
-				if err != nil {
-					return err
-				}
-				pf = trace.NewPerfetto(f)
-				opts.Taps = append(opts.Taps, pf)
-			}
-			_, err := runSim(opts)
-			if pf != nil {
-				if cerr := pf.Close(); cerr != nil && err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("fig5 probe %v interference %.2f: %w", model, rate, err)
-			}
-			if err := probe.WriteFile(filepath.Join(dir, "fig5_ts_"+base+".jsonl"), series.WriteTimeSeriesJSONL); err != nil {
-				return err
-			}
-			if err := probe.WriteFile(filepath.Join(dir, "fig5_heat_"+base+".csv"), series.WriteHeatmapCSV); err != nil {
-				return err
-			}
+			points = append(points, point{model, rate})
 		}
 	}
-	return nil
+	spanRate := Fig5Rates[len(Fig5Rates)-1]
+	_, err := runPoints(points, func(p point) (struct{}, error) {
+		series := probe.NewSeries(every)
+		opts := twoDomainOptions(sc, p.model, traffic.UniformRandom, victimRate, p.rate)
+		opts.Taps = []probe.Tap{series}
+		base := fmt.Sprintf("%v_r%.2f", p.model, p.rate)
+		var pf *trace.Perfetto
+		if p.rate == spanRate {
+			f, err := os.Create(filepath.Join(dir, "fig5_spans_"+base+".json"))
+			if err != nil {
+				return struct{}{}, err
+			}
+			pf = trace.NewPerfetto(f)
+			opts.Taps = append(opts.Taps, pf)
+		}
+		_, err := runSim(opts)
+		if pf != nil {
+			if cerr := pf.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return struct{}{}, fmt.Errorf("fig5 probe %v interference %.2f: %w", p.model, p.rate, err)
+		}
+		if err := probe.WriteFile(filepath.Join(dir, "fig5_ts_"+base+".jsonl"), series.WriteTimeSeriesJSONL); err != nil {
+			return struct{}{}, err
+		}
+		return struct{}{}, probe.WriteFile(filepath.Join(dir, "fig5_heat_"+base+".csv"), series.WriteHeatmapCSV)
+	})
+	return err
 }

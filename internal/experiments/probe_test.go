@@ -22,8 +22,14 @@ func probeScale() Scale {
 // trace for both models.
 func TestFig5ProbeWritesSpans(t *testing.T) {
 	dir := t.TempDir()
+	g := probe.NewProgress()
+	SetProgress(g)
+	defer SetProgress(nil)
 	if err := Fig5Probe(probeScale(), 100, dir); err != nil {
 		t.Fatal(err)
+	}
+	if s, want := g.Snapshot(), 2*int64(len(Fig5Rates)); s.Done != want || s.Total != want {
+		t.Errorf("progress done %d of %d, want %d of %d", s.Done, s.Total, want, want)
 	}
 	for _, model := range []string{"BLESS", "SB"} {
 		for _, want := range []string{"fig5_ts_", "fig5_heat_"} {

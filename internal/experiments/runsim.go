@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"surfbless/internal/parmap"
 	"surfbless/internal/probe"
 	"surfbless/internal/sim"
 	"surfbless/internal/simcache"
@@ -12,9 +13,8 @@ import (
 )
 
 // cachePtr holds the simulation-result cache every driver consults.
-// It is an atomic pointer because drivers fan simulations out through
-// parmap: workers read it concurrently, and one simcache.Cache is safe
-// to share between them.
+// It is an atomic pointer because runPoints's workers read it
+// concurrently, and one simcache.Cache is safe to share between them.
 var cachePtr atomic.Pointer[simcache.Cache]
 
 // SetCache installs the result cache used by all figure, ablation and
@@ -26,26 +26,8 @@ func SetCache(c *simcache.Cache) {
 	cachePtr.Store(c)
 }
 
-// Cache returns the installed cache, or nil when caching is disabled.
-func Cache() *simcache.Cache { return cachePtr.Load() }
-
-// shardsVal holds the per-point mesh tile count every synthetic driver
-// passes to the simulator (≤1 = serial stepping).  Atomic for the same
-// reason as cachePtr: parmap workers read it concurrently.
-var shardsVal atomic.Int64
-
-// SetShards installs the sharded-stepping tile count applied to every
-// synthetic simulation point (see DESIGN.md §17).  Sharded stepping is
-// bit-identical to serial and sim.Options.Shards is fingerprint-exempt,
-// so results, cache keys and golden tables are unchanged; the knob only
-// trades cores for wall-clock on big meshes.  cmd/experiments sets it
-// from its -shards flag.
-func SetShards(n int) {
-	shardsVal.Store(int64(n))
-}
-
 // progressPtr holds the live-introspection point counter, shared the
-// same way as the cache: parmap workers bump it concurrently.
+// same way as the cache: runPoints's workers bump it concurrently.
 var progressPtr atomic.Pointer[probe.Progress]
 
 // SetProgress installs a progress tracker that every figure, ablation
@@ -88,35 +70,33 @@ func writeFlightDump(d *probe.FlightDump, base string) (string, error) {
 	return path, nil
 }
 
-// pointDone records one completed simulation point.
-func pointDone() {
-	if g := progressPtr.Load(); g != nil {
-		g.Add(1)
+// runPoints is how every driver runs its points: f over points on
+// GOMAXPROCS workers, results in input order, and the errors of failed
+// points joined in input order (parmap.Map).  Every point is an
+// isolated deterministic run, so the order the workers finish in never
+// shows in a result.  It declares the points to the installed progress
+// tracker on entry and counts each one as it finishes, so /progress
+// ETAs stay meaningful mid-run.
+func runPoints[P, R any](points []P, f func(P) (R, error)) ([]R, error) {
+	g := progressPtr.Load()
+	if g != nil {
+		g.AddTotal(int64(len(points)))
 	}
+	return parmap.Map(points, 0, func(p P) (R, error) {
+		r, err := f(p)
+		if g != nil {
+			g.Add(1)
+		}
+		return r, err
+	})
 }
 
-// addTotal declares n upcoming simulation points; every driver calls
-// it at entry so /progress ETAs stay meaningful mid-run.
-func addTotal(n int) {
-	if g := progressPtr.Load(); g != nil {
-		g.AddTotal(int64(n))
-	}
-}
-
-// runSim is the cached sim.Run every synthetic driver goes through.
+// runSim is the cached sim.Run of one synthetic point.
 func runSim(o sim.Options) (sim.Result, error) {
-	if n := shardsVal.Load(); n > 1 && o.Shards == 0 {
-		o.Shards = int(n)
-	}
-	res, err := sim.RunCached(o, cachePtr.Load())
-	pointDone()
-	return res, err
+	return sim.RunCached(o, cachePtr.Load())
 }
 
-// runSystem is the cached system.Run every full-system driver goes
-// through.
+// runSystem is the cached system.Run of one full-system point.
 func runSystem(o system.Options) (system.Result, error) {
-	res, err := system.RunCached(o, cachePtr.Load())
-	pointDone()
-	return res, err
+	return system.RunCached(o, cachePtr.Load())
 }

@@ -5,10 +5,8 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/packet"
-	"surfbless/internal/parmap"
 	"surfbless/internal/power"
 	"surfbless/internal/sim"
-	"surfbless/internal/stats"
 	"surfbless/internal/textplot"
 	"surfbless/internal/traffic"
 )
@@ -26,6 +24,9 @@ const (
 // Fig5Rates is the interference-load sweep of Fig. 5 (packets/node/
 // cycle injected by the interfering domain).
 var Fig5Rates = []float64{0, 0.04, 0.08, 0.12, 0.16, 0.2, 0.24}
+
+// fig5Models are the networks Fig. 5 compares.
+var fig5Models = []config.Model{config.BLESS, config.SB}
 
 // Fig5Result holds the non-interference experiment's series: the victim
 // domain's average packet latency and accepted throughput under rising
@@ -45,48 +46,60 @@ func Fig5(sc Scale) (Fig5Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Fig5Result{}, err
 	}
-	addTotal(2 * len(Fig5Rates) * 2) // 2 models × rates × {latency, saturation} runs
-	res := Fig5Result{Rates: Fig5Rates}
-	run := func(model config.Model, victim, interference float64) (stats.Domain, float64, error) {
-		cfg := config.Default(model)
-		cfg.Domains = 2
-		out, err := runSim(sim.Options{
-			Cfg:     cfg,
-			Pattern: traffic.UniformRandom,
-			Sources: []traffic.Source{
-				{Rate: victim, Class: packet.Ctrl, VNet: -1},
-				{Rate: interference, Class: packet.Ctrl, VNet: -1},
-			},
-			Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-			Seed: sc.Seed,
-		})
-		if err != nil {
-			return stats.Domain{}, 0, fmt.Errorf("fig5 %v interference %.2f: %w", model, interference, err)
-		}
-		return out.Domains[0], out.Throughput(0), nil
+	type point struct {
+		model                config.Model
+		victim, interference float64
 	}
-	for _, model := range []config.Model{config.BLESS, config.SB} {
+	var points []point
+	for _, model := range fig5Models {
 		for _, rate := range Fig5Rates {
-			// Fig 5(a): victim at a light fixed load, latency observed.
-			dom, _, err := run(model, victimRate, rate)
-			if err != nil {
-				return Fig5Result{}, err
-			}
+			// Fig 5(a): victim at a light fixed load, latency observed;
 			// Fig 5(b): victim over-offered, accepted rate observed.
-			_, maxThr, err := run(model, saturationProbe, rate)
-			if err != nil {
-				return Fig5Result{}, err
-			}
-			if model == config.BLESS {
-				res.BLESSLatency = append(res.BLESSLatency, dom.AvgTotalLatency())
-				res.BLESSThroughput = append(res.BLESSThroughput, maxThr)
-			} else {
-				res.SBLatency = append(res.SBLatency, dom.AvgTotalLatency())
-				res.SBThroughput = append(res.SBThroughput, maxThr)
-			}
+			points = append(points, point{model, victimRate, rate}, point{model, saturationProbe, rate})
+		}
+	}
+	type victim struct{ latency, throughput float64 }
+	outs, err := runPoints(points, func(p point) (victim, error) {
+		out, err := runSim(twoDomainOptions(sc, p.model, traffic.UniformRandom, p.victim, p.interference))
+		if err != nil {
+			return victim{}, fmt.Errorf("fig5 %v interference %.2f: %w", p.model, p.interference, err)
+		}
+		return victim{out.Domains[0].AvgTotalLatency(), out.Throughput(0)}, nil
+	})
+	if err != nil {
+		return Fig5Result{}, err
+	}
+	res := Fig5Result{Rates: Fig5Rates}
+	for i := 0; i < len(points); i += 2 {
+		lat, maxThr := outs[i].latency, outs[i+1].throughput
+		if points[i].model == config.BLESS {
+			res.BLESSLatency = append(res.BLESSLatency, lat)
+			res.BLESSThroughput = append(res.BLESSThroughput, maxThr)
+		} else {
+			res.SBLatency = append(res.SBLatency, lat)
+			res.SBThroughput = append(res.SBThroughput, maxThr)
 		}
 	}
 	return res, nil
+}
+
+// twoDomainOptions is the victim/interferer run behind Fig. 5 and the
+// experiments that extend it: two domains on model's default
+// configuration, domain 0 (the victim) offering victim and domain 1
+// offering interference packets/node/cycle under pattern.
+func twoDomainOptions(sc Scale, model config.Model, pattern traffic.Pattern, victim, interference float64) sim.Options {
+	cfg := config.Default(model)
+	cfg.Domains = 2
+	return sim.Options{
+		Cfg:     cfg,
+		Pattern: pattern,
+		Sources: []traffic.Source{
+			{Rate: victim, Class: packet.Ctrl, VNet: -1},
+			{Rate: interference, Class: packet.Ctrl, VNet: -1},
+		},
+		Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
+		Seed: sc.Seed,
+	}
 }
 
 // Tables renders Fig. 5(a) and 5(b).
@@ -139,44 +152,36 @@ func Fig6(sc Scale) (Fig6Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Fig6Result{}, err
 	}
-	addTotal(2 + 2*9) // WH, BLESS, then Surf and SB at D=1…9
-	res := Fig6Result{Cycles: sc.EnergyCycles}
-	run := func(label string, model config.Model, domains int) error {
-		cfg := fig6Config(model, domains)
-		sources := make([]traffic.Source, domains)
-		for i := range sources {
-			sources[i] = traffic.Source{Rate: fig6Rate / float64(domains), Class: packet.Ctrl, VNet: -1}
-		}
+	type point struct {
+		label   string
+		model   config.Model
+		domains int
+	}
+	points := []point{{"WH", config.WH, 1}, {"BLESS", config.BLESS, 1}}
+	for d := 1; d <= 9; d++ {
+		points = append(points,
+			point{fmt.Sprintf("Surf %d_D", d), config.Surf, d},
+			point{fmt.Sprintf("SB %d_D", d), config.SB, d})
+	}
+	rows, err := runPoints(points, func(p point) (Fig6Row, error) {
 		out, err := runSim(sim.Options{
-			Cfg:     cfg,
+			Cfg:     fig6Config(p.model, p.domains),
 			Pattern: traffic.UniformRandom,
-			Sources: sources,
+			Sources: traffic.EvenSplit(fig6Rate, p.domains),
 			Warmup:  0, Measure: sc.EnergyCycles, Drain: 0,
 			Seed: sc.Seed,
 		})
 		if err != nil {
-			return fmt.Errorf("fig6 %s: %w", label, err)
+			return Fig6Row{}, fmt.Errorf("fig6 %s: %w", p.label, err)
 		}
 		// Energy is accounted over exactly the measurement period (the
 		// paper's 1 M cycles): no warmup, no drain.
-		res.Rows = append(res.Rows, Fig6Row{Label: label, Domains: domains, Energy: out.Energy})
-		return nil
+		return Fig6Row{Label: p.label, Domains: p.domains, Energy: out.Energy}, nil
+	})
+	if err != nil {
+		return Fig6Result{}, err
 	}
-	if err := run("WH", config.WH, 1); err != nil {
-		return res, err
-	}
-	if err := run("BLESS", config.BLESS, 1); err != nil {
-		return res, err
-	}
-	for d := 1; d <= 9; d++ {
-		if err := run(fmt.Sprintf("Surf %d_D", d), config.Surf, d); err != nil {
-			return res, err
-		}
-		if err := run(fmt.Sprintf("SB %d_D", d), config.SB, d); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return Fig6Result{Cycles: sc.EnergyCycles, Rows: rows}, nil
 }
 
 // Tables renders Fig. 6.
@@ -220,32 +225,40 @@ func Fig7(sc Scale) (Fig7Result, error) {
 }
 
 // Fig7Domains runs the Fig-7 sweep for a chosen subset of domain
-// counts (tests use a subset; the full harness uses 1…9).  The
-// (model, domains, rate) points are independent simulations and run in
-// parallel.
+// counts (tests use a subset; the full harness uses 1…9).
 func Fig7Domains(sc Scale, domainCounts []int) (Fig7Result, error) {
 	if err := sc.Validate(); err != nil {
 		return Fig7Result{}, err
 	}
-	type job struct {
+	type point struct {
 		model   config.Model
 		domains int
 		rate    float64
 	}
-	var jobs []job
+	var points []point
 	for _, domains := range domainCounts {
 		for _, rate := range Fig7Rates {
-			jobs = append(jobs, job{bufferlessModel(domains), domains, rate})
-			jobs = append(jobs, job{vcModel(domains), domains, rate})
+			points = append(points, point{bufferlessModel(domains), domains, rate})
+			points = append(points, point{vcModel(domains), domains, rate})
 		}
 	}
-	type point struct {
-		latency, throughput float64
-	}
-	addTotal(len(jobs))
-	points, err := parmap.Map(jobs, 0, func(j job) (point, error) {
-		lat, thr, err := fig7Point(sc, j.model, j.domains, j.rate)
-		return point{lat, thr}, err
+	type curve struct{ latency, throughput float64 }
+	outs, err := runPoints(points, func(p point) (curve, error) {
+		out, err := runSim(sim.Options{
+			Cfg:     fig6Config(p.model, p.domains),
+			Pattern: traffic.UniformRandom,
+			Sources: traffic.EvenSplit(p.rate, p.domains),
+			Warmup:  sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
+			Seed: sc.Seed,
+		})
+		if err != nil {
+			return curve{}, fmt.Errorf("fig7 %v D_%d rate %.2f: %w", p.model, p.domains, p.rate, err)
+		}
+		c := curve{latency: out.Total.AvgTotalLatency()}
+		for d := 0; d < p.domains; d++ {
+			c.throughput += out.Throughput(d)
+		}
+		return c, nil
 	})
 	if err != nil {
 		return Fig7Result{}, err
@@ -256,11 +269,11 @@ func Fig7Domains(sc Scale, domainCounts []int) (Fig7Result, error) {
 		a := Fig7Series{Label: fmt.Sprintf("%v D_%d", bufferlessModel(domains), domains), Domains: domains}
 		b := Fig7Series{Label: fmt.Sprintf("%v D_%d", vcModel(domains), domains), Domains: domains}
 		for range Fig7Rates {
-			a.Latency = append(a.Latency, points[idx].latency)
-			a.Throughput = append(a.Throughput, points[idx].throughput)
+			a.Latency = append(a.Latency, outs[idx].latency)
+			a.Throughput = append(a.Throughput, outs[idx].throughput)
 			idx++
-			b.Latency = append(b.Latency, points[idx].latency)
-			b.Throughput = append(b.Throughput, points[idx].throughput)
+			b.Latency = append(b.Latency, outs[idx].latency)
+			b.Throughput = append(b.Throughput, outs[idx].throughput)
 			idx++
 		}
 		res.A = append(res.A, a)
@@ -281,28 +294,6 @@ func vcModel(domains int) config.Model {
 		return config.WH
 	}
 	return config.Surf
-}
-
-func fig7Point(sc Scale, model config.Model, domains int, rate float64) (latency, throughput float64, err error) {
-	cfg := fig6Config(model, domains)
-	sources := make([]traffic.Source, domains)
-	for i := range sources {
-		sources[i] = traffic.Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}
-	}
-	out, err := runSim(sim.Options{
-		Cfg:     cfg,
-		Pattern: traffic.UniformRandom,
-		Sources: sources,
-		Warmup:  sc.Warmup, Measure: sc.Measure, Drain: sc.Drain,
-		Seed: sc.Seed,
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("fig7 %v D_%d rate %.2f: %w", model, domains, rate, err)
-	}
-	for d := 0; d < domains; d++ {
-		throughput += out.Throughput(d)
-	}
-	return out.Total.AvgTotalLatency(), throughput, nil
 }
 
 // Tables renders Fig. 7(a) and 7(b) as rate × D_k latency grids, plus

@@ -114,74 +114,87 @@ func WCTAConformance(sc Scale) ([]WCTARow, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	models := []config.Model{config.WH, config.Surf, config.SB}
-	meshes := []int{4, 6, 8}
-	scenarios := wctaScenarios()
+	type point struct {
+		model    config.Model
+		mesh     int
+		scenario wctaScenario
+		seed     int64
+	}
 	const seeds = 5
-	addTotal(len(models) * len(meshes) * len(scenarios) * seeds)
-
-	var rows []WCTARow
-	for _, model := range models {
-		for _, mesh := range meshes {
-			for _, scn := range scenarios {
-				row := WCTARow{Model: model, Mesh: mesh, Scenario: scn.name, Seeds: seeds}
+	var points []point
+	for _, model := range []config.Model{config.WH, config.Surf, config.SB} {
+		for _, mesh := range []int{4, 6, 8} {
+			for _, scn := range wctaScenarios() {
 				for seed := int64(1); seed <= seeds; seed++ {
-					cfg := config.Default(model)
-					cfg.Width, cfg.Height = mesh, mesh
-					cfg.Domains = 2
-					// With a flight directory configured, every check runs
-					// with a recorder so a violation leaves a forensic dump
-					// instead of just a one-line error.
-					var rec *probe.FlightRecorder
-					if flightDir() != "" {
-						rec = probe.NewFlightRecorder(0)
-					}
-					rep, err := conformance.Run(conformance.Check{
-						Cfg:      cfg,
-						Pattern:  scn.pattern,
-						Sources:  scn.sources(cfg.Domains),
-						Measure:  sc.Measure,
-						Drain:    sc.Drain,
-						Seed:     seed,
-						Recorder: rec,
-					})
-					pointDone()
-					if err != nil {
-						return nil, fmt.Errorf("wcta %v %dx%d %s seed %d: %w", model, mesh, mesh, scn.name, seed, err)
-					}
-					row.Flows = len(rep.Flows)
-					row.Ejected += rep.Ejected
-					row.Violations += len(rep.Violations())
-					for _, f := range rep.Flows {
-						if f.Bound.Cycles > row.WorstBound {
-							row.WorstBound = f.Bound.Cycles
-						}
-						if f.Observed > row.WorstObserved {
-							row.WorstObserved = f.Observed
-						}
-					}
-					if _, ratio := rep.MaxRatio(); ratio > row.MaxRatio {
-						row.MaxRatio = ratio
-					}
-					if verr := rep.Err(); verr != nil {
-						wrapped := fmt.Errorf("wcta %v %dx%d %s seed %d: %w", model, mesh, mesh, scn.name, seed, verr)
-						base := fmt.Sprintf("wcta_%v_%dx%d_%s_s%d", model, mesh, mesh, scn.name, seed)
-						if path, werr := writeFlightDump(rep.Flight, base); werr == nil && path != "" {
-							return nil, fmt.Errorf("%w (flight dump: %s)", wrapped, path)
-						}
-						return nil, wrapped
-					}
+					points = append(points, point{model, mesh, scn, seed})
 				}
-				// Surf's gating term is a worst-phase bound the injection
-				// process rarely hits on every hop, so only the exact
-				// zero-load analyses owe tightness.
-				if scn.tight && model != config.Surf && row.MaxRatio < wctaTightness {
-					return nil, fmt.Errorf("wcta %v %dx%d %s: bound is slack — best observation reached only %.0f%% of it (want ≥ %.0f%%)",
-						model, mesh, mesh, scn.name, row.MaxRatio*100, wctaTightness*100)
-				}
-				rows = append(rows, row)
 			}
 		}
+	}
+	// Each point is one seed's row; the fold below merges a cell's seeds.
+	seedRows, err := runPoints(points, func(p point) (WCTARow, error) {
+		cfg := config.Default(p.model)
+		cfg.Width, cfg.Height = p.mesh, p.mesh
+		cfg.Domains = 2
+		// With a flight directory configured, every check runs with a
+		// recorder so a violation leaves a forensic dump instead of
+		// just a one-line error.
+		var rec *probe.FlightRecorder
+		if flightDir() != "" {
+			rec = probe.NewFlightRecorder(0)
+		}
+		rep, err := conformance.Run(conformance.Check{
+			Cfg:      cfg,
+			Pattern:  p.scenario.pattern,
+			Sources:  p.scenario.sources(cfg.Domains),
+			Measure:  sc.Measure,
+			Drain:    sc.Drain,
+			Seed:     p.seed,
+			Recorder: rec,
+		})
+		name := fmt.Sprintf("%v %dx%d %s seed %d", p.model, p.mesh, p.mesh, p.scenario.name, p.seed)
+		if err != nil {
+			return WCTARow{}, fmt.Errorf("wcta %s: %w", name, err)
+		}
+		if verr := rep.Err(); verr != nil {
+			wrapped := fmt.Errorf("wcta %s: %w", name, verr)
+			base := fmt.Sprintf("wcta_%v_%dx%d_%s_s%d", p.model, p.mesh, p.mesh, p.scenario.name, p.seed)
+			if path, werr := writeFlightDump(rep.Flight, base); werr == nil && path != "" {
+				return WCTARow{}, fmt.Errorf("%w (flight dump: %s)", wrapped, path)
+			}
+			return WCTARow{}, wrapped
+		}
+		row := WCTARow{Flows: len(rep.Flows), Ejected: rep.Ejected, Violations: len(rep.Violations())}
+		for _, f := range rep.Flows {
+			row.WorstBound = max(row.WorstBound, f.Bound.Cycles)
+			row.WorstObserved = max(row.WorstObserved, f.Observed)
+		}
+		_, row.MaxRatio = rep.MaxRatio()
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []WCTARow
+	for i := 0; i < len(points); i += seeds {
+		p := points[i]
+		row := WCTARow{Model: p.model, Mesh: p.mesh, Scenario: p.scenario.name, Seeds: seeds}
+		for _, s := range seedRows[i : i+seeds] {
+			row.Flows = s.Flows
+			row.Ejected += s.Ejected
+			row.Violations += s.Violations
+			row.WorstBound = max(row.WorstBound, s.WorstBound)
+			row.WorstObserved = max(row.WorstObserved, s.WorstObserved)
+			row.MaxRatio = max(row.MaxRatio, s.MaxRatio)
+		}
+		// Surf's gating term is a worst-phase bound the injection
+		// process rarely hits on every hop, so only the exact zero-load
+		// analyses owe tightness.
+		if p.scenario.tight && p.model != config.Surf && row.MaxRatio < wctaTightness {
+			return nil, fmt.Errorf("wcta %v %dx%d %s: bound is slack — best observation reached only %.0f%% of it (want ≥ %.0f%%)",
+				p.model, p.mesh, p.mesh, p.scenario.name, row.MaxRatio*100, wctaTightness*100)
+		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

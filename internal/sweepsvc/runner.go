@@ -22,8 +22,8 @@ import (
 type RetryHook func(rate float64, attempt int, err error)
 
 // AttemptHook arms one execution of a point (nil = disabled): it may set
-// fingerprint-exempt knobs and observers on o — shards, a tracer, span
-// taps, a probe, a flight recorder — and returns a finish func that the
+// fingerprint-exempt knobs and observers on o — a tracer, span taps, a
+// probe, a flight recorder — and returns a finish func that the
 // runner calls with the execution's error once the run ends.  finish
 // must release whatever the hook opened on every outcome, and returns
 // the error to classify: the run's own, or the first error it met while
@@ -47,8 +47,8 @@ type Runner struct {
 	// OnRetry, when non-nil, observes each failed attempt that will be
 	// retried.
 	OnRetry RetryHook
-	// Attach, when non-nil, arms every attempt: cmd/sweep hangs -shards
-	// and its per-point trace, span, probe and flight files here.
+	// Attach, when non-nil, arms every attempt: cmd/sweep hangs its
+	// per-point trace, span, probe and flight files here.
 	Attach AttemptHook
 }
 
@@ -153,9 +153,11 @@ func (r *Runner) RunPoint(ctx context.Context, spec Spec, rate float64) Executio
 // escaping the simulator's own recover boundary becomes the error that
 // the hook's finish sees.
 func (r *Runner) attempt(ctx context.Context, spec Spec, rate float64, o sim.Options) (res sim.Result, err error) {
+	var deadline time.Time
 	if spec.PointTimeoutMS > 0 {
+		deadline = time.Now().Add(time.Duration(spec.PointTimeoutMS) * time.Millisecond)
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.PointTimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
 	// context.Background().Done() is nil, so an unbounded, uncancelled
@@ -175,7 +177,15 @@ func (r *Runner) attempt(ctx context.Context, spec Spec, rate float64, o sim.Opt
 		}
 		finish = f
 	}
-	return sim.RunCached(o, r.Cache)
+	res, err = sim.RunCached(o, r.Cache)
+	// The simulator polls its context once per 1024 cycles, and the
+	// runtime may fire the deadline's timer late while every P is busy,
+	// so a run can finish past its bound unnoticed: the bound holds for
+	// it all the same.
+	if err == nil && !deadline.IsZero() && !time.Now().Before(deadline) {
+		err = context.DeadlineExceeded
+	}
+	return res, err
 }
 
 // SerialCSV runs every point of the spec serially in rate order and

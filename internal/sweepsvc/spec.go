@@ -22,7 +22,6 @@ import (
 
 	"surfbless/internal/config"
 	"surfbless/internal/fault"
-	"surfbless/internal/packet"
 	"surfbless/internal/sim"
 	"surfbless/internal/simcache"
 	"surfbless/internal/traffic"
@@ -163,14 +162,10 @@ func (s Spec) Options(rate float64) (sim.Options, error) {
 		return sim.Options{}, err
 	}
 	cfg := s.baseConfig(m)
-	sources := make([]traffic.Source, s.Domains)
-	for i := range sources {
-		sources[i] = traffic.Source{Rate: rate / float64(s.Domains), Class: packet.Ctrl, VNet: -1}
-	}
 	return sim.Options{
 		Cfg:     cfg,
 		Pattern: traffic.UniformRandom,
-		Sources: sources,
+		Sources: traffic.EvenSplit(rate, s.Domains),
 		Warmup:  s.Cycles / 10, Measure: s.Cycles, Drain: 10 * s.Cycles,
 		Seed: s.Seed,
 	}, nil

@@ -87,6 +87,17 @@ type Source struct {
 	OnOff bool `json:",omitempty"`
 }
 
+// EvenSplit returns the sources of a synthetic sweep point: domains
+// unregulated control-class streams that share rate equally, each
+// offering rate/domains packets/node/cycle on no virtual network.
+func EvenSplit(rate float64, domains int) []Source {
+	ss := make([]Source, domains)
+	for i := range ss {
+		ss[i] = Source{Rate: rate / float64(domains), Class: packet.Ctrl, VNet: -1}
+	}
+	return ss
+}
+
 // Look-ahead bounds.  A stream draws ahead in one burst until it holds
 // depth pending offers or has covered horizon ticks, whichever comes
 // first; so a run's last burst draws at most horizon ticks past its
