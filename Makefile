@@ -102,11 +102,12 @@ fuzz-fault:
 	$(GO) test -fuzz=FuzzPlanJSON -fuzztime=5s ./internal/fault
 
 # Performance gate: the exact zero-alloc steady-state guard for every
-# fabric (needs an instrumentation-free build, so no -race here — the
-# guard skips itself under the race detector), then a short parallel
-# sweep under -race to shake out worker/emitter races.
+# fabric and the lazy tag store's allocation guard (both need an
+# instrumentation-free build, so no -race here — the guards skip
+# themselves under the race detector), then a short parallel sweep
+# under -race to shake out worker/emitter races.
 bench-smoke:
-	$(GO) test -run='TestStepNoAlloc|TestRecvIntoReusesBuffer|TestRecvZeroesVacatedTail' -count=1 . ./internal/link
+	$(GO) test -run='TestStepNoAlloc|TestTagStoreAlloc|TestRecvIntoReusesBuffer|TestRecvZeroesVacatedTail' -count=1 . ./internal/link
 	$(GO) test -race -run='TestParallelSweep' -count=1 ./cmd/sweep
 
 # Sharded-stepping gate (DESIGN.md §17): a 32×32 mesh stepped as four

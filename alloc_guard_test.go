@@ -1,8 +1,10 @@
 package surfbless_test
 
 import (
+	"runtime"
 	"testing"
 
+	"surfbless/internal/coherence"
 	"surfbless/internal/config"
 	"surfbless/internal/geom"
 	"surfbless/internal/network"
@@ -177,4 +179,42 @@ func TestStepNoAllocProbed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTagStoreAlloc guards the lazy tag store (DESIGN.md §12): building
+// one Table-1 L2 bank (256 KB, 16-byte blocks, 8 ways: 2048 sets)
+// allocates the cache and its set index and nothing per set, and
+// probing a set no fill has touched allocates nothing.
+func TestTagStoreAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	var c *coherence.Cache
+	objects, bytes := allocated(10, func() { c = coherence.NewCache(256<<10, 16, 8) })
+	if objects > 2 || bytes >= 16<<10 {
+		t.Errorf("NewCache(256 KiB, 16, 8) allocates %d objects, %d B per call; want ≤ 2 objects under 16 KiB",
+			objects, bytes)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if c.Lookup(12345) != nil || c.Peek(777) != nil {
+			t.Fatal("hit in an empty cache")
+		}
+	}); n != 0 {
+		t.Errorf("Lookup and Peek of untouched sets: %.2f allocs, want 0", n)
+	}
+}
+
+// allocated returns the heap objects and bytes one call of f allocates,
+// averaged over runs calls after one warm-up call, measured the way
+// testing.AllocsPerRun counts objects.
+func allocated(runs int, f func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -434,6 +434,7 @@ func BenchmarkSystemCycle(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := system.Run(system.Options{
 			Model: config.SB, App: app, InstrPerCore: 500, Seed: 3,

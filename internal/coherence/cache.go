@@ -1,6 +1,9 @@
 package coherence
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineState is the MESI state of an L1 line, or the directory-visible
 // state of an L2 line.
@@ -33,7 +36,8 @@ func (s LineState) String() string {
 }
 
 // Line is one cache line's bookkeeping (tags only; data values are not
-// modelled — coherence is checked on states, not contents).
+// modelled — coherence is checked on states, not contents).  It holds
+// no pointer, so the garbage collector never scans a tag store.
 type Line struct {
 	Tag   uint64
 	State LineState
@@ -41,19 +45,65 @@ type Line struct {
 	lru   int64
 
 	// Directory fields (used by L2 lines only).
-	Sharers map[int]bool
+	Sharers NodeSet
 	Owner   int // owning L1 node when the directory state is Modified
 }
 
+// NodeSet is a set of node ids in [0, 64): a directory line's sharers
+// and an invalidation's outstanding acks, so the engine serves at most
+// 64 nodes (the 8×8 mesh of §5.2).  The zero value is empty.
+type NodeSet uint64
+
+// Add inserts node n.  An id outside [0, 64) panics rather than
+// wrapping onto another node.
+func (s *NodeSet) Add(n int) {
+	if uint(n) >= 64 {
+		panic(fmt.Sprintf("coherence: node %d outside a 64-node set", n))
+	}
+	*s |= 1 << uint(n)
+}
+
+// Remove deletes node n; removing a non-member is a no-op.
+func (s *NodeSet) Remove(n int) { *s &^= 1 << uint(n) }
+
+// Has reports whether node n is a member.
+func (s NodeSet) Has(n int) bool { return s&(1<<uint(n)) != 0 }
+
+// Empty reports whether the set has no members.
+func (s NodeSet) Empty() bool { return s == 0 }
+
+// Len returns the number of members.
+func (s NodeSet) Len() int { return bits.OnesCount64(uint64(s)) }
+
+// PopMin removes and returns the smallest member, so draining a set
+// visits its nodes in ascending order.  The set must not be empty.
+func (s *NodeSet) PopMin() int {
+	n := bits.TrailingZeros64(uint64(*s))
+	if n == 64 {
+		panic("coherence: PopMin on an empty node set")
+	}
+	*s &^= 1 << uint(n)
+	return n
+}
+
 // Cache is a set-associative tag store with LRU replacement, shared by
-// the L1s (32 KB) and L2 banks (256 KB) of Table 1.
+// the L1s (32 KB) and L2 banks (256 KB) of Table 1.  A run touches few
+// of its sets, so a set's ways are created on its first fill: index
+// maps each set to its place in the line store, and a set never filled
+// costs one int32.  The store grows in pages that never move, so a
+// *Line stays valid across later fills.
 type Cache struct {
 	sets      int
 	ways      int
 	blockBits uint
-	lines     [][]Line // [set][way]
+	index     []int32  // [set] → 1 + the set's ordinal in the store; 0 = never filled
+	pages     [][]Line // the line store: pageSets sets of ways per page
+	filled    int      // sets created so far
 	tick      int64
 }
+
+// pageSets is the number of sets whose ways one store page holds.
+const pageSets = 16
 
 // NewCache builds a cache of the given total capacity.  capacityBytes
 // must be a multiple of blockBytes×ways and the set count must be a
@@ -77,11 +127,7 @@ func NewCache(capacityBytes, blockBytes, ways int) *Cache {
 	if 1<<bits != blockBytes {
 		panic(fmt.Sprintf("coherence: block size %d not a power of two", blockBytes))
 	}
-	c := &Cache{sets: sets, ways: ways, blockBits: bits, lines: make([][]Line, sets)}
-	for s := range c.lines {
-		c.lines[s] = make([]Line, ways)
-	}
-	return c
+	return &Cache{sets: sets, ways: ways, blockBits: bits, index: make([]int32, sets)}
 }
 
 // BlockAddr converts a byte address to a block address.
@@ -89,30 +135,41 @@ func (c *Cache) BlockAddr(byteAddr uint64) uint64 { return byteAddr >> c.blockBi
 
 func (c *Cache) set(block uint64) int { return int(block % uint64(c.sets)) }
 
-// Lookup returns the line holding the block, or nil.  A hit refreshes
-// the line's LRU stamp.
-func (c *Cache) Lookup(block uint64) *Line {
-	c.tick++
-	for w := range c.lines[c.set(block)] {
-		l := &c.lines[c.set(block)][w]
-		if l.State != Invalid && l.Tag == block {
-			l.lru = c.tick
+// waysOf returns the set's ways, or nil when the set was never filled.
+func (c *Cache) waysOf(set int) []Line {
+	k := uint(c.index[set])
+	if k == 0 {
+		return nil
+	}
+	k--
+	off := int(k%pageSets) * c.ways
+	return c.pages[k/pageSets][off : off+c.ways]
+}
+
+// find returns the valid line holding the block, or nil.
+func (c *Cache) find(block uint64) *Line {
+	set := c.waysOf(c.set(block))
+	for w := range set {
+		if l := &set[w]; l.State != Invalid && l.Tag == block {
 			return l
 		}
 	}
 	return nil
 }
 
-// Peek is Lookup without the LRU refresh (for introspection/tests).
-func (c *Cache) Peek(block uint64) *Line {
-	for w := range c.lines[c.set(block)] {
-		l := &c.lines[c.set(block)][w]
-		if l.State != Invalid && l.Tag == block {
-			return l
-		}
+// Lookup returns the line holding the block, or nil.  A hit refreshes
+// the line's LRU stamp.
+func (c *Cache) Lookup(block uint64) *Line {
+	c.tick++
+	l := c.find(block)
+	if l != nil {
+		l.lru = c.tick
 	}
-	return nil
+	return l
 }
+
+// Peek is Lookup without the LRU refresh (for introspection/tests).
+func (c *Cache) Peek(block uint64) *Line { return c.find(block) }
 
 // VictimFor returns the line to install the block into: an invalid way
 // if one exists, else the least-recently-used way whose badness is
@@ -120,7 +177,11 @@ func (c *Cache) Peek(block uint64) *Line {
 // evicting owned lines).  The returned line still holds the victim's
 // previous contents; the caller handles eviction and then Install.
 func (c *Cache) VictimFor(block uint64, prefer func(*Line) int) *Line {
-	set := c.lines[c.set(block)]
+	s := c.set(block)
+	set := c.waysOf(s)
+	if set == nil {
+		set = c.create(s)
+	}
 	var victim *Line
 	for w := range set {
 		l := &set[w]
@@ -146,19 +207,34 @@ func (c *Cache) VictimFor(block uint64, prefer func(*Line) int) *Line {
 	return victim
 }
 
+// create makes the set's ways, all Invalid, at the end of the store.
+func (c *Cache) create(set int) []Line {
+	if c.filled%pageSets == 0 {
+		c.pages = append(c.pages, make([]Line, pageSets*c.ways))
+	}
+	c.filled++
+	c.index[set] = int32(c.filled)
+	return c.waysOf(set)
+}
+
 // Install resets the line to hold the block in the given state.
 func (c *Cache) Install(l *Line, block uint64, state LineState) {
 	c.tick++
 	*l = Line{Tag: block, State: state, lru: c.tick}
 }
 
-// Stats walks every valid line (for invariant checks and occupancy
-// accounting).
+// Walk calls fn on every valid line, in set and way order (for
+// invariant checks and occupancy accounting).  Sets never filled hold
+// no valid line and are skipped.
 func (c *Cache) Walk(fn func(*Line)) {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			if c.lines[s][w].State != Invalid {
-				fn(&c.lines[s][w])
+	for s, k := range c.index {
+		if k == 0 {
+			continue
+		}
+		set := c.waysOf(s)
+		for w := range set {
+			if set[w].State != Invalid {
+				fn(&set[w])
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package coherence
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"surfbless/internal/dueq"
@@ -84,6 +86,92 @@ func TestCacheVictimPreference(t *testing.T) {
 	})
 	if v.Tag == 2 {
 		t.Error("preference ignored: picked the Modified line")
+	}
+}
+
+// A set's ways exist only after its first fill: probing an untouched
+// set misses, Walk skips it, and filled sets are walked in set order
+// whatever order they were filled in.
+func TestCacheUntouchedSets(t *testing.T) {
+	c := NewCache(1024, 16, 4) // 16 sets
+	if c.Lookup(5) != nil || c.Peek(5) != nil {
+		t.Fatal("untouched set hit")
+	}
+	for _, b := range []uint64{15, 3, 9, 19} { // 19 shares set 3
+		c.Install(c.VictimFor(b, nil), b, Shared)
+	}
+	var walked []uint64
+	c.Walk(func(l *Line) { walked = append(walked, l.Tag) })
+	if want := []uint64{3, 19, 9, 15}; !slices.Equal(walked, want) {
+		t.Errorf("Walk visited %v, want %v (set order, then way order)", walked, want)
+	}
+}
+
+// A *Line stays valid while later fills create sets across many store
+// pages.
+func TestCacheLinePointerStable(t *testing.T) {
+	c := NewCache(256*4*16, 16, 4) // 256 sets
+	first := c.VictimFor(0, nil)
+	c.Install(first, 0, Modified)
+	for b := uint64(1); b < 256; b++ {
+		c.Install(c.VictimFor(b, nil), b, Shared)
+	}
+	if got := c.Peek(0); got != first || first.Tag != 0 || first.State != Modified {
+		t.Errorf("line moved or changed: %p %+v, first fill %p", got, got, first)
+	}
+}
+
+// NodeSet drains in ascending node order — the order the directory's
+// sorted sharer keys gave its Invs — for any membership.
+func TestNodeSetAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var set NodeSet
+		members := map[int]bool{}
+		for i := rng.Intn(20); i > 0; i-- {
+			n := rng.Intn(64)
+			set.Add(n)
+			members[n] = true
+		}
+		if set.Len() != len(members) {
+			t.Fatalf("Len %d, want %d", set.Len(), len(members))
+		}
+		want := make([]int, 0, len(members))
+		for n := range members {
+			if !set.Has(n) {
+				t.Fatalf("member %d missing", n)
+			}
+			want = append(want, n)
+		}
+		sort.Ints(want)
+		var got []int
+		for rest := set; !rest.Empty(); {
+			got = append(got, rest.PopMin())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("drained %v, want %v", got, want)
+		}
+		for _, n := range want {
+			set.Remove(n)
+		}
+		if !set.Empty() {
+			t.Fatalf("set %b not empty after removing every member", set)
+		}
+	}
+}
+
+// Node ids outside [0, 64) panic instead of wrapping onto another node.
+func TestNodeSetAddOutOfRange(t *testing.T) {
+	for _, n := range []int{64, 65, 1 << 20, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%d) did not panic", n)
+				}
+			}()
+			var s NodeSet
+			s.Add(n)
+		}()
 	}
 }
 

@@ -2,6 +2,28 @@ package coherence
 
 import "fmt"
 
+// copies records which L1s hold one block: every valid copy, and the
+// subset held Exclusive or Modified.
+type copies struct {
+	valid, owners NodeSet
+}
+
+// l1Copies maps every block some L1 holds to its holders.
+func l1Copies(l1s []*L1) map[uint64]copies {
+	held := make(map[uint64]copies)
+	for node, l1 := range l1s {
+		l1.Walk(func(ln *Line) {
+			c := held[ln.Tag]
+			c.valid.Add(node)
+			if ln.State == Exclusive || ln.State == Modified {
+				c.owners.Add(node)
+			}
+			held[ln.Tag] = c
+		})
+	}
+	return held
+}
+
 // CheckSWMR verifies the single-writer / multiple-reader invariant
 // across a set of L1 caches at the current instant: for every block,
 // at most one L1 holds it Exclusive or Modified, and when one does, no
@@ -9,36 +31,14 @@ import "fmt"
 // cycle (ownership is only granted after the previous copies are
 // provably gone), so tests call this continuously during random runs.
 func CheckSWMR(l1s []*L1) error {
-	type holders struct {
-		owners  int
-		sharers int
-		owner   int
-	}
-	blocks := make(map[uint64]*holders)
-	for node, l1 := range l1s {
-		node := node
-		l1.Walk(func(ln *Line) {
-			h := blocks[ln.Tag]
-			if h == nil {
-				h = &holders{owner: -1}
-				blocks[ln.Tag] = h
-			}
-			switch ln.State {
-			case Exclusive, Modified:
-				h.owners++
-				h.owner = node
-			case Shared:
-				h.sharers++
-			}
-		})
-	}
-	for block, h := range blocks {
-		if h.owners > 1 {
-			return fmt.Errorf("coherence: block %x has %d owners", block, h.owners)
+	for block, c := range l1Copies(l1s) {
+		if n := c.owners.Len(); n > 1 {
+			return fmt.Errorf("coherence: block %x has %d owners", block, n)
 		}
-		if h.owners == 1 && h.sharers > 0 {
+		if !c.owners.Empty() && c.valid != c.owners {
+			owner := c.owners.PopMin()
 			return fmt.Errorf("coherence: block %x owned by L1 %d with %d sharers alive",
-				block, h.owner, h.sharers)
+				block, owner, c.valid.Len()-1)
 		}
 	}
 	return nil
@@ -49,29 +49,28 @@ func CheckSWMR(l1s []*L1) error {
 // recorded owner never appears as a sharer elsewhere.  Directory
 // entries may overcount (silent S evictions), never undercount.
 func CheckDirectory(l1s []*L1, l2s []*L2) error {
+	held := l1Copies(l1s)
 	var err error
 	for _, l2 := range l2s {
 		l2.Walk(func(ln *Line) {
 			if err != nil {
 				return
 			}
+			c := held[ln.Tag]
 			switch ln.State {
 			case Shared:
-				for s := range ln.Sharers {
-					if st := l1s[s].StateOf(ln.Tag); st == Exclusive || st == Modified {
-						err = fmt.Errorf("coherence: directory says L1 %d shares %x but it holds %v",
-							s, ln.Tag, st)
-					}
+				if bad := ln.Sharers & c.owners; !bad.Empty() {
+					s := bad.PopMin()
+					err = fmt.Errorf("coherence: directory says L1 %d shares %x but it holds %v",
+						s, ln.Tag, l1s[s].StateOf(ln.Tag))
 				}
 			case Modified:
-				for n, l1 := range l1s {
-					if n == ln.Owner {
-						continue
-					}
-					if st := l1.StateOf(ln.Tag); st != Invalid {
-						err = fmt.Errorf("coherence: block %x owned by L1 %d but L1 %d holds %v",
-							ln.Tag, ln.Owner, n, st)
-					}
+				others := c.valid
+				others.Remove(ln.Owner)
+				if !others.Empty() {
+					n := others.PopMin()
+					err = fmt.Errorf("coherence: block %x owned by L1 %d but L1 %d holds %v",
+						ln.Tag, ln.Owner, n, l1s[n].StateOf(ln.Tag))
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"sort"
 
 	"surfbless/internal/dueq"
 )
@@ -21,10 +20,10 @@ const (
 // requests queue behind it.
 type l2Txn struct {
 	kind         txnKind
-	req          *Msg         // the GetS/GetM being served
-	owner        int          // recalled owner (txnRecall/txnAwaitPut)
-	ackers       map[int]bool // outstanding InvAck senders (txnInvs)
-	reqWasSharer bool         // GetM upgrade: grant without data
+	req          *Msg    // the GetS/GetM being served
+	owner        int     // recalled owner (txnRecall/txnAwaitPut)
+	ackers       NodeSet // outstanding InvAck senders (txnInvs)
+	reqWasSharer bool    // GetM upgrade: grant without data
 }
 
 // evictTxn tracks a directory line evicted while owned: the line is
@@ -134,34 +133,30 @@ func (b *L2) startRequest(m *Msg, now int64) {
 	case Shared:
 		b.Hits++
 		if m.Type == GetS {
-			if len(ln.Sharers) == 0 {
+			if ln.Sharers.Empty() {
 				// MESI exclusive grant: sole reader gets E.
 				ln.State = Modified
 				ln.Owner = m.From
-				ln.Sharers = nil
+				ln.Sharers = 0
 				b.send(&Msg{Type: Data, Addr: m.Addr, From: b.node, To: m.From, Excl: true}, now)
 			} else {
-				ln.Sharers[m.From] = true
+				ln.Sharers.Add(m.From)
 				b.send(&Msg{Type: Data, Addr: m.Addr, From: b.node, To: m.From}, now)
 			}
 			return
 		}
 		// GetM over a shared line: invalidate the other sharers.
-		wasSharer := ln.Sharers[m.From]
-		others := make(map[int]bool)
-		for s := range ln.Sharers {
-			if s != m.From {
-				others[s] = true
-			}
-		}
-		if len(others) == 0 {
+		wasSharer := ln.Sharers.Has(m.From)
+		others := ln.Sharers
+		others.Remove(m.From)
+		if others.Empty() {
 			b.grantM(ln, m, wasSharer, now)
 			return
 		}
 		b.busy[m.Addr] = &l2Txn{kind: txnInvs, req: m, ackers: others, reqWasSharer: wasSharer}
-		for _, s := range sortedKeys(others) {
+		for !others.Empty() {
 			b.InvsSent++
-			b.send(&Msg{Type: Inv, Addr: m.Addr, From: b.node, To: s}, now)
+			b.send(&Msg{Type: Inv, Addr: m.Addr, From: b.node, To: others.PopMin()}, now)
 		}
 
 	case Modified:
@@ -184,7 +179,7 @@ func (b *L2) startRequest(m *Msg, now int64) {
 func (b *L2) grantM(ln *Line, req *Msg, wasSharer bool, now int64) {
 	ln.State = Modified
 	ln.Owner = req.From
-	ln.Sharers = nil
+	ln.Sharers = 0
 	if wasSharer {
 		// Upgrade: the requester already has the data (1-flit grant).
 		b.send(&Msg{Type: Grant, Addr: req.Addr, From: b.node, To: req.From}, now)
@@ -214,7 +209,7 @@ func (b *L2) handlePut(m *Msg, now int64) {
 			panic(fmt.Sprintf("coherence: L2 %d recall completion without owned line a%x", b.node, m.Addr))
 		}
 		ln.State = Shared
-		ln.Sharers = make(map[int]bool)
+		ln.Sharers = 0
 		if m.Type == PutM {
 			ln.Dirty = true
 		}
@@ -224,7 +219,7 @@ func (b *L2) handlePut(m *Msg, now int64) {
 	// Plain eviction from the owner.
 	if ln := b.cache.Peek(m.Addr); ln != nil && ln.State == Modified && ln.Owner == m.From {
 		ln.State = Shared
-		ln.Sharers = make(map[int]bool)
+		ln.Sharers = 0
 		if m.Type == PutM {
 			ln.Dirty = true
 		}
@@ -235,13 +230,13 @@ func (b *L2) handlePut(m *Msg, now int64) {
 
 func (b *L2) handleInvAck(m *Msg, now int64) {
 	t := b.busy[m.Addr]
-	if t == nil || t.kind != txnInvs || !t.ackers[m.From] {
+	if t == nil || t.kind != txnInvs || !t.ackers.Has(m.From) {
 		// Straggler ack from a fire-and-forget eviction invalidation.
 		b.StaleDrops++
 		return
 	}
-	delete(t.ackers, m.From)
-	if len(t.ackers) > 0 {
+	t.ackers.Remove(m.From)
+	if !t.ackers.Empty() {
 		return
 	}
 	ln := b.cache.Peek(m.Addr)
@@ -264,7 +259,7 @@ func (b *L2) handleMemData(m *Msg, now int64) {
 			return 3 // never touch a line mid-transaction
 		case l.State == Modified:
 			return 2 // needs a recall round-trip
-		case len(l.Sharers) > 0:
+		case !l.Sharers.Empty():
 			return 1 // needs invalidations
 		default:
 			return 0
@@ -277,7 +272,6 @@ func (b *L2) handleMemData(m *Msg, now int64) {
 	}
 	b.evictVictim(victim, now)
 	b.cache.Install(victim, m.Addr, Shared)
-	victim.Sharers = make(map[int]bool)
 	b.complete(t, now)
 }
 
@@ -294,9 +288,9 @@ func (b *L2) evictVictim(victim *Line, now int64) {
 		b.evicting[block] = &evictTxn{owner: victim.Owner, dirty: victim.Dirty}
 		b.send(&Msg{Type: Recall, Addr: block, From: b.node, To: victim.Owner}, now)
 	case Shared:
-		for _, s := range sortedKeys(victim.Sharers) {
+		for sharers := victim.Sharers; !sharers.Empty(); {
 			b.InvsSent++
-			b.send(&Msg{Type: Inv, Addr: block, From: b.node, To: s}, now)
+			b.send(&Msg{Type: Inv, Addr: block, From: b.node, To: sharers.PopMin()}, now)
 		}
 		if victim.Dirty {
 			b.send(&Msg{Type: MemWB, Addr: block, From: b.node, To: b.mcOf(block)}, now)
@@ -315,7 +309,7 @@ func (b *L2) complete(t *l2Txn, now int64) {
 		// The sole requester after a fetch/recall: exclusive handoff.
 		ln.State = Modified
 		ln.Owner = t.req.From
-		ln.Sharers = nil
+		ln.Sharers = 0
 		b.send(&Msg{Type: Data, Addr: t.req.Addr, From: b.node, To: t.req.From, Excl: true}, now)
 	} else {
 		b.grantM(ln, t.req, false, now)
@@ -355,13 +349,4 @@ func (b *L2) DirectoryState(block uint64) (LineState, int) {
 		return Modified, ln.Owner
 	}
 	return ln.State, -1
-}
-
-func sortedKeys(m map[int]bool) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }

@@ -127,11 +127,20 @@ func buildFabric(cfg config.Config, col *stats.Collector, meter *power.Meter, si
 
 // Run executes one full-system simulation.
 func Run(o Options) (Result, error) {
+	s, err := newSys(o)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.run()
+}
+
+// newSys validates the options and builds the system at cycle 0.
+func newSys(o Options) (*sys, error) {
 	if o.InstrPerCore < 1 {
-		return Result{}, fmt.Errorf("system: InstrPerCore = %d", o.InstrPerCore)
+		return nil, fmt.Errorf("system: InstrPerCore = %d", o.InstrPerCore)
 	}
 	if err := o.App.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 200 * o.InstrPerCore // generous: CPI 200 ceiling
@@ -149,7 +158,7 @@ func Run(o Options) (Result, error) {
 
 	cfg, err := cfgFor(o.Model)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if o.WaveSets != nil && o.Model == config.SB {
 		cfg.WaveSets = o.WaveSets
@@ -159,11 +168,10 @@ func Run(o Options) (Result, error) {
 	s.meter = power.NewMeter(cfg, co)
 	s.fab, err = buildFabric(cfg, s.col, s.meter, s.sink)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	s.build()
-
-	return s.run()
+	return s, nil
 }
 
 // sys holds one run's live state.
@@ -183,13 +191,44 @@ type sys struct {
 
 	// outbox[node][vnet] holds protocol messages awaiting injection;
 	// per-vnet queues so a full data NI queue cannot block control
-	// messages (and vice versa).
-	outbox [][][]*coherence.Msg
+	// messages (and vice versa).  posted holds the nodes with a
+	// message in some outbox.
+	outbox [][coherence.NumVNets]fifo
+	posted coherence.NodeSet
 	// loopback delivers node-local messages (L1→own L2 bank) one cycle
 	// later without touching the network, uniformly across models.
 	loopback dueq.Queue[*coherence.Msg]
 	ids      packet.IDSource
+	free     packet.FreeList // delivered packets, reused by drainOutboxes
 	now      int64
+}
+
+// fifo is one outbox: a ring over a backing array that grows only when
+// full.  A pop nils its slot, so a delivered message is never kept
+// reachable by the queue.
+type fifo struct {
+	buf  []*coherence.Msg
+	head int
+	n    int
+}
+
+func (f *fifo) push(m *coherence.Msg) {
+	if f.n == len(f.buf) {
+		grown := make([]*coherence.Msg, max(8, 2*len(f.buf)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)%len(f.buf)] = m
+	f.n++
+}
+
+func (f *fifo) peek() *coherence.Msg { return f.buf[f.head] }
+
+func (f *fifo) pop() {
+	f.buf[f.head] = nil
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
 }
 
 func (s *sys) build() {
@@ -203,14 +242,13 @@ func (s *sys) build() {
 	}
 	mcOf := func(block uint64) int { return s.mcIDs[int(block>>4)%len(s.mcIDs)] }
 
-	s.outbox = make([][][]*coherence.Msg, nodes)
+	s.outbox = make([][coherence.NumVNets]fifo, nodes)
 	s.l1s = make([]*coherence.L1, nodes)
 	s.l2s = make([]*coherence.L2, nodes)
 	s.mcs = make([]*coherence.MC, nodes)
 	s.cores = make([]*cpu.Core, nodes)
 	for n := 0; n < nodes; n++ {
 		n := n
-		s.outbox[n] = make([][]*coherence.Msg, coherence.NumVNets)
 		send := func(m *coherence.Msg, now int64) { s.post(m, now) }
 		s.l1s[n] = coherence.NewL1(n, 32*1024, 16, 4, homeOf, send) // Table 1: 32 KB I/D L1
 		s.l2s[n] = coherence.NewL2(n, 256*1024, 16, 8, s.opt.L2Latency, mcOf, send)
@@ -228,27 +266,34 @@ func (s *sys) post(m *coherence.Msg, now int64) {
 		s.loopback.Push(m, now+1)
 		return
 	}
-	vn := m.Type.VNet()
-	s.outbox[m.From][vn] = append(s.outbox[m.From][vn], m)
+	s.outbox[m.From][m.Type.VNet()].push(m)
+	s.posted.Add(m.From)
 }
 
-// drainOutboxes injects as many pending messages as the NIs accept.
+// drainOutboxes injects as many pending messages as the NIs accept,
+// visiting the nodes with posted messages in ascending order.
 func (s *sys) drainOutboxes(now int64) {
-	for n := range s.outbox {
+	for nodes := s.posted; !nodes.Empty(); {
+		n := nodes.PopMin()
+		empty := true
 		for vn := range s.outbox[n] {
-			q := s.outbox[n][vn]
-			for len(q) > 0 {
-				m := q[0]
-				p := packet.New(traffic.PacketID(n, vn, uint64(s.ids.Next())),
+			q := &s.outbox[n][vn]
+			for q.n > 0 {
+				m := q.peek()
+				p := s.free.New(traffic.PacketID(n, vn, uint64(s.ids.Next())),
 					s.mesh.CoordOf(m.From), s.mesh.CoordOf(m.To), vn, classOf(m.Type), now)
 				p.VNet = vn
 				p.Msg = m
 				if !s.fab.Inject(n, p, now) {
+					s.free.Put(p)
 					break
 				}
-				q = q[1:]
+				q.pop()
 			}
-			s.outbox[n][vn] = q
+			empty = empty && q.n == 0
+		}
+		if empty {
+			s.posted.Remove(n)
 		}
 	}
 }
@@ -260,9 +305,13 @@ func classOf(t coherence.MsgType) packet.Class {
 	return packet.Data
 }
 
-// sink receives ejected packets and hands them to the local engines.
+// sink receives ejected packets, recycles them and hands their
+// messages to the local engines.
 func (s *sys) sink(node int, p *packet.Packet, now int64) {
-	s.deliver(node, p.Msg.(*coherence.Msg), now)
+	m := p.Msg.(*coherence.Msg)
+	p.Msg = nil
+	s.free.Put(p)
+	s.deliver(node, m, now)
 }
 
 func (s *sys) deliver(node int, m *coherence.Msg, now int64) {
@@ -282,28 +331,10 @@ func (s *sys) deliver(node int, m *coherence.Msg, now int64) {
 func (s *sys) run() (Result, error) {
 	var execDone int64 = -1
 	for s.now = 0; s.now < s.opt.MaxCycles; s.now++ {
-		now := s.now
-		// Local loopback deliveries due this cycle, in posting order.
-		// Delivering can post fresh loopback messages (an L1 fill may
-		// evict and write back to its own bank); those fall due next
-		// cycle.
-		for m, ok := s.loopback.PopDue(now); ok; m, ok = s.loopback.PopDue(now) {
-			s.deliver(m.To, m, now)
-		}
-		done := true
-		for n, core := range s.cores {
-			core.Tick(now)
-			done = done && core.Done()
-			s.l2s[n].Tick(now)
-			if s.mcs[n] != nil {
-				s.mcs[n].Tick(now)
-			}
-		}
+		done := s.cycle(s.now)
 		if done && execDone < 0 {
-			execDone = now
+			execDone = s.now
 		}
-		s.drainOutboxes(now)
-		s.fab.Step(now)
 		if done && s.quiescent() {
 			s.now++
 			break
@@ -341,17 +372,36 @@ func (s *sys) run() (Result, error) {
 	return res, nil
 }
 
+// cycle advances the system through cycle now and reports whether
+// every core has retired its quota.
+func (s *sys) cycle(now int64) bool {
+	// Local loopback deliveries due this cycle, in posting order.
+	// Delivering can post fresh loopback messages (an L1 fill may
+	// evict and write back to its own bank); those fall due next
+	// cycle.
+	for m, ok := s.loopback.PopDue(now); ok; m, ok = s.loopback.PopDue(now) {
+		s.deliver(m.To, m, now)
+	}
+	done := true
+	for n, core := range s.cores {
+		core.Tick(now)
+		done = done && core.Done()
+		s.l2s[n].Tick(now)
+		if s.mcs[n] != nil {
+			s.mcs[n].Tick(now)
+		}
+	}
+	s.drainOutboxes(now)
+	s.fab.Step(now)
+	return done
+}
+
 // quiescent reports whether every queue in the system is empty.
 func (s *sys) quiescent() bool {
-	if s.fab.InFlight() != 0 || s.loopback.Len() != 0 {
+	if s.fab.InFlight() != 0 || s.loopback.Len() != 0 || !s.posted.Empty() {
 		return false
 	}
-	for n := range s.outbox {
-		for vn := range s.outbox[n] {
-			if len(s.outbox[n][vn]) != 0 {
-				return false
-			}
-		}
+	for n := range s.l2s {
 		if s.l2s[n].Pending() != 0 {
 			return false
 		}

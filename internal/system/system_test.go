@@ -163,3 +163,37 @@ func TestFingerprintPinned(t *testing.T) {
 		t.Errorf("fingerprint %s, want %s", k, want)
 	}
 }
+
+// The MESI invariants hold on the §5.2 system itself, not only on the
+// coherence package's small test cluster: canneal, the profile with
+// the most misses and L2 evictions, runs cycle by cycle on each NoC,
+// with CheckSWMR and CheckDirectory every 50 cycles and at quiescence.
+func TestInvariantsHoldOnSystem(t *testing.T) {
+	prof, err := cpu.ProfileByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []config.Model{config.WH, config.Surf, config.SB} {
+		s, err := newSys(Options{Model: m, App: prof, InstrPerCore: 400, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := int64(0); ; now++ {
+			if now == s.opt.MaxCycles {
+				t.Fatalf("%v: no quiescence within %d cycles", m, now)
+			}
+			over := s.cycle(now) && s.quiescent()
+			if now%50 == 0 || over {
+				if err := coherence.CheckSWMR(s.l1s); err != nil {
+					t.Fatalf("%v cycle %d: %v", m, now, err)
+				}
+				if err := coherence.CheckDirectory(s.l1s, s.l2s); err != nil {
+					t.Fatalf("%v cycle %d: %v", m, now, err)
+				}
+			}
+			if over {
+				break
+			}
+		}
+	}
+}
