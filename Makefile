@@ -114,9 +114,10 @@ bench-smoke:
 # tiles under -race must produce results and fingerprints bit-identical
 # to serial stepping, on every model with a sharded path.  The barrier
 # replay also writes the probe's event ring, so the lifecycle events
-# and the trace CSV must match serial stepping under -race too.
+# and the trace CSV must match serial stepping under -race too, and so
+# must the routers each tile's activity calendar visits.
 bench-shard:
-	$(GO) test -race -run 'TestShardMatchesSerialGiant|TestShardedEventsMatchSerial|TestShardedTraceMatchesSerial' -count=1 ./internal/sim
+	$(GO) test -race -run 'TestShardMatchesSerialGiant|TestShardedEventsMatchSerial|TestShardedTraceMatchesSerial|TestShardedActiveMatchesSerial' -count=1 ./internal/sim
 
 # Observability budget gate (DESIGN.md §15): probed Step must stay
 # within 1.10x of unprobed on the paper's fabrics.  The Overhead
@@ -124,8 +125,10 @@ bench-shard:
 # 500-cycle chunks and report the median per-pair ratio, which cancels
 # the machine drift that makes independently-timed ratios useless for
 # a 10% budget; -gate-probe makes benchjson exit nonzero on a breach.
+# 100000 cycles (200 chunk pairs) per rig narrow the ratio's run-to-run
+# spread.
 probe-overhead:
-	$(GO) test -run='^$$' -bench='^BenchmarkStep(SB|WH|Surf)Overhead$$' -benchtime=20000x -count=1 . \
+	$(GO) test -run='^$$' -bench='^BenchmarkStep(SB|WH|Surf)Overhead$$' -benchtime=100000x -count=1 . \
 		| $(GO) run ./cmd/benchjson -gate-probe 1.10
 
 # Analytical-bound conformance smoke (DESIGN.md §14): seeded and

@@ -21,7 +21,10 @@
 //	         variables, and anything reached from them
 //	tile   — an integer derived from the root's tile index parameter —
 //	         its sole integer parameter — directly, through
-//	         shard.Range, or by arithmetic on such values
+//	         shard.Range, or by arithmetic on such values; and a node ID
+//	         a range loop takes from router.Kernel's Active(t) with a
+//	         tile-derived t, the routers of that tile woken for the
+//	         cycle
 //	safe   — tile-local: locals, fresh allocations, parameters bound
 //	         to safe arguments, and — the crux — elements of shared
 //	         slices or arrays subscripted or sliced by tile-derived
@@ -410,12 +413,32 @@ func (w *walker) isDirectGuard(e ast.Expr) bool {
 func (w *walker) rangeStmt(s *ast.RangeStmt) {
 	w.expr(s.X)
 	xc := w.classOf(s.X)
+	if w.isActive(s.X) {
+		xc = classTile
+	}
 	// The key ranges over the whole container, so it is NOT
 	// tile-derived even when the container is; the element shares the
-	// container's class.
+	// container's class, except that Active's elements are tile-derived
+	// node IDs.
 	w.bindRangeVar(s.Key, classSafe, s.Tok)
 	w.bindRangeVar(s.Value, xc, s.Tok)
 	w.block(s.Body)
+}
+
+// isActive matches `K.Active(t)` — the stepping kernel's list of the
+// routers of tile t woken for the cycle (router.Kernel, found by
+// import-path suffix like the call policy) — with t tile-derived.  Its
+// elements lie in tile t's node range, so a range loop over the call
+// binds each to a tile-derived ID; the list held in a variable does
+// not.
+func (w *walker) isActive(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return false
+	}
+	fn := callgraph.StaticCallee(w.info(), call)
+	return fn != nil && fn.Pkg() != nil && fn.Name() == "Active" && recvTypeName(fn) == "Kernel" &&
+		analysis.PathIs(fn.Pkg().Path(), "internal/router") && w.classOf(call.Args[0]) == classTile
 }
 
 func (w *walker) bindRangeVar(e ast.Expr, cl class, tok token.Token) {

@@ -9,6 +9,7 @@ import (
 	"nocvet.example/internal/packet"
 	"nocvet.example/internal/power"
 	"nocvet.example/internal/probe"
+	"nocvet.example/internal/router"
 	"nocvet.example/internal/shard"
 	"nocvet.example/internal/stats"
 	"nocvet.example/obs"
@@ -35,6 +36,7 @@ type node struct {
 }
 
 type Eng struct {
+	router.Kernel
 	nodes  []*node
 	fxs    []tileFX
 	tiles  int
@@ -111,6 +113,17 @@ func (e *Eng) move(n *node, now int64, fx *tileFX) {
 		fx.evts = append(fx.evts, lifeEvt{eject: false, node: n.id})
 	}
 	obs.Reset(&n.ctr)
+}
+
+// wakeTile visits only the tile's woken routers: an ID ranged from
+// Active(t) indexes the tile's own node.
+//
+//shard:phase(resolve)
+func (e *Eng) wakeTile(t int) {
+	for _, id := range e.Active(t) {
+		e.move(e.nodes[id], e.shNow, &e.fxs[t])
+		e.nodes[id].credits++
+	}
 }
 
 // applyFX replays one tile's deferred effects at the barrier.

@@ -7,6 +7,7 @@ import (
 	"nocvet.example/internal/fault"
 	"nocvet.example/internal/power"
 	"nocvet.example/internal/probe"
+	"nocvet.example/internal/router"
 	"nocvet.example/internal/shard"
 	"nocvet.example/internal/stats"
 	"nocvet.example/obs"
@@ -24,10 +25,12 @@ type noter interface {
 
 type node struct {
 	seen int
+	peer int
 	buf  []int
 }
 
 type Eng struct {
+	router.Kernel
 	nodes  []*node
 	tiles  int
 	shNow  int64
@@ -76,6 +79,22 @@ func (e *Eng) resolveTile(t int) {
 	e.probe.Flush()       // want "probe\\.\\(\\*Probe\\)\\.Flush folds into shared aggregate state and is effects-phase-only"
 	e.probe.Lifecycle(lo) // want "probe\\.\\(\\*Probe\\)\\.Lifecycle folds into shared aggregate state and is effects-phase-only"
 	obs.Record(e.ctr)
+}
+
+// wakeTile ranges over the tile's woken routers, but only an element of
+// Active(t) is a tile-derived ID: the loop index, a neighbour's ID read
+// from a node, and the IDs of a constant tile's list are not.
+//
+//shard:phase(resolve)
+func (e *Eng) wakeTile(t int) {
+	for i, id := range e.Active(t) {
+		e.nodes[id].seen++
+		e.nodes[i].seen++                // want "unconfined write to e\\.nodes\\[i\\]\\.seen in tile-parallel phase resolve \\(via racy\\.\\(\\*Eng\\)\\.wakeTile\\)"
+		e.nodes[e.nodes[id].peer].seen++ // want "unconfined write to e\\.nodes\\[e\\.nodes\\[id\\]\\.peer\\]\\.seen in tile-parallel phase resolve"
+	}
+	for _, id := range e.Active(0) {
+		e.nodes[id].seen++ // want "unconfined write to e\\.nodes\\[id\\]\\.seen in tile-parallel phase resolve \\(via racy\\.\\(\\*Eng\\)\\.wakeTile\\)"
+	}
 }
 
 // armTile's fault guard only short-circuits what follows the nil

@@ -1,6 +1,10 @@
 package probe
 
-import "surfbless/internal/geom"
+import (
+	"math"
+
+	"surfbless/internal/geom"
+)
 
 // DefaultEvery is the interval width of a Series built without one.
 const DefaultEvery = 100
@@ -73,6 +77,15 @@ type Series struct {
 	every int64
 	cfg   Config
 
+	// from and to bound the creation window [WarmupEnd, MeasureEnd),
+	// an unbounded end as MaxInt64, so a window test is two compares.
+	from, to int64
+	// bucket is the series index of the cycles [bucketLo,
+	// bucketLo+every), and cur its cells, the row last returned.
+	bucketLo int64
+	bucket   int
+	cur      []DomainSlice
+
 	// The series is flat — dom[bucket*Domains+d] — so folding an event
 	// costs one indexed store, never a per-bucket pointer chase.
 	dom  []DomainSlice
@@ -80,10 +93,18 @@ type Series struct {
 	occ  []int64 // per-domain live occupancy (created − ejected − dropped, unwindowed)
 	last int64   // last cycle observed by any event
 
-	routerFlits       []int64
-	routerDeflections []int64
-	routerEjections   []int64
-	linkFlits         [][geom.NumLinkDirs]int64
+	// routers holds each router's out-link flits and deflections, the
+	// counters a router batch folds into, side by side; routerEjections
+	// is folded from the driver stream.
+	routers         []routerHeat
+	routerEjections []int64
+}
+
+// routerHeat is one router's spatial counters.  Its forwarded flits
+// are the sum over its out-links.
+type routerHeat struct {
+	link [geom.NumLinkDirs]int64
+	defl int64
 }
 
 // NewSeries returns a series bucketing every cycles (≤0 =
@@ -103,6 +124,11 @@ func NewSeries(every int64) *Series {
 func (s *Series) Arm(cfg Config) bool {
 	nodes := cfg.Mesh.Nodes()
 	s.cfg = cfg
+	s.from, s.to = cfg.WarmupEnd, cfg.MeasureEnd
+	if s.to == 0 {
+		s.to = math.MaxInt64
+	}
+	s.bucketLo, s.bucket = -s.every, -1
 	nb := 64
 	if cfg.MeasureEnd > 0 {
 		if nb = int(cfg.MeasureEnd/s.every) + 8; nb > 1<<16 {
@@ -113,10 +139,8 @@ func (s *Series) Arm(cfg Config) bool {
 	s.net = make([]int64, 0, nb)
 	s.occ = make([]int64, cfg.Domains)
 	s.last = -1
-	s.routerFlits = make([]int64, nodes)
-	s.routerDeflections = make([]int64, nodes)
+	s.routers = make([]routerHeat, nodes)
 	s.routerEjections = make([]int64, nodes)
-	s.linkFlits = make([][geom.NumLinkDirs]int64, nodes)
 	return true
 }
 
@@ -135,14 +159,15 @@ func (s *Series) Consume(b []Event) {
 
 // inWindow mirrors stats.Collector.InWindow.
 func (s *Series) inWindow(createdAt int64) bool {
-	return createdAt >= s.cfg.WarmupEnd &&
-		(s.cfg.MeasureEnd == 0 || createdAt < s.cfg.MeasureEnd)
+	return createdAt >= s.from && createdAt < s.to
 }
 
-// bucketIdx returns the series index of cycle's bucket, growing the
-// flat series as the run advances (amortized; pre-sized by Arm for
-// the measured span).
-func (s *Series) bucketIdx(cycle int64) int {
+// openBucket makes cycle's bucket the current one, growing the flat
+// series as the run advances (amortized; pre-sized by Arm for the
+// measured span).  A drain's events fall in one or two buckets, so the
+// folds test an event's cycle against the current bucket and seldom
+// divide.
+func (s *Series) openBucket(cycle int64) {
 	idx := int(cycle / s.every)
 	for len(s.net) <= idx {
 		s.net = append(s.net, 0)
@@ -150,40 +175,31 @@ func (s *Series) bucketIdx(cycle int64) int {
 			s.dom = append(s.dom, DomainSlice{})
 		}
 	}
-	return idx
-}
-
-// slot returns the series cell for domain d in cycle's bucket.
-func (s *Series) slot(cycle int64, d int) *DomainSlice {
-	return &s.dom[s.bucketIdx(cycle)*s.cfg.Domains+d]
+	s.bucketLo, s.bucket = int64(idx)*s.every, idx
+	s.cur = s.dom[idx*s.cfg.Domains : (idx+1)*s.cfg.Domains]
 }
 
 // foldRouter drains one router segment's batch.  Router segments are
 // homogeneous — every event is a link traversal at the segment's own
 // router, in cycle order — so this skips the per-event kind dispatch
-// of the driver-stream fold and sums the router's counters locally.
+// of the driver-stream fold and folds into the router's counters.
 func (s *Series) foldRouter(b []Event) {
 	s.last = max(s.last, b[len(b)-1].Cycle)
-	var flits, defl int64
-	var link [geom.NumLinkDirs]int64
+	r := &s.routers[b[0].Node]
+	from, to := s.from, s.to
 	for i := range b {
 		e := &b[i]
-		if !s.inWindow(e.Created) {
+		if e.Created < from || e.Created >= to {
 			continue
 		}
-		f := int64(e.Flits)
-		flits += f
-		link[e.Dir] += f
+		r.link[e.Dir] += int64(e.Flits)
 		if e.Kind == KindDeflect {
-			defl++
-			s.slot(e.Cycle, int(e.Domain)).Deflections++
+			r.defl++
+			if uint64(e.Cycle-s.bucketLo) >= uint64(s.every) {
+				s.openBucket(e.Cycle)
+			}
+			s.cur[e.Domain].Deflections++
 		}
-	}
-	node := b[0].Node
-	s.routerFlits[node] += flits
-	s.routerDeflections[node] += defl
-	for d, f := range link {
-		s.linkFlits[node][d] += f
 	}
 }
 
@@ -191,48 +207,47 @@ func (s *Series) foldRouter(b []Event) {
 // ejection heatmap.  This is where the lifecycle windowing and
 // bucketing happens — once per batch, off the router hot path.
 func (s *Series) fold(b []Event) {
+	s.last = max(s.last, b[len(b)-1].Cycle)
 	for i := range b {
 		e := &b[i]
-		if e.Cycle > s.last {
-			s.last = e.Cycle
+		if uint64(e.Cycle-s.bucketLo) >= uint64(s.every) {
+			s.openBucket(e.Cycle)
 		}
+		c := &s.cur[e.Domain]
 		switch e.Kind {
 		case KindCreated:
 			s.occ[e.Domain]++
 			if s.inWindow(e.Created) {
-				s.slot(e.Cycle, int(e.Domain)).Created++
+				c.Created++
 			}
 		case KindRefused:
 			if s.inWindow(e.Cycle) {
-				s.slot(e.Cycle, int(e.Domain)).Refused++
+				c.Refused++
 			}
 		case KindInjected:
 			if s.inWindow(e.Created) {
-				s.slot(e.Cycle, int(e.Domain)).Injected++
+				c.Injected++
 			}
 		case KindEjected:
 			s.occ[e.Domain]--
 			if s.inWindow(e.Created) {
-				sl := s.slot(e.Cycle, int(e.Domain))
-				sl.Ejected++
-				sl.LatencySum += e.Cycle - e.Created
+				c.Ejected++
+				c.LatencySum += e.Cycle - e.Created
 				s.routerEjections[e.Node]++
 			}
 		case KindDropped:
 			s.occ[e.Domain]--
 			if s.inWindow(e.Created) {
-				s.slot(e.Cycle, int(e.Domain)).Dropped++
+				c.Dropped++
 			}
 		case KindRetransmit:
 			if s.inWindow(e.Cycle) {
-				s.slot(e.Cycle, int(e.Domain)).Retransmits++
+				c.Retransmits++
 			}
 		case KindTick:
-			idx := s.bucketIdx(e.Cycle)
-			s.net[idx] = int64(e.Flits)
-			row := s.dom[idx*s.cfg.Domains : (idx+1)*s.cfg.Domains]
-			for d := range row {
-				row[d].InFlight = s.occ[d]
+			s.net[s.bucket] = int64(e.Flits)
+			for d := range s.cur {
+				s.cur[d].InFlight = s.occ[d]
 			}
 		}
 	}
@@ -271,14 +286,18 @@ func (s *Series) Heatmap() Heatmap {
 			cycles = 0
 		}
 	}
-	return Heatmap{
-		Mesh:              s.cfg.Mesh,
-		RouterFlits:       s.routerFlits,
-		RouterDeflections: s.routerDeflections,
-		RouterEjections:   s.routerEjections,
-		LinkFlits:         s.linkFlits,
-		Cycles:            cycles,
+	h := Heatmap{Mesh: s.cfg.Mesh, RouterEjections: s.routerEjections, Cycles: cycles}
+	if n := len(s.routers); n > 0 {
+		h.RouterFlits, h.RouterDeflections = make([]int64, n), make([]int64, n)
+		h.LinkFlits = make([][geom.NumLinkDirs]int64, n)
+		for i, r := range s.routers {
+			h.LinkFlits[i], h.RouterDeflections[i] = r.link, r.defl
+			for _, f := range r.link {
+				h.RouterFlits[i] += f
+			}
+		}
 	}
+	return h
 }
 
 // Totals sums the time series per domain — the reconciliation point

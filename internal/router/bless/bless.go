@@ -32,7 +32,6 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -54,20 +53,21 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, fmt.Errorf("bless: config model is %v", cfg.Model)
 	}
 	f := &Fabric{}
-	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
+	if err := f.Init(cfg, cfg.HopDelay(), cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// resolveTile runs one tile's ejection, routing and injection.
+// resolveTile runs the ejection, routing and injection of one tile's
+// active routers, and keeps a router with a queued packet awake.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
-	for id := lo; id < hi; id++ {
+	for _, id := range f.Active(t) {
 		f.resolveNode(id, f.Nodes[id], f.Now, fx)
+		f.Settle(fx, id, false)
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -69,7 +68,7 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, fmt.Errorf("chipper: config model is %v", cfg.Model)
 	}
 	f := &Fabric{}
-	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
+	if err := f.Init(cfg, cfg.HopDelay(), cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -80,14 +79,16 @@ func golden(p *packet.Packet, now int64) bool {
 	return p.ID%goldenMod == uint64((now/goldenEpoch)%goldenMod)
 }
 
-// resolveTile runs one tile's ejection, injection and permutation.
+// resolveTile runs the ejection, injection and permutation of one
+// tile's active routers, and keeps a router with a queued packet
+// awake.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
-	for id := lo; id < hi; id++ {
+	for _, id := range f.Active(t) {
 		f.resolveNode(id, f.Nodes[id], f.Now, fx)
+		f.Settle(fx, id, false)
 	}
 }
 

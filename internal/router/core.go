@@ -26,10 +26,12 @@ import (
 //	//shard:phase(resolve)   route the tile's routers and send on
 //	                         their outbound lines
 //
-// Each root covers shard.Range(nodes, len(FX), t) and passes &FX[t] to
-// its node functions, which report effects — meter counters, packet
-// lifecycle events, the sink hand-off, the in-flight and flit counters
-// — through the Kernel's effect methods.  The Kernel is the one source
+// Each root visits only the routers in Active(t), the routers of tile
+// t that something woke for the cycle, and passes &FX[t] to its node
+// functions, which report effects — meter counters, packet lifecycle
+// events, the sink hand-off, the in-flight and flit counters — through
+// the Kernel's effect methods, and schedule later visits through Wake
+// and Settle.  The Kernel is the one source
 // of packet lifecycle events: each goes to the collector and, when one
 // is attached, to the probe's event ring, whose taps (trace CSV, flow
 // tracker, flight recorder, span export) see the serial sequence.
@@ -42,6 +44,15 @@ import (
 // has one reader (receive) and one writer (resolve) and a delay of at
 // least one cycle, so no phase observes a same-cycle write and sharded
 // stepping is bit-identical to serial stepping (DESIGN.md §17).
+//
+// The activity calendar decides which routers a cycle visits.  It is a
+// ring of node bitsets, one slot per cycle modulo a power of two larger
+// than the fabric's horizon (its longest wake delay), and each tile
+// writes only its own ring, through its FX.  A router is woken when a
+// packet, flit or credit is sent to it, when an Offer or a retry
+// relaunch queues a packet at its NI, when a timer it armed falls due,
+// and by itself when it ends a visit with work left (Settle).  A router
+// nothing woke holds no work, so visiting it would change nothing.
 type Kernel struct {
 	Mesh geom.Mesh
 	NIs  []*NI // one per node, in node-ID order
@@ -73,26 +84,43 @@ type Kernel struct {
 	serial        []FX // the direct context
 	tiles         []FX // one deferred context per tile; nil = serial
 	pool          *shard.Pool
+
+	// cals holds the wake calendars, one per tile of the widest
+	// schedule set up (cals[0] is also the serial context's): calMask+1
+	// slots of calWords words each, slot now&calMask holding the
+	// routers woken for cycle now.
+	cals     [][]uint64
+	calMask  int64
+	calWords int
 }
 
 // NewKernel returns the kernel of a cfg.Model fabric on cfg's mesh,
-// with one NI per node, stepping the fabric's two tile roots.  The
-// collector and meter are required; sink may be nil when ejected
+// with one NI per node, stepping the fabric's two tile roots.  horizon
+// is the longest delay, in cycles, of any wake the fabric schedules.
+// The collector and meter are required; sink may be nil when ejected
 // packets need no consumer.
-func NewKernel(cfg config.Config, sink network.Sink, col *stats.Collector, meter *power.Meter, recv, resolve func(tile int)) (Kernel, error) {
+func NewKernel(cfg config.Config, horizon int, sink network.Sink, col *stats.Collector, meter *power.Meter, recv, resolve func(tile int)) (Kernel, error) {
 	if col == nil || meter == nil {
 		return Kernel{}, fmt.Errorf("%v: collector and meter are required", cfg.Model)
 	}
 	k := Kernel{
-		Mesh: cfg.Mesh(), Now: -1, FX: []FX{{direct: true}},
+		Mesh: cfg.Mesh(), Now: -1,
 		model: cfg.Model, col: col, meter: meter, sink: sink,
 		recv: recv, resolve: resolve,
 	}
-	k.serial = k.FX
 	k.NIs = make([]*NI, k.Mesh.Nodes())
 	for i := range k.NIs {
 		k.NIs[i] = NewNI(cfg.Domains, cfg.InjectionQueueCap)
 	}
+	slots := 2
+	for slots <= horizon {
+		slots <<= 1
+	}
+	k.calMask, k.calWords = int64(slots-1), (len(k.NIs)+63)/64
+	k.cals = [][]uint64{make([]uint64, slots*k.calWords)}
+	k.FX = []FX{k.tileFX(0, 1)}
+	k.FX[0].direct = true
+	k.serial = k.FX
 	return k, nil
 }
 
@@ -121,6 +149,10 @@ type FX struct {
 	flitsIn, flitsOut            int64
 	inFlight                     int
 	evts                         []lifeEvt
+
+	cal      []uint64 // the tile's wake calendar, Kernel.cals[tile]
+	active   []int    // Active's list for cycle activeAt
+	activeAt int64
 }
 
 // lifeEvt is one deferred packet lifecycle event: the collector and
@@ -149,6 +181,7 @@ func (k *Kernel) Offer(node int, p *packet.Packet, now int64) bool {
 	k.report(probe.KindCreated, p, p.CreatedAt, -1)
 	k.meter.BufferWrite(p.Size)
 	k.inFlight++
+	k.Wake(&k.FX[0], node, k.Now+1)
 	return true
 }
 
@@ -157,8 +190,9 @@ func (k *Kernel) Offer(node int, p *packet.Packet, now int64) bool {
 // without consuming a retry attempt.
 func (k *Kernel) relaunchRetries(now int64) {
 	for p, ok := k.recov.Queue.PopDue(now); ok; p, ok = k.recov.Queue.PopDue(now) {
-		if k.NIs[k.Mesh.ID(p.Src)].Offer(p) {
+		if src := k.Mesh.ID(p.Src); k.NIs[src].Offer(p) {
 			k.meter.BufferWrite(p.Size)
+			k.Wake(&k.FX[0], src, now)
 		} else {
 			k.recov.Queue.Push(p, now+k.recov.Backoff)
 		}

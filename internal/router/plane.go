@@ -9,7 +9,6 @@ import (
 	"surfbless/internal/network"
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -24,6 +23,7 @@ import (
 type Plane struct {
 	Kernel
 	Nodes []*Node // one per node, in node-ID order
+	hop   int64
 }
 
 // Node is one bufferless router of a Plane.
@@ -35,29 +35,33 @@ type Node struct {
 	// has no neighbour: Out[d] is the neighbour's In[d.Opposite()].
 	In, Out [geom.NumLinkDirs]*link.Line[*packet.Packet]
 
-	// Arrivals lists this cycle's arrivals in input-port order N, E, S,
-	// W, and From[i] is the port Arrivals[i] came in on.  Arrivals is
-	// scratch owned by the node and reused across cycles (DESIGN.md
-	// §12): a router receives at most one packet per input port, so it
-	// stops growing after the first busy cycle.  A fabric's resolve may
-	// reorder or shrink it, after which From no longer lines up; the
-	// next receive rebuilds both.
+	// Arrivals lists the arrivals of the cycle the router was last
+	// visited in, in input-port order N, E, S, W, and From[i] is the
+	// port Arrivals[i] came in on.  Arrivals is scratch owned by the
+	// node and reused across cycles (DESIGN.md §12): a router receives
+	// at most one packet per input port, so it stops growing after the
+	// first busy cycle.  A fabric's resolve may reorder or shrink it,
+	// after which From no longer lines up; the next receive rebuilds
+	// both.  A cycle that does not visit the router leaves both as they
+	// were.
 	Arrivals []*packet.Packet
 	From     [geom.NumLinkDirs]geom.Dir
 }
 
 // Init builds p's kernel for cfg and wires its nodes with lines of hop
-// cycles' delay.  recv is the fabric's receive root, or nil for the
-// plane's own; resolve is the fabric's arbitration root.  A fabric's
-// own receive root must call Receive on each of its tile's nodes.
-func (p *Plane) Init(cfg config.Config, hop int, sink network.Sink, col *stats.Collector, meter *power.Meter, recv, resolve func(tile int)) error {
+// cycles' delay.  horizon is the longest wake delay (NewKernel), at
+// least hop.  recv is the fabric's receive root, or nil for the plane's
+// own; resolve is the fabric's arbitration root.  A fabric's own
+// receive root must call Receive on each of its tile's active nodes.
+func (p *Plane) Init(cfg config.Config, hop, horizon int, sink network.Sink, col *stats.Collector, meter *power.Meter, recv, resolve func(tile int)) error {
 	if recv == nil {
 		recv = p.receiveTile
 	}
 	var err error
-	if p.Kernel, err = NewKernel(cfg, sink, col, meter, recv, resolve); err != nil {
+	if p.Kernel, err = NewKernel(cfg, max(hop, horizon), sink, col, meter, recv, resolve); err != nil {
 		return err
 	}
+	p.hop = int64(hop)
 	p.Nodes = make([]*Node, p.Mesh.Nodes())
 	for id := range p.Nodes {
 		p.Nodes[id] = &Node{C: p.Mesh.CoordOf(id), NI: p.NIs[id]}
@@ -86,13 +90,13 @@ func (p *Plane) Inject(node int, q *packet.Packet, now int64) bool {
 	return p.Offer(node, q, now)
 }
 
-// receiveTile drains one tile's inbound link lines.
+// receiveTile drains the inbound link lines of one tile's active
+// routers.
 //
 //shard:phase(receive)
 func (p *Plane) receiveTile(t int) {
-	lo, hi := shard.Range(len(p.Nodes), len(p.FX), t)
-	for _, n := range p.Nodes[lo:hi] {
-		n.Receive(p.Now)
+	for _, id := range p.Active(t) {
+		p.Nodes[id].Receive(p.Now)
 	}
 }
 
@@ -124,7 +128,8 @@ func (p *Plane) Usable(id int, n *Node, d geom.Dir, now int64) bool {
 
 // Send forwards q from node id on output d: it counts the hop, and a
 // deflection when d is not productive, charges the hop's energy,
-// reports the traversal and puts q on the line.  With faults armed, q
+// reports the traversal, puts q on the line and wakes the neighbour
+// for q's arrival.  With faults armed, q
 // may be corrupted at link entry instead: it burns the wire but fails
 // its CRC and never reaches the neighbour, and Send returns false.
 func (p *Plane) Send(fx *FX, id int, n *Node, q *packet.Packet, d geom.Dir, now int64) bool {
@@ -140,6 +145,7 @@ func (p *Plane) Send(fx *FX, id int, n *Node, q *packet.Packet, d geom.Dir, now 
 	p.Hop(fx, q.Size)
 	p.Traverse(id, d, q, q.Size, deflected, now)
 	n.Out[d].Send(q, now)
+	p.Wake(fx, p.Mesh.ID(n.C.Add(d)), now+p.hop)
 	return true
 }
 

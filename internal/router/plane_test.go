@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"testing"
 
 	"surfbless/internal/config"
@@ -18,7 +19,7 @@ func newPlane(t *testing.T, width, height, hop int) *Plane {
 	cfg.Width, cfg.Height = width, height
 	meter := power.NewMeter(cfg, power.Default45nm())
 	p := &Plane{}
-	if err := p.Init(cfg, hop, nil, stats.NewCollector(cfg.Domains, 0, 0), meter, nil, func(int) {}); err != nil {
+	if err := p.Init(cfg, hop, hop, nil, stats.NewCollector(cfg.Domains, 0, 0), meter, nil, func(int) {}); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -64,17 +65,33 @@ func TestPlaneWiring(t *testing.T) {
 
 // TestPlaneReceiveOrder checks that receive yields a router's arrivals
 // in input-port order N, E, S, W whatever order they were sent in, each
-// with the port it came in on, and none on an idle cycle.
+// with the port it came in on, and that an idle cycle receives nothing:
+// it visits no router, so every node keeps its last arrivals.
 func TestPlaneReceiveOrder(t *testing.T) {
 	p := newPlane(t, 3, 3, 1)
 	mid := geom.Coord{X: 1, Y: 1}
 	n := p.Nodes[p.Mesh.ID(mid)]
+	// send forwards q to mid from its neighbour on side d, which wakes
+	// mid for the arrival.
+	send := func(q *packet.Packet, d geom.Dir, now int64) {
+		id := p.Mesh.ID(mid.Add(d))
+		if !p.Send(&p.FX[0], id, p.Nodes[id], q, d.Opposite(), now) {
+			t.Fatal("fault-free send lost the packet")
+		}
+	}
+	visited := func(want ...int) {
+		t.Helper()
+		if got := p.Active(0); !slices.Equal(got, want) {
+			t.Errorf("cycle %d visited %v, want %v", p.Now, got, want)
+		}
+	}
 	var sent [geom.NumLinkDirs]*packet.Packet
 	for i, d := range []geom.Dir{geom.West, geom.South, geom.East, geom.North} {
 		sent[d] = packet.New(uint64(i), mid.Add(d), mid, 0, packet.Ctrl, 0)
-		n.In[d].Send(sent[d], 0)
+		send(sent[d], d, 0)
 	}
 	p.Step(1)
+	visited(p.Mesh.ID(mid))
 	if len(n.Arrivals) != geom.NumLinkDirs {
 		t.Fatalf("%d arrivals, want %d", len(n.Arrivals), geom.NumLinkDirs)
 	}
@@ -84,17 +101,38 @@ func TestPlaneReceiveOrder(t *testing.T) {
 		}
 	}
 
-	n.In[geom.West].Send(sent[geom.West], 1)
-	n.In[geom.East].Send(sent[geom.East], 1)
+	send(sent[geom.West], geom.West, 1)
+	send(sent[geom.East], geom.East, 1)
 	p.Step(2)
+	visited(p.Mesh.ID(mid))
 	if len(n.Arrivals) != 2 || n.Arrivals[0] != sent[geom.East] || n.Arrivals[1] != sent[geom.West] ||
 		n.From[0] != geom.East || n.From[1] != geom.West {
 		t.Errorf("arrivals %v from %v, want the east then the west packet", n.Arrivals, n.From[:len(n.Arrivals)])
 	}
 
 	p.Step(3)
-	if len(n.Arrivals) != 0 {
-		t.Errorf("idle cycle: arrivals %v", n.Arrivals)
+	visited()
+}
+
+// TestKernelWakeAcrossGap checks that a wake for a cycle no Step ran
+// falls due at the next Step, also when the gap exceeds the calendar's
+// ring, and that a visit consumes it.
+func TestKernelWakeAcrossGap(t *testing.T) {
+	for _, gap := range []int64{1, 5, 100} {
+		p := newPlane(t, 4, 4, 2)
+		p.Step(0)
+		const node = 5
+		if !p.Offer(node, packet.New(1, p.Mesh.CoordOf(node), geom.Coord{X: 3, Y: 3}, 0, packet.Ctrl, 0), 1) {
+			t.Fatal("offer refused")
+		}
+		p.Step(1 + gap)
+		if got := p.Active(0); !slices.Equal(got, []int{node}) {
+			t.Errorf("gap %d: Step(%d) visited %v, want [%d]", gap, p.Now, got, node)
+		}
+		p.Step(p.Now + 1)
+		if got := p.Active(0); len(got) != 0 {
+			t.Errorf("gap %d: the wake was not consumed; Step(%d) visited %v", gap, p.Now, got)
+		}
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 )
 
@@ -105,8 +104,9 @@ func New(cfg config.Config, sink network.Sink, col *stats.Collector, meter *powe
 		return nil, fmt.Errorf("runahead: config model is %v", cfg.Model)
 	}
 	f := &Fabric{timeout: retryTimeout(cfg.Mesh())}
-	// Every hop takes one cycle: the single-cycle router.
-	if err := f.Init(cfg, 1, sink, col, meter, f.receiveTile, f.resolveTile); err != nil {
+	// Every hop takes one cycle: the single-cycle router.  A timer wakes
+	// its source when it falls due, the kernel's longest wake.
+	if err := f.Init(cfg, 1, int(f.timeout), sink, col, meter, f.receiveTile, f.resolveTile); err != nil {
 		return nil, err
 	}
 	f.src = make([]source, len(f.Nodes))
@@ -141,32 +141,33 @@ func (f *Fabric) Retransmissions() int64 {
 	return s
 }
 
-// receiveTile runs the plane's receive on one tile's nodes and
+// receiveTile runs the plane's receive on one tile's active nodes and
 // collects their sources' expired timers.
 //
 //shard:phase(receive)
 func (f *Fabric) receiveTile(t int) {
-	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
-	for id := lo; id < hi; id++ {
+	for _, id := range f.Active(t) {
 		f.Nodes[id].Receive(f.Now)
 		f.src[id].expire(f.Now)
 	}
 }
 
-// resolveTile runs one tile's retransmission, ejection, forwarding and
-// injection.
+// resolveTile runs the retransmission, ejection, forwarding and
+// injection of one tile's active routers, and keeps a router with a
+// queued packet awake.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
-	for id := lo; id < hi; id++ {
+	for _, id := range f.Active(t) {
 		f.resolveNode(id, f.Nodes[id], &f.src[id], f.Now, fx)
+		f.Settle(fx, id, false)
 	}
 }
 
 // expire sets aside the timers due now whose packet is still
-// undelivered, for relaunch.  Any ejection of such a packet, by
+// undelivered, for relaunch.  Every timer woke its source for the cycle
+// it falls due, so none is overdue.  Any ejection of such a packet, by
 // whichever tile, happened in an earlier cycle's resolve phase, so a
 // barrier separates it from this read.
 func (s *source) expire(now int64) {
@@ -178,9 +179,11 @@ func (s *source) expire(now int64) {
 	}
 }
 
-// arm starts p's retransmission timer at its source s.
-func (f *Fabric) arm(s *source, p *packet.Packet, now int64) {
-	s.timers.Push(timer{p: p, id: p.ID}, now+f.timeout)
+// arm starts p's retransmission timer at its source node id and wakes
+// the source for the cycle it falls due.
+func (f *Fabric) arm(fx *router.FX, id int, p *packet.Packet, now int64) {
+	f.src[id].timers.Push(timer{p: p, id: p.ID}, now+f.timeout)
+	f.Wake(fx, id, now+f.timeout)
 }
 
 // resolveNode is the cycle's routing phase for one router:
@@ -194,7 +197,7 @@ func (f *Fabric) resolveNode(id int, n *router.Node, s *source, now int64, fx *r
 		f.Retransmitted(fx, p, now)
 		f.BufferRead(fx, 1)
 		if !n.NI.Offer(p) {
-			f.arm(s, p, now)
+			f.arm(fx, id, p, now)
 		}
 	}
 
@@ -255,7 +258,7 @@ func (f *Fabric) resolveNode(id int, n *router.Node, s *source, now int64, fx *r
 		// One retransmission timer per launch: if no delivery happens
 		// within the timeout, the source sends a fresh copy.  The timeout
 		// outlasts the longest X-Y path, so two copies never coexist.
-		f.arm(s, p, now)
+		f.arm(fx, id, p, now)
 		break
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 	"surfbless/internal/wave"
 )
@@ -88,7 +87,7 @@ func NewWithPolicy(cfg config.Config, slotWidths []int, pol Policy, sink network
 		return nil, fmt.Errorf("surfbless: config model is %v", cfg.Model)
 	}
 	f := &Fabric{cfg: cfg, pol: pol}
-	if err := f.Init(cfg, cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
+	if err := f.Init(cfg, cfg.HopDelay(), cfg.HopDelay(), sink, col, meter, nil, f.resolveTile); err != nil {
 		return nil, err
 	}
 	plan, err := wave.NewPlan(f.Mesh, cfg.HopDelay(), cfg.Domains, cfg.WaveSets, slotWidths)
@@ -113,14 +112,15 @@ func (f *Fabric) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return f.Offer(nodeID, p, now)
 }
 
-// resolveTile runs one tile's ejection, routing and injection.
+// resolveTile runs the ejection, routing and injection of one tile's
+// active routers, and keeps a router with a queued packet awake.
 //
 //shard:phase(resolve)
 func (f *Fabric) resolveTile(t int) {
-	lo, hi := shard.Range(len(f.Nodes), len(f.FX), t)
 	fx := &f.FX[t]
-	for id := lo; id < hi; id++ {
+	for _, id := range f.Active(t) {
 		f.resolveNode(id, f.Nodes[id], f.Now, fx)
+		f.Settle(fx, id, false)
 	}
 }
 

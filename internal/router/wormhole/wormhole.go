@@ -54,7 +54,6 @@ import (
 	"surfbless/internal/packet"
 	"surfbless/internal/power"
 	"surfbless/internal/router"
-	"surfbless/internal/shard"
 	"surfbless/internal/stats"
 	"surfbless/internal/wave"
 )
@@ -216,7 +215,8 @@ type Engine struct {
 	router.Kernel
 	opt   Options
 	nodes []*node
-	lanes int // input-port bandwidth lanes (1, or #domains when wave-gated)
+	lanes int   // input-port bandwidth lanes (1, or #domains when wave-gated)
+	hop   int64 // flit line delay
 
 	// SoA geometry shared by every node.
 	nvc      int     // V: VCs per input port
@@ -246,9 +246,9 @@ func New(opt Options, sink network.Sink, col *stats.Collector, meter *power.Mete
 			return nil, fmt.Errorf("wormhole: VC %d depth %d", i, s.Depth)
 		}
 	}
-	e := &Engine{opt: opt, lanes: 1}
+	e := &Engine{opt: opt, lanes: 1, hop: int64(cfg.HopDelay())}
 	var err error
-	if e.Kernel, err = router.NewKernel(cfg, sink, col, meter, e.recvTile, e.moveTile); err != nil {
+	if e.Kernel, err = router.NewKernel(cfg, cfg.HopDelay(), sink, col, meter, e.recvTile, e.moveTile); err != nil {
 		return nil, err
 	}
 	if opt.Plan != nil {
@@ -364,32 +364,44 @@ func (e *Engine) Inject(nodeID int, p *packet.Packet, now int64) bool {
 	return e.Offer(nodeID, p, now)
 }
 
-// recvTile drains one tile's inbound link lines into router FIFOs.
+// recvTile drains the inbound link lines of one tile's active routers
+// into their FIFOs.
 //
 //shard:phase(receive)
 func (e *Engine) recvTile(t int) {
-	lo, hi := shard.Range(len(e.nodes), len(e.FX), t)
 	fx := &e.FX[t]
-	for _, n := range e.nodes[lo:hi] {
-		e.receive(n, e.Now, fx)
+	for _, id := range e.Active(t) {
+		e.receive(e.nodes[id], e.Now, fx)
 	}
 }
 
-// moveTile allocates, switches, and forwards one tile's routers.
+// moveTile allocates, switches, and forwards one tile's active routers,
+// and keeps a router that still buffers a flit or queues a packet
+// awake.
 //
 //shard:phase(resolve)
 func (e *Engine) moveTile(t int) {
-	lo, hi := shard.Range(len(e.nodes), len(e.FX), t)
 	fx := &e.FX[t]
-	for _, n := range e.nodes[lo:hi] {
+	for _, id := range e.Active(t) {
+		n := e.nodes[id]
 		// A frozen router still receives (upstream credits bound what can
 		// arrive) but allocates and grants nothing until it thaws.
-		if e.Faults != nil && e.Faults.Frozen(n.id, e.Now) {
-			continue
+		if e.Faults == nil || !e.Faults.Frozen(id, e.Now) {
+			e.allocate(n, e.Now, fx)
+			e.switchTraversal(n, e.Now, fx)
 		}
-		e.allocate(n, e.Now, fx)
-		e.switchTraversal(n, e.Now, fx)
+		e.Settle(fx, id, n.buffered())
 	}
+}
+
+// buffered reports whether any input VC of n holds a flit.
+func (n *node) buffered() bool {
+	for _, w := range n.occ {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // receive drains credit and flit lines into router state.
@@ -520,11 +532,7 @@ func (e *Engine) switchTraversal(n *node, now int64, fx *router.FX) {
 	// candidates (arbitration needs want ∧ occ), and with no active
 	// injection worm there are no NI candidates either — nothing can be
 	// granted, so skip the per-output scans entirely.
-	occAny := uint64(0)
-	for _, w := range n.occ {
-		occAny |= w
-	}
-	if occAny == 0 && n.injActive == 0 {
+	if n.injActive == 0 && !n.buffered() {
 		return
 	}
 
@@ -671,6 +679,7 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *router.FX)
 		}
 		e.BufferRead(fx, 1)
 		n.in[r.port].creditOut.Send(creditMsg{vc: r.vc}, now)
+		e.Wake(fx, e.Mesh.ID(n.c.Add(r.port)), now+1)
 		n.inUsed[int(r.port)*e.lanes+e.lane(f.Pkt)] = now
 		if f.Tail() {
 			n.act[wi] &^= bit
@@ -693,6 +702,7 @@ func (e *Engine) grant(n *node, o geom.Dir, r request, now int64, fx *router.FX)
 	e.Link(fx, 1)
 	e.Traverse(n.id, o, f.Pkt, 1, false, now)
 	n.out[o].flitsOut.Send(flitMsg{f: f, vc: outVC}, now)
+	e.Wake(fx, e.Mesh.ID(n.c.Add(o)), now+e.hop)
 	if f.Tail() {
 		n.owner[int(o)*e.nvc+outVC] = nil
 	}

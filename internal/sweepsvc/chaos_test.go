@@ -122,6 +122,20 @@ func (h *chaosHarness) bounce() {
 	h.bounces.Add(1)
 }
 
+// unleased returns the points of job that are neither done, failed
+// nor leased at the current coordinator.
+func (h *chaosHarness) unleased(job string) int {
+	h.mu.Lock()
+	coord := h.coord
+	h.mu.Unlock()
+	st, err := coord.Status(job)
+	if err != nil {
+		h.t.Errorf("Status(%s): %v", job, err)
+		return 0
+	}
+	return st.Total - st.Done - st.Failed - st.Leased
+}
+
 // startWorker launches one fleet member with its own kill switch.
 // Once biteBLESS is armed, the first worker to take a lease of the
 // BLESS job dies before it runs it: no completion and no heartbeat
@@ -196,49 +210,60 @@ func TestChaosWorkerKillsAndCoordinatorBounces(t *testing.T) {
 	// crosses the next threshold it hard-kills a (deterministically
 	// chosen) worker and restarts it a beat later, or bounces the
 	// coordinator — so the chaos always lands mid-sweep no matter how
-	// fast the points simulate.
+	// fast the points simulate.  It never waits out a restart: every
+	// completion is looked at as it comes, so a due bounce fires even
+	// when points complete in a burst.
 	const totalPoints = 3 * 8
 	killerDone := make(chan struct{})
 	stopKiller := make(chan struct{})
 	go func() {
 		defer close(killerDone)
 		r := &chaosRand{s: 42}
-		bounceAt := map[int64]bool{6: true, 14: true}
+		bounceAt := []int64{6, 14}
 		nextKill := int64(2)
+		down := -1 // the killed worker awaiting its restart
+		var restart <-chan time.Time
+		revive := func() {
+			h.workers[down] = h.startWorker(h.workers[down].name)
+			h.restarts.Add(1)
+			down, restart = -1, nil
+		}
 		for {
 			select {
 			case <-stopKiller:
 				return
+			case <-restart:
+				revive()
+				continue
 			case <-h.progressCh:
 			}
 			n := h.completions.Load()
+			// Bounces come first, also in the tail.  The last one arms
+			// the BLESS bite, which needs a BLESS point no lease holds
+			// yet, so it fires at its count or once the BLESS job is
+			// down to a few unleased points, whichever comes first.
+			for len(bounceAt) > 0 && (n >= bounceAt[0] || len(bounceAt) == 1 && h.unleased(jobs[1]) <= 4) {
+				bounceAt = bounceAt[1:]
+				h.bounce()
+				if len(bounceAt) == 0 {
+					// A bounce forgets every lease, so a lease
+					// stranded from here on can only expire.
+					h.biteBLESS.Store(true)
+				}
+			}
 			if n >= totalPoints-2 {
+				if down >= 0 {
+					revive()
+				}
 				return // leave the tail undisturbed so the run converges
 			}
-			for at := range bounceAt {
-				if n >= at {
-					delete(bounceAt, at)
-					h.bounce()
-					if len(bounceAt) == 0 {
-						// A bounce forgets every lease, so a lease
-						// stranded from here on can only expire.
-						h.biteBLESS.Store(true)
-					}
-				}
-			}
-			if n >= nextKill {
+			if n >= nextKill && down < 0 {
 				nextKill = n + 2
-				i := int(r.next() % fleet)
-				h.workers[i].kill()
-				<-h.workers[i].done
+				down = int(r.next() % fleet)
+				h.workers[down].kill()
+				<-h.workers[down].done
 				h.kills.Add(1)
-				select {
-				case <-stopKiller:
-					return
-				case <-time.After(r.between(10*time.Millisecond, 60*time.Millisecond)):
-				}
-				h.workers[i] = h.startWorker(h.workers[i].name)
-				h.restarts.Add(1)
+				restart = time.After(r.between(10*time.Millisecond, 60*time.Millisecond))
 			}
 		}
 	}()
